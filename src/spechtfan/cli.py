@@ -7,9 +7,6 @@ identity failed on concrete data.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from pathlib import Path
 
@@ -18,7 +15,7 @@ from .errors import CapacityError, TheoremViolationError
 from .fan import enumerate_fan, theorem_count
 from .oracle import DEFAULT_ORACLE_LIMIT, certify_groebner, marked_basis
 from .polytope import pnk_vertices
-from .reporting import rows_to_csv, rows_to_json
+from .reporting import csv_text, json_text
 from .specht import initial_ideal, lex_groebner_generators
 from .verify import SKIP_GROUPS, run_verification
 
@@ -30,10 +27,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _write(text: str, path: str | None) -> None:
@@ -55,7 +48,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", metavar="PARTS", help='partition, e.g. "2,2"')
     p.add_argument("--n-max", dest="n_max", type=int, help="run every shape with up to n boxes")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
     _add_output(p)
     p.set_defaults(func=cmd_count)
 
@@ -67,7 +59,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fan", help="all initial ideals grouped by variable order")
     p.add_argument("--lambda", dest="lam", metavar="PARTS", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     _add_output(p)
     p.set_defaults(func=cmd_fan)
 
@@ -81,7 +72,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--skip", action="append", choices=SKIP_GROUPS, default=[])
-    p.add_argument("--jobs", type=int, default=1)
     _add_output(p)
     p.set_defaults(func=cmd_verify)
 
@@ -112,7 +102,7 @@ def cmd_count(args) -> int:
     for lam in lams:
         want = theorem_count(lam)
         try:
-            brute = enumerate_fan(lam, jobs=args.jobs).distinct_count
+            brute = enumerate_fan(lam).distinct_count
             agree = brute == want
         except CapacityError as exc:
             print(f"warning: {exc}; brute-force count skipped", file=sys.stderr)
@@ -120,37 +110,14 @@ def cmd_count(args) -> int:
             agree = None
         if agree is False:
             violation = True
-        records.append((lam, want, brute, agree))
+        records.append((lam.n, lam, min_gap_k(lam), want, brute, agree))
+    header = ["n", "lambda", "k", "theorem_count", "brute_force_count", "agree"]
     if args.format == "json":
-        text = _json_text(
-            [
-                {
-                    "n": lam.n,
-                    "lambda": list(lam.parts),
-                    "k": min_gap_k(lam),
-                    "theorem_count": want,
-                    "brute_force_count": brute,
-                    "agree": agree,
-                }
-                for lam, want, brute, agree in records
-            ]
+        text = json_text(
+            [dict(zip(header, (n, list(lam.parts), *rest))) for n, lam, *rest in records]
         )
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "lambda", "k", "theorem_count", "brute_force_count", "agree"])
-        for lam, want, brute, agree in records:
-            writer.writerow(
-                [
-                    lam.n,
-                    str(lam),
-                    min_gap_k(lam),
-                    want,
-                    "" if brute is None else brute,
-                    "" if agree is None else ("true" if agree else "false"),
-                ]
-            )
-        text = buf.getvalue()
+        text = csv_text(header, records)
     _write(text, args.output)
     return 2 if violation else 0
 
@@ -159,14 +126,14 @@ def cmd_initial_ideal(args) -> int:
     lam = Partition.parse(args.lam)
     order = VariableOrder.parse(args.sigma)
     ideal = initial_ideal(lam, order)
-    _write(_json_text(ideal.to_json()), args.output)
+    _write(json_text(ideal.to_json()), args.output)
     return 0
 
 
 def cmd_fan(args) -> int:
     lam = Partition.parse(args.lam)
-    fan = enumerate_fan(lam, jobs=args.jobs)
-    _write(_json_text(fan.to_json()), args.output)
+    fan = enumerate_fan(lam)
+    _write(json_text(fan.to_json()), args.output)
     return 0
 
 
@@ -174,13 +141,17 @@ def cmd_polytope(args) -> int:
     lam = Partition.parse(args.lam)
     k = min_gap_k(lam)
     ps = pnk_vertices(lam.n, k)
-    _write(_json_text({"n": lam.n, "k": k, "vertices": ps.to_json()}), args.output)
+    _write(json_text({"n": lam.n, "k": k, "vertices": ps.to_json()}), args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
-    rows = run_verification(args.n_max, seed=args.seed, skip=args.skip, jobs=args.jobs)
-    text = rows_to_json(rows) if args.format == "json" else rows_to_csv(rows)
+    rows = run_verification(args.n_max, seed=args.seed, skip=args.skip)
+    if args.format == "json":
+        text = json_text([r.to_dict() for r in rows])
+    else:
+        cells = [(r.check, r.instance, r.passed) for r in rows]
+        text = csv_text(["check", "instance", "pass"], cells)
     _write(text, args.output)
     return 0 if all(r.passed for r in rows) else 2
 
@@ -194,7 +165,7 @@ def cmd_oracle(args) -> int:
     cert = certify_groebner(basis)
     obj = {"check": "certify-groebner", "lambda": list(lam.parts), "sigma": list(order.sigma)}
     obj.update(cert.to_json())
-    _write(_json_text(obj), args.output)
+    _write(json_text(obj), args.output)
     return 0 if cert.passed else 2
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "is_column_standard",
     "is_standard",
     "prefix_standardization",
+    "embed_exponents",
     "sample_orders",
 ]
 
@@ -358,6 +359,18 @@ def prefix_standardization(order: VariableOrder) -> tuple[VariableOrder, int, tu
     rank = {v: r for r, v in enumerate(asc, start=1)}
     inner = VariableOrder(tuple(rank[v] for v in kept))
     return inner, removed, asc
+
+
+def embed_exponents(exps: tuple[int, ...], n: int, asc: tuple[int, ...]) -> tuple[int, ...]:
+    """Write the exponents of n-1 renumbered variables back into n variables.
+
+    Inverse of the renaming in prefix_standardization: exps[r-1] becomes the
+    exponent of asc[r-1], and the removed variable gets exponent 0.
+    """
+    out = [0] * n
+    for r0, v in enumerate(asc):
+        out[v - 1] = exps[r0]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -10,13 +10,13 @@ available through specht.initial_ideal and the two are compared in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import permutations
 from math import factorial
-from multiprocessing import Pool
 
 from .combinatorics import (
     Partition,
     VariableOrder,
+    embed_exponents,
     hat,
     min_gap_k,
     prefix_standardization,
@@ -176,30 +176,10 @@ class FanSummary:
         }
 
 
-def _grouped_keys(base_exps, n, perms):
-    groups: dict[tuple, list[tuple[int, ...]]] = {}
-    for sigma in perms:
-        inv0 = [0] * n
-        for a0, v in enumerate(sigma):
-            inv0[v - 1] = a0
-        key = tuple(sorted(tuple(map(e.__getitem__, inv0)) for e in base_exps))
-        groups.setdefault(key, []).append(sigma)
-    return groups
-
-
-def _fan_worker(args):
-    base_exps, n, start, stop = args
-    perms = islice(permutations(range(1, n + 1)), start, stop)
-    return _grouped_keys(base_exps, n, perms)
-
-
-def enumerate_fan(lam: Partition, limit: int = DEFAULT_ENUMERATION_LIMIT, jobs: int = 1) -> FanSummary:
+def enumerate_fan(lam: Partition, limit: int = DEFAULT_ENUMERATION_LIMIT) -> FanSummary:
     """Group all n! variable orders by their initial ideal.
 
-    Brute force over the symmetric group; refuses n beyond `limit`. With
-    jobs > 1 the order loop is split into contiguous chunks handled by a
-    process pool and merged in chunk order, so results are identical to the
-    serial run.
+    Brute force over the symmetric group; refuses n beyond `limit`.
     """
     n = lam.n
     if lam.m < 2:
@@ -208,20 +188,13 @@ def enumerate_fan(lam: Partition, limit: int = DEFAULT_ENUMERATION_LIMIT, jobs: 
         raise CapacityError(f"n={n} exceeds the enumeration limit {limit}")
     base = initial_ideal(lam, VariableOrder.identity(n))
     base_exps = tuple(m.exps for m in base.min_gens)
-    total = factorial(n)
-    if jobs > 1 and total >= 120:
-        chunk = (total + jobs - 1) // jobs
-        tasks = [
-            (base_exps, n, start, min(start + chunk, total))
-            for start in range(0, total, chunk)
-        ]
-        groups: dict[tuple, list[tuple[int, ...]]] = {}
-        with Pool(processes=jobs) as pool:
-            for part in pool.map(_fan_worker, tasks):
-                for key, sigmas in part.items():
-                    groups.setdefault(key, []).extend(sigmas)
-    else:
-        groups = _grouped_keys(base_exps, n, permutations(range(1, n + 1)))
+    groups: dict[tuple, list[tuple[int, ...]]] = {}
+    for sigma in permutations(range(1, n + 1)):
+        inv0 = [0] * n
+        for a0, v in enumerate(sigma):
+            inv0[v - 1] = a0
+        key = tuple(sorted(tuple(map(e.__getitem__, inv0)) for e in base_exps))
+        groups.setdefault(key, []).append(sigma)
     classes: dict[MonomialIdeal, tuple[VariableOrder, ...]] = {}
     for key in sorted(groups):
         ideal = MonomialIdeal(n, tuple(Monomial(e) for e in key))
@@ -229,7 +202,7 @@ def enumerate_fan(lam: Partition, limit: int = DEFAULT_ENUMERATION_LIMIT, jobs: 
     return FanSummary(
         partition=lam,
         k=min_gap_k(lam),
-        total_orders=total,
+        total_orders=factorial(n),
         distinct_count=len(classes),
         classes=classes,
     )
@@ -270,12 +243,9 @@ def elimination_identity_check(lam: Partition, order: VariableOrder) -> Eliminat
     lhs = tuple(
         m for m in initial_ideal(lam, order).min_gens if m.exps[removed - 1] == 0
     )
-    rhs = []
-    for m in initial_ideal(lhat, inner).min_gens:
-        exps = [0] * n
-        for r0, v in enumerate(asc):
-            exps[v - 1] = m.exps[r0]
-        rhs.append(Monomial(tuple(exps)))
+    rhs = [
+        Monomial(embed_exponents(m.exps, n, asc)) for m in initial_ideal(lhat, inner).min_gens
+    ]
     rhs_sorted = tuple(sorted(rhs, key=lambda m: m.exps))
     equal = tuple(m.exps for m in lhs) == tuple(m.exps for m in rhs_sorted)
     return EliminationIdentityReport(lam, order, lhat, False, lhs, rhs_sorted, equal)

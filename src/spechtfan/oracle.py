@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .combinatorics import Partition, VariableOrder, hat, prefix_standardization, standard_tableaux
+from .combinatorics import (
+    Partition,
+    VariableOrder,
+    embed_exponents,
+    hat,
+    prefix_standardization,
+    standard_tableaux,
+)
 from .polyring import Monomial, Polynomial, leading_coefficient, leading_monomial, lex_key
 from .specht import lex_groebner_generators, specht_polynomial
 
@@ -189,17 +196,6 @@ def certify_groebner(basis: MarkedBasis) -> GroebnerCertificate:
     return GroebnerCertificate(total, skipped, reduced, tuple(failures))
 
 
-def _embed(f: Polynomial, n: int, asc: tuple[int, ...]) -> Polynomial:
-    """Insert an (n-1)-variable polynomial into n variables along asc."""
-    terms = {}
-    for exps, c in f.items():
-        out = [0] * n
-        for r0, v in enumerate(asc):
-            out[v - 1] = exps[r0]
-        terms[tuple(out)] = c
-    return Polynomial._wrap(n, terms)
-
-
 def _project(f: Polynomial, asc: tuple[int, ...]) -> Polynomial:
     """Drop the removed variable; caller guarantees it is absent from f."""
     terms = {}
@@ -253,7 +249,9 @@ def elimination_polynomial_check(
     subset = 0
     for t in standard_tableaux(lhat, inner):
         subset += 1
-        g = _embed(specht_polynomial(t), n, asc)
+        g = Polynomial._wrap(
+            n, {embed_exponents(e, n, asc): c for e, c in specht_polynomial(t).items()}
+        )
         r = reduce(g, base)
         if not r.is_zero():
             failures.append(f"subset: generator of {lhat} from {t} left a remainder")

@@ -6,14 +6,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 from .combinatorics import Partition, VariableOrder, min_gap_k
-from .errors import TheoremViolationError
+from .errors import CapacityError, TheoremViolationError
 from .fan import DEFAULT_ENUMERATION_LIMIT, enumerate_fan
 from .polyring import Monomial, WeightVector, initial_form, leading_term
 from .specht import MonomialIdeal, lex_groebner_generators, minimalize
 
 __all__ = [
+    "PNK_VERTEX_LIMIT",
     "PointSet",
     "BraidCone",
     "pnk_vertices",
@@ -27,6 +29,9 @@ __all__ = [
     "BraidRefinementReport",
     "braid_refinement_check",
 ]
+
+# The full permutohedron P(9,0) builds in a few seconds; P(10,0) would hold 3.6M points.
+PNK_VERTEX_LIMIT = factorial(9)
 
 
 @dataclass(frozen=True)
@@ -118,13 +123,28 @@ class BraidCone:
 
 
 def pnk_vertices(n: int, k: int) -> PointSet:
-    """All distinct coordinate permutations of (1,...,n-k-1, n-k,...,n-k)."""
+    """All distinct coordinate permutations of (1,...,n-k-1, n-k,...,n-k).
+
+    A point is fixed by the positions of the distinct values 1..n-k-1, so the
+    n!/(k+1)! placements are walked instead of all n! permutations. More than
+    PNK_VERTEX_LIMIT points raise CapacityError before any work.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= k <= n - 2:
         raise ValueError("k must satisfy 0 <= k <= n-2")
-    u = tuple(range(1, n - k)) + (n - k,) * (k + 1)
-    return PointSet(tuple(set(permutations(u))))
+    count = factorial(n) // factorial(k + 1)
+    if count > PNK_VERTEX_LIMIT:
+        raise CapacityError(
+            f"P(n={n},k={k}) has {count} vertices, above the limit {PNK_VERTEX_LIMIT}"
+        )
+    points = []
+    for places in permutations(range(n), n - k - 1):
+        p = [n - k] * n
+        for value, i in enumerate(places, start=1):
+            p[i] = value
+        points.append(tuple(p))
+    return PointSet(tuple(points))
 
 
 def cone_membership(w: WeightVector, cone: BraidCone) -> bool:

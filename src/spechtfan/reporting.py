@@ -1,4 +1,4 @@
-"""Flat check/instance/pass rows with JSON and CSV renderers."""
+"""Flat check/instance/pass rows and the JSON and CSV writers of every report."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import io
 import json
 from dataclasses import dataclass
 
-__all__ = ["CheckRow", "rows_to_json", "rows_to_csv"]
+__all__ = ["CheckRow", "json_text", "csv_text"]
 
 
 @dataclass(frozen=True)
@@ -18,17 +18,22 @@ class CheckRow:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"check": self.check, "instance": self.instance, "pass": self.passed}
+        """The detail is kept only on failing rows, so passing output stays stable."""
+        out = {"check": self.check, "instance": self.instance, "pass": self.passed}
+        if not self.passed:
+            out["detail"] = self.detail
+        return out
 
 
-def rows_to_json(rows) -> str:
-    return json.dumps([r.to_dict() for r in rows], indent=2) + "\n"
+def json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def rows_to_csv(rows) -> str:
+def csv_text(header, rows) -> str:
+    """Booleans become true/false, None an empty cell, any other value its str()."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check", "instance", "pass"])
-    for r in rows:
-        writer.writerow([r.check, r.instance, "true" if r.passed else "false"])
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([str(c).lower() if isinstance(c, bool) else c for c in row])
     return buf.getvalue()

@@ -73,11 +73,7 @@ def _rng(seed: int, check: str, instance: str) -> random.Random:
     return random.Random(f"{seed}|{check}|{instance}")
 
 
-def _sigma_text(orders) -> str:
-    return ",".join("".join(str(v) for v in o.sigma) for o in orders)
-
-
-def run_verification(n_max: int, seed: int = 2024, skip=(), jobs: int = 1) -> list[CheckRow]:
+def run_verification(n_max: int, seed: int = 2024, skip=()) -> list[CheckRow]:
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if n_max > 7:
@@ -89,37 +85,38 @@ def run_verification(n_max: int, seed: int = 2024, skip=(), jobs: int = 1) -> li
     rows: list[CheckRow] = []
     for n in range(2, n_max + 1):
         for lam in enumerate_partitions(n):
-            rows.extend(_partition_rows(lam, seed, skip, jobs))
+            rows.extend(_partition_rows(lam, seed, skip))
         if "polytope" not in skip:
             rows.extend(_per_n_polytope_rows(n, seed))
     return rows
 
 
-def _partition_rows(lam: Partition, seed: int, skip, jobs: int) -> list[CheckRow]:
+def _partition_rows(lam: Partition, seed: int, skip) -> list[CheckRow]:
     rows: list[CheckRow] = []
     n = lam.n
     ideal_shaped = lam.m >= 2
 
     if n <= CLOSED_FORM_N:
-        rows.append(_closed_form_row(lam, seed))
-    rows.append(_monotonicity_row(lam, seed))
+        rows.append(_sampled_row("closed-form", lam, seed, 20, _closed_form_failure))
+    rows.append(_sampled_row("monotonicity", lam, seed, 10, _report_failure(monotonicity_check)))
     if ideal_shaped:
-        rows.append(_gap_audit_row(lam, seed))
+        rows.append(_sampled_row("gap-audit", lam, seed, 10, _report_failure(gap_condition_audit)))
 
     if "fan" not in skip and ideal_shaped:
-        fan = enumerate_fan(lam, jobs=jobs)
+        fan = enumerate_fan(lam)
         rows.append(_count_row(lam, fan))
         if lam.has_repeated_part():
             rows.append(_repeated_part_row(lam, fan))
         rows.append(_predictor_row(lam, fan, seed))
         if lam.parts[0] >= 2:
-            rows.append(_elimination_monomial_row(lam, seed))
+            failure = _report_failure(elimination_identity_check)
+            rows.append(_sampled_row("elimination-monomial", lam, seed, 10, failure))
 
     if "oracle" not in skip and ideal_shaped and n <= DEFAULT_ORACLE_LIMIT:
-        rows.append(_oracle_row(lam, seed, universal=False))
-        rows.append(_oracle_row(lam, seed, universal=True))
+        rows.append(_sampled_row("oracle-lex", lam, seed, 10, _oracle_lex_failure))
+        rows.append(_sampled_row("oracle-universal", lam, seed, 10, _oracle_universal_failure))
         if lam.parts[0] >= 2:
-            rows.append(_elimination_poly_row(lam, seed))
+            rows.append(_sampled_row("elimination-poly", lam, seed, 5, _elimination_poly_failure))
 
     if "polytope" not in skip and ideal_shaped:
         if n <= POLYTOPE_N:
@@ -130,43 +127,54 @@ def _partition_rows(lam: Partition, seed: int, skip, jobs: int) -> list[CheckRow
     return rows
 
 
-def _closed_form_row(lam: Partition, seed: int) -> CheckRow:
-    orders = sample_orders(lam.n, 20, _rng(seed, "closed-form", str(lam)))
-    ok = True
-    detail = ""
-    for order in orders:
-        for t in standard_tableaux(lam, order):
-            want = closed_form_initial_monomial(t, order)
-            got = leading_monomial(specht_polynomial(t), order)
-            if want != got:
-                ok = False
-                detail = f"tableau {t} under {order}"
-                break
-        if not ok:
-            break
-    return CheckRow("closed-form", f"lambda={lam} sigmas={_sigma_text(orders)}", ok, detail)
+def _sampled_row(check: str, lam: Partition, seed: int, count: int, failure) -> CheckRow:
+    """One row for `check` over `count` sampled orders of lam.
+
+    failure(lam, order) returns "" or a detail; the first detail fails the row.
+    """
+    orders = sample_orders(lam.n, count, _rng(seed, check, str(lam)))
+    detail = next(filter(None, (failure(lam, o) for o in orders)), "")
+    sigmas = ",".join("".join(str(v) for v in o.sigma) for o in orders)
+    return CheckRow(check, f"lambda={lam} sigmas={sigmas}", not detail, detail)
 
 
-def _monotonicity_row(lam: Partition, seed: int) -> CheckRow:
-    orders = sample_orders(lam.n, 10, _rng(seed, "monotonicity", str(lam)))
-    bad = [o for o in orders if not monotonicity_check(lam, o).passed]
-    return CheckRow(
-        "monotonicity",
-        f"lambda={lam} sigmas={_sigma_text(orders)}",
-        not bad,
-        f"failed under {bad[0]}" if bad else "",
+def _report_failure(check):
+    """Failure function for a library check that returns a report with `passed`."""
+    return lambda lam, order: "" if check(lam, order).passed else f"failed under {order}"
+
+
+def _closed_form_failure(lam: Partition, order: VariableOrder) -> str:
+    for t in standard_tableaux(lam, order):
+        if closed_form_initial_monomial(t, order) != leading_monomial(specht_polynomial(t), order):
+            return f"tableau {t} under {order}"
+    return ""
+
+
+def _certify_failure(basis) -> str:
+    cert = certify_groebner(basis)
+    return "" if cert.passed else f"{len(cert.failures)} nonzero remainders under {basis.order}"
+
+
+def _oracle_lex_failure(lam: Partition, order: VariableOrder) -> str:
+    basis = marked_basis(lex_groebner_generators(lam, order).polynomials(), order)
+    failure = _certify_failure(basis)
+    if not failure and minimalize([m for _, m in basis.elements]) != initial_ideal(lam, order):
+        failure = f"marks disagree with closed form under {order}"
+    return failure
+
+
+def _oracle_universal_failure(lam: Partition, order: VariableOrder) -> str:
+    return _certify_failure(
+        marked_basis(universal_groebner_generators(lam, order).polynomials(), order)
     )
 
 
-def _gap_audit_row(lam: Partition, seed: int) -> CheckRow:
-    orders = sample_orders(lam.n, 10, _rng(seed, "gap-audit", str(lam)))
-    bad = [o for o in orders if not gap_condition_audit(lam, o).passed]
-    return CheckRow(
-        "gap-audit",
-        f"lambda={lam} sigmas={_sigma_text(orders)}",
-        not bad,
-        f"failed under {bad[0]}" if bad else "",
-    )
+def _elimination_poly_failure(lam: Partition, order: VariableOrder) -> str:
+    report = elimination_polynomial_check(lam, order)
+    if report.passed:
+        return ""
+    what = report.failures[0] if report.failures else "basis certification failed"
+    return f"{what} under {order}"
 
 
 def _count_row(lam: Partition, fan) -> CheckRow:
@@ -175,12 +183,8 @@ def _count_row(lam: Partition, fan) -> CheckRow:
     ok = fan.distinct_count == want and all(
         len(orders) == size for orders in fan.classes.values()
     )
-    return CheckRow(
-        "count",
-        f"lambda={lam}",
-        ok,
-        f"theorem={want} brute={fan.distinct_count} class_size={size}",
-    )
+    detail = f"theorem={want} brute={fan.distinct_count} class_size={size}"
+    return CheckRow("count", f"lambda={lam}", ok, detail)
 
 
 def _repeated_part_row(lam: Partition, fan) -> CheckRow:
@@ -219,52 +223,6 @@ def _predictor_row(lam: Partition, fan, seed: int) -> CheckRow:
     return CheckRow("class-predictor", instance, mismatches == 0, f"mismatches={mismatches}")
 
 
-def _elimination_monomial_row(lam: Partition, seed: int) -> CheckRow:
-    orders = sample_orders(lam.n, 10, _rng(seed, "elimination-monomial", str(lam)))
-    bad = [o for o in orders if not elimination_identity_check(lam, o).passed]
-    return CheckRow(
-        "elimination-monomial",
-        f"lambda={lam} sigmas={_sigma_text(orders)}",
-        not bad,
-        f"failed under {bad[0]}" if bad else "",
-    )
-
-
-def _oracle_row(lam: Partition, seed: int, universal: bool) -> CheckRow:
-    name = "oracle-universal" if universal else "oracle-lex"
-    generate = universal_groebner_generators if universal else lex_groebner_generators
-    orders = sample_orders(lam.n, 10, _rng(seed, name, str(lam)))
-    ok = True
-    detail = ""
-    for order in orders:
-        basis = marked_basis(generate(lam, order).polynomials(), order)
-        cert = certify_groebner(basis)
-        if not cert.passed:
-            ok = False
-            detail = f"{len(cert.failures)} nonzero remainders under {order}"
-            break
-        if not universal:
-            agreed = minimalize([m for _, m in basis.elements]) == initial_ideal(lam, order)
-            if not agreed:
-                ok = False
-                detail = f"marks disagree with closed form under {order}"
-                break
-    return CheckRow(name, f"lambda={lam} sigmas={_sigma_text(orders)}", ok, detail)
-
-
-def _elimination_poly_row(lam: Partition, seed: int) -> CheckRow:
-    orders = sample_orders(lam.n, 5, _rng(seed, "elimination-poly", str(lam)))
-    ok = True
-    detail = ""
-    for order in orders:
-        report = elimination_polynomial_check(lam, order)
-        if not report.passed:
-            ok = False
-            detail = report.failures[0] if report.failures else "basis certification failed"
-            break
-    return CheckRow("elimination-poly", f"lambda={lam} sigmas={_sigma_text(orders)}", ok, detail)
-
-
 def _bijection_row(lam: Partition) -> CheckRow:
     try:
         mapping = vertex_ideal_bijection(lam)
@@ -273,12 +231,7 @@ def _bijection_row(lam: Partition) -> CheckRow:
     points = PointSet(tuple(mapping))
     dim = points.affine_dimension()
     ok = len(mapping) == theorem_count(lam) and dim == lam.n - 1
-    return CheckRow(
-        "state-polytope",
-        f"lambda={lam}",
-        ok,
-        f"vertices={len(mapping)} dim={dim}",
-    )
+    return CheckRow("state-polytope", f"lambda={lam}", ok, f"vertices={len(mapping)} dim={dim}")
 
 
 def _braid_row(lam: Partition) -> CheckRow:
@@ -300,35 +253,26 @@ def _cone_class_row(lam: Partition, seed: int) -> CheckRow:
          VariableOrder(tuple(rng.sample(range(1, n + 1), n))))
         for _ in range(10)
     ]
-    ok = True
-    detail = ""
-    for sigma, tau in pairs:
-        cs = BraidCone(sigma, k)
-        ct = BraidCone(tau, k)
-        ws = interior_sample(cs, seed)
-        wt = interior_sample(ct, seed)
-        same = order_class_predictor(lam, sigma, tau)
-        if cone_membership(ws, ct) != same or cone_membership(wt, cs) != same:
-            ok = False
-            detail = f"membership mismatch for {sigma} vs {tau}"
-            break
-        if not cone_membership(ws, cs) or not cone_membership(wt, ct):
-            ok = False
-            detail = f"interior sample escaped its own cone for {sigma} or {tau}"
-            break
-        if same:
-            ia = weight_initial_ideal(lam, sigma, ws)
-            ib = weight_initial_ideal(lam, tau, wt)
-            if ia != ib or ia != initial_ideal(lam, sigma):
-                ok = False
-                detail = f"weight ideals disagree for {sigma} vs {tau}"
-                break
-    return CheckRow(
-        "cone-classes",
-        f"lambda={lam} pairs=10 seed={seed}|cone-classes|{lam}",
-        ok,
-        detail,
-    )
+    detail = next(filter(None, (_cone_pair_failure(lam, k, seed, s, t) for s, t in pairs)), "")
+    instance = f"lambda={lam} pairs=10 seed={seed}|cone-classes|{lam}"
+    return CheckRow("cone-classes", instance, not detail, detail)
+
+
+def _cone_pair_failure(lam: Partition, k: int, seed: int, sigma, tau) -> str:
+    cs = BraidCone(sigma, k)
+    ct = BraidCone(tau, k)
+    ws = interior_sample(cs, seed)
+    wt = interior_sample(ct, seed)
+    same = order_class_predictor(lam, sigma, tau)
+    if cone_membership(ws, ct) != same or cone_membership(wt, cs) != same:
+        return f"membership mismatch for {sigma} vs {tau}"
+    if not cone_membership(ws, cs) or not cone_membership(wt, ct):
+        return f"interior sample escaped its own cone for {sigma} or {tau}"
+    if same:
+        ia = weight_initial_ideal(lam, sigma, ws)
+        if ia != weight_initial_ideal(lam, tau, wt) or ia != initial_ideal(lam, sigma):
+            return f"weight ideals disagree for {sigma} vs {tau}"
+    return ""
 
 
 def _per_n_polytope_rows(n: int, seed: int) -> list[CheckRow]:
@@ -348,10 +292,9 @@ def _per_n_polytope_rows(n: int, seed: int) -> list[CheckRow]:
             ok = ok and not bad
             detail += f" edge_violations={len(bad)}"
         rows.append(CheckRow("pnk", f"n={n} k={k}", ok, detail))
-    if n >= 2:
-        ps = pnk_vertices(n, n - 2)
-        ok = len(ps) == n and ps.affine_dimension() == n - 1
-        rows.append(CheckRow("simplex", f"n={n}", ok, f"points={len(ps)}"))
+    ps = pnk_vertices(n, n - 2)
+    ok = len(ps) == n and ps.affine_dimension() == n - 1
+    rows.append(CheckRow("simplex", f"n={n}", ok, f"points={len(ps)}"))
     if n <= CONE_N:
         rows.append(_coverage_row(n, seed))
     return rows

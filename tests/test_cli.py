@@ -5,7 +5,9 @@ import sys
 import jsonschema
 import pytest
 
+import spechtfan.verify
 from spechtfan.cli import main
+from spechtfan.polyring import Monomial
 from spechtfan.verify import run_verification
 
 ORACLE_KEYS = [
@@ -138,6 +140,24 @@ class TestFanAndPolytope:
         assert code == 1
         assert "error:" in err
 
+    def test_polytope_large_n_with_few_vertices(self, capsys):
+        code, out, _ = run(["polytope", "--lambda", "12,1"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["n"], doc["k"]) == (13, 11)
+        assert len(doc["vertices"]) == 13
+
+    def test_polytope_above_vertex_limit(self, capsys):
+        code, out, err = run(["polytope", "--lambda", "4,3,3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_jobs_flag_is_rejected(self, capsys):
+        code, _, err = run(["fan", "--lambda", "2,2", "--jobs", "2"], capsys)
+        assert code == 1
+        assert "--jobs" in err
+
 
 class TestOracle:
     def test_field_order_and_pass(self, capsys):
@@ -204,6 +224,29 @@ class TestVerify:
     def test_n_max_bounds(self, capsys):
         assert run(["verify", "--n-max", "1"], capsys)[0] == 1
         assert run(["verify", "--n-max", "9"], capsys)[0] == 1
+
+    def test_failing_rows_carry_detail(self, capsys, monkeypatch):
+        real = spechtfan.verify.closed_form_initial_monomial
+
+        def tampered(t, order):
+            return Monomial(tuple(e + 1 for e in real(t, order).exps))
+
+        monkeypatch.setattr(spechtfan.verify, "closed_form_initial_monomial", tampered)
+        skips = ["--skip", "fan", "--skip", "oracle", "--skip", "polytope"]
+        code, out, _ = run(["verify", "--n-max", "3", "--format", "json", *skips], capsys)
+        assert code == 2
+        rows = json.loads(out)
+        jsonschema.validate(rows, VERIFY_ROW_SCHEMA)
+        failed = [r for r in rows if r["check"] == "closed-form"]
+        passed = [r for r in rows if r["check"] != "closed-form"]
+        assert failed and passed
+        for r in failed:
+            first = r["instance"].split("sigmas=")[1].split(",")[0]
+            assert r["pass"] is False
+            assert r["detail"].endswith(f"under {','.join(first)}")
+        for r in passed:
+            assert r["pass"] is True
+            assert "detail" not in r
 
 
 class TestRunVerification:

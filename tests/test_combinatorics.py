@@ -11,6 +11,7 @@ from spechtfan.combinatorics import (
     VariableOrder,
     dominance_leq,
     dominated_partitions,
+    embed_exponents,
     enumerate_partitions,
     hat,
     is_column_standard,
@@ -268,3 +269,9 @@ class TestPrefixStandardization:
         pos = {v: i for i, v in enumerate(asc, start=1)}
         for i in range(1, order.n):
             assert inner.apply(i) == pos[order.apply(i)]
+
+    def test_embed_exponents(self):
+        _, removed, asc = prefix_standardization(VariableOrder.parse("2,1,4,3"))
+        out = embed_exponents((5, 6, 7), 4, asc)
+        assert out == (5, 6, 0, 7)
+        assert out[removed - 1] == 0

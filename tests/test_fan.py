@@ -144,13 +144,6 @@ class TestEnumerateFan:
         assert doc["distinct_count"] == 4
         assert sum(c["size"] for c in doc["classes"]) == doc["total_orders"]
 
-    def test_parallel_matches_serial(self):
-        lam = Partition.parse("3,2")
-        serial = enumerate_fan(lam)
-        parallel = enumerate_fan(lam, jobs=2)
-        assert serial.to_json() == parallel.to_json()
-        assert list(serial.classes) == list(parallel.classes)
-
 
 class TestOrderClassPredictor:
     def test_zero_gap_means_identical_orders(self):

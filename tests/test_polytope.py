@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 from helpers import in_hull_exact
 from spechtfan.combinatorics import Partition, VariableOrder
-from spechtfan.errors import TheoremViolationError
+from spechtfan.errors import CapacityError, TheoremViolationError
 from spechtfan.fan import enumerate_fan
 from spechtfan.polyring import WeightVector
 from spechtfan.polytope import (
+    PNK_VERTEX_LIMIT,
     BraidCone,
     PointSet,
     braid_refinement_check,
@@ -92,6 +94,19 @@ class TestPnkVertices:
             pnk_vertices(4, 3)
         with pytest.raises(ValueError):
             pnk_vertices(4, -1)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_all_coordinate_permutations(self, n):
+        for k in range(0, n - 1):
+            u = tuple(range(1, n - k)) + (n - k,) * (k + 1)
+            assert set(pnk_vertices(n, k).points) == set(permutations(u))
+
+    def test_vertex_limit_is_checked_first(self):
+        assert len(pnk_vertices(9, 0)) == PNK_VERTEX_LIMIT
+        with pytest.raises(CapacityError):
+            pnk_vertices(10, 0)
+        with pytest.raises(CapacityError):
+            pnk_vertices(40, 0)
 
 
 class TestBraidCone:
