@@ -45,8 +45,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="theorem count vs brute-force distinct ideal count")
-    p.add_argument("--lambda", dest="lam", metavar="PARTS", help='partition, e.g. "2,2"')
-    p.add_argument("--n-max", dest="n_max", type=int, help="run every shape with up to n boxes")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--lambda", dest="lam", metavar="PARTS", help='partition, e.g. "2,2"')
+    target.add_argument("--n-max", dest="n_max", type=int, help="run every shape with up to n boxes")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_output(p)
     p.set_defaults(func=cmd_count)
@@ -84,9 +85,9 @@ def build_parser() -> _Parser:
 
 
 def cmd_count(args) -> int:
-    if args.lam:
+    if args.lam is not None:
         lams = [Partition.parse(args.lam)]
-    elif args.n_max:
+    elif args.n_max is not None:
         if args.n_max < 2:
             raise ValueError("--n-max must be at least 2")
         lams = [

@@ -26,6 +26,7 @@ __all__ = [
     "min_gap_k",
     "hat",
     "standard_tableaux",
+    "standard_tableau_count",
     "is_row_standard",
     "is_column_standard",
     "is_standard",
@@ -320,6 +321,20 @@ def standard_tableaux(shape: Partition, order: VariableOrder) -> tuple[Tableau, 
     ]
     tabs.sort(key=Tableau.row_word)
     return tuple(tabs)
+
+
+def standard_tableau_count(shape: Partition) -> int:
+    """Number of standard tableaux of a shape under any order, without building one.
+
+    Hook-length formula (Frame, Robinson and Thrall, 1954): n! divided by
+    the product over all boxes of arm + leg + 1.
+    """
+    parts = shape.parts
+    hooks = 1
+    for r, p in enumerate(parts):
+        for c in range(p):
+            hooks *= p - c + sum(1 for q in parts[r + 1:] if q > c)
+    return factorial(shape.n) // hooks
 
 
 def is_row_standard(t: Tableau, order: VariableOrder) -> bool:

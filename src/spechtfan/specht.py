@@ -6,6 +6,10 @@ read off without expanding anything: the entry sitting in row d contributes
 exponent d-1 to its variable. Initial ideals are assembled from those
 closed-form monomials alone; polynomial expansion is reserved for the
 generating systems handed to the division-algorithm layer.
+
+`initial_ideal` works on raw exponent tuples read off fillings that are
+standard by construction; the public `closed_form_initial_monomial` keeps
+its column-standardness check.
 """
 
 from __future__ import annotations
@@ -17,14 +21,19 @@ from .combinatorics import (
     Partition,
     Tableau,
     VariableOrder,
+    _identity_fillings,
     dominated_partitions,
     is_column_standard,
     min_gap_k,
+    standard_tableau_count,
     standard_tableaux,
 )
+from .errors import CapacityError
 from .polyring import Monomial, Polynomial
 
 __all__ = [
+    "INITIAL_IDEAL_N_LIMIT",
+    "INITIAL_IDEAL_TABLEAU_LIMIT",
     "MonomialIdeal",
     "SpechtSystem",
     "SignCheckResult",
@@ -39,6 +48,13 @@ __all__ = [
     "initial_ideal",
     "gap_condition_audit",
 ]
+
+# initial_ideal refuses shapes whose generating tableaux outnumber this;
+# every shape up to n=12 stays below it, (5,5,3) at n=13 does not.
+INITIAL_IDEAL_TABLEAU_LIMIT = 50_000
+# The tableaux are counted over the partitions of n, 37,338 at n=40 but
+# 190,569,292 at n=100, so n itself is bounded first.
+INITIAL_IDEAL_N_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -74,19 +90,35 @@ def minimalize(gens) -> MonomialIdeal:
     """Drop every monomial strictly divisible by another; sort what is left.
 
     The surviving set is the unique minimal generating set of the ideal the
-    input generates.
+    input generates. Each exponent tuple is packed into one int with w bits
+    per variable, one more than the largest exponent needs; with G the top
+    bit of every field, f divides e exactly when
+    ((pack(e) | G) - pack(f)) & G == G, and no field borrows. Monomials are
+    taken by degree, so every divisor is kept or dropped before its multiples.
     """
-    pool = [g if isinstance(g, Monomial) else Monomial(tuple(g)) for g in gens]
+    pool = {g.exps if isinstance(g, Monomial) else tuple(map(int, g)) for g in gens}
     if not pool:
         raise ValueError("cannot minimalize an empty generating set")
-    n = pool[0].n
-    if any(g.n != n for g in pool):
+    n = len(next(iter(pool)))
+    if any(len(e) != n for e in pool):
         raise ValueError("generators must all live in the ambient ring")
-    unique = sorted({g.exps for g in pool}, key=lambda e: (sum(e), e))
+    if n and min(map(min, pool)) < 0:
+        raise ValueError("exponents must be nonnegative")
+    w = (max(map(max, pool)) if n else 0).bit_length() + 1
+    guard = sum(1 << (w * i + w - 1) for i in range(n))
     kept: list[tuple[int, ...]] = []
-    for e in unique:
-        if not any(all(a <= b for a, b in zip(f, e)) for f in kept):
+    packed: list[int] = []
+    for e in sorted(pool, key=lambda e: (sum(e), e)):
+        p = 0
+        for x in e:
+            p = (p << w) | x
+        high = p | guard
+        for f in packed:
+            if (high - f) & guard == guard:
+                break
+        else:
             kept.append(e)
+            packed.append(p)
     kept.sort()
     return MonomialIdeal(n, tuple(Monomial(e) for e in kept))
 
@@ -164,11 +196,15 @@ class SpechtSystem:
                 raise AssertionError(f"stored polynomial for {t} is not its column product")
 
 
-def _generating_tableaux(lam: Partition, order: VariableOrder, same_first_part: bool):
+def _check_shape(lam: Partition, order: VariableOrder) -> None:
     if lam.m < 2:
         raise ValueError("a single-row shape generates the unit ideal; nothing to do")
     if lam.n != order.n:
         raise ValueError("partition and order must agree on n")
+
+
+def _generating_tableaux(lam: Partition, order: VariableOrder, same_first_part: bool):
+    _check_shape(lam, order)
     for mu in dominated_partitions(lam, same_first_part=same_first_part):
         yield from standard_tableaux(mu, order)
 
@@ -196,11 +232,32 @@ def universal_groebner_generators(lam: Partition, order: VariableOrder) -> Spech
 
 
 def initial_ideal(lam: Partition, order: VariableOrder) -> MonomialIdeal:
-    """Minimal generators of the lex initial ideal, via closed-form monomials only."""
-    monos = [
-        closed_form_initial_monomial(t, order)
-        for t in _generating_tableaux(lam, order, same_first_part=True)
-    ]
+    """Minimal generators of the lex initial ideal, via closed-form monomials only.
+
+    n and the tableau count are checked against INITIAL_IDEAL_N_LIMIT and
+    INITIAL_IDEAL_TABLEAU_LIMIT before any tableau is built. Relabeled by
+    sigma, an identity-standard filling is sigma-standard, so entry a in
+    row r0 puts exponent r0 on sigma(a).
+    """
+    _check_shape(lam, order)
+    if lam.n > INITIAL_IDEAL_N_LIMIT:
+        raise CapacityError(f"n={lam.n} exceeds the initial-ideal limit {INITIAL_IDEAL_N_LIMIT}")
+    shapes = dominated_partitions(lam, same_first_part=True)
+    count = sum(standard_tableau_count(mu) for mu in shapes)
+    if count > INITIAL_IDEAL_TABLEAU_LIMIT:
+        raise CapacityError(
+            f"lambda={lam} has {count} generating tableaux, above the limit "
+            f"{INITIAL_IDEAL_TABLEAU_LIMIT}"
+        )
+    var0 = [v - 1 for v in order.sigma]
+    monos = []
+    for mu in shapes:
+        for rows in _identity_fillings(mu.parts):
+            exps = [0] * lam.n
+            for r0 in range(1, len(rows)):
+                for a in rows[r0]:
+                    exps[var0[a - 1]] = r0
+            monos.append(tuple(exps))
     return minimalize(monos)
 
 
@@ -233,8 +290,9 @@ class GapAuditReport:
 def gap_condition_audit(lam: Partition, order: VariableOrder) -> GapAuditReport:
     """Audit every minimal generator against the row-gap constraints.
 
-    For each minimal generator the first witnessing standard tableau is
-    located by scanning dominated shapes in dominance-descending order.
+    Each minimal generator's first witnessing standard tableau is located
+    in one pass over the dominated shapes in dominance-descending order,
+    which stops once every generator has a witness.
     When the largest variable sits in row j >= 2 of the witness, the shape
     must satisfy mu_{j-1} - mu_j >= k and the entry directly above must
     rank below n - k in the order.
@@ -243,21 +301,18 @@ def gap_condition_audit(lam: Partition, order: VariableOrder) -> GapAuditReport:
     ideal = initial_ideal(lam, order)
     n = lam.n
     largest = order.largest
-    shapes = dominated_partitions(lam)
+    witnesses: dict[Monomial, tuple[Partition, Tableau]] = {}
+    for mu in dominated_partitions(lam):
+        for t in standard_tableaux(mu, order):
+            witnesses.setdefault(closed_form_initial_monomial(t, order), (mu, t))
+        if all(gen in witnesses for gen in ideal.min_gens):
+            break
     entries: list[GapAuditEntry] = []
     violations: list[GapAuditEntry] = []
     for gen in ideal.min_gens:
-        witness: tuple[Partition, Tableau] | None = None
-        for mu in shapes:
-            for t in standard_tableaux(mu, order):
-                if closed_form_initial_monomial(t, order) == gen:
-                    witness = (mu, t)
-                    break
-            if witness:
-                break
-        if witness is None:
+        if gen not in witnesses:
             raise AssertionError(f"no witness tableau for minimal generator {gen}")
-        mu, t = witness
+        mu, t = witnesses[gen]
         j = t.row_of(largest)
         if j == 1:
             entry = GapAuditEntry(gen, mu, t, j, True, True, None)

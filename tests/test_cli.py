@@ -84,6 +84,18 @@ class TestCount:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_n_max_zero_is_range_checked(self, capsys):
+        code, out, err = run(["count", "--n-max", "0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --n-max must be at least 2\n"
+
+    def test_lambda_and_n_max_are_exclusive(self, capsys):
+        code, out, err = run(["count", "--lambda", "2,2", "--n-max", "3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "not allowed with" in err and err.count("\n") == 1
+
     def test_bad_partition_text(self, capsys):
         code, _, err = run(["count", "--lambda", "1,2"], capsys)
         assert code == 1
@@ -111,6 +123,14 @@ class TestInitialIdeal:
         )
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("lam", ["7,5,3", "40,1"])
+    def test_above_size_limit(self, capsys, lam):
+        sigma = ",".join(str(v) for v in range(1, sum(map(int, lam.split(","))) + 1))
+        code, out, err = run(["initial-ideal", "--lambda", lam, "--sigma", sigma], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "limit" in err and err.count("\n") == 1
 
     def test_sigma_is_required(self, capsys):
         code, _, err = run(["initial-ideal", "--lambda", "2,1"], capsys)

@@ -20,6 +20,7 @@ from spechtfan.combinatorics import (
     min_gap_k,
     prefix_standardization,
     sample_orders,
+    standard_tableau_count,
     standard_tableaux,
 )
 
@@ -235,6 +236,18 @@ class TestStandardTableaux:
         want = brute_standard_tableaux(lam, order)
         assert sorted(t.rows for t in got) == sorted(t.rows for t in want)
         assert all(is_standard(t, order) for t in got)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_hook_length_count_matches_brute_force(self, n):
+        ido = VariableOrder.identity(n)
+        for lam in enumerate_partitions(n):
+            assert standard_tableau_count(lam) == len(brute_standard_tableaux(lam, ido))
+
+    @pytest.mark.parametrize("parts,count", [("5,5", 42), ("3,3,3", 42), ("4,4,4", 462)])
+    def test_hook_length_count_known_values(self, parts, count):
+        lam = Partition.parse(parts)
+        assert standard_tableau_count(lam) == count
+        assert len(standard_tableaux(lam, VariableOrder.identity(lam.n))) == count
 
     def test_count_is_order_free(self):
         lam = Partition.parse("3,2")

@@ -1,18 +1,28 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import expansion_initial_ideal, specht_expr, sympy_lm_exps
+import spechtfan.combinatorics
+import spechtfan.specht
+from helpers import expansion_initial_ideal, naive_minimalize, specht_expr, sympy_lm_exps
 from spechtfan.combinatorics import (
     Partition,
     Tableau,
     VariableOrder,
+    dominated_partitions,
     enumerate_partitions,
     sample_orders,
+    standard_tableau_count,
     standard_tableaux,
 )
+from spechtfan.errors import CapacityError
 from spechtfan.polyring import Monomial, Polynomial, leading_coefficient
 from spechtfan.specht import (
+    INITIAL_IDEAL_N_LIMIT,
+    INITIAL_IDEAL_TABLEAU_LIMIT,
     MonomialIdeal,
     gap_condition_audit,
     closed_form_initial_monomial,
@@ -129,6 +139,30 @@ class TestMonomialIdeal:
         with pytest.raises(ValueError):
             minimalize([Monomial((1,)), Monomial((1, 0))])
 
+    def test_minimalize_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            minimalize([(1, 0), (0, -1)])
+
+    def test_minimalize_edge_cases(self):
+        assert minimalize([(3,), (1,), (2,)]).to_json() == {"n": 1, "min_gens": [[1]]}
+        assert minimalize([(0, 0), (1, 2), (0, 0)]).to_json() == {"n": 2, "min_gens": [[0, 0]]}
+        # 2**20 sets the highest bit below its field's guard bit
+        big = 2**20
+        out = minimalize([(1, 0), (0, big), (1, big), (0, big - 1)])
+        assert [g.exps for g in out.min_gens] == [(0, big - 1), (1, 0)]
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_minimalize_matches_naive(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        entry = st.one_of(st.integers(0, 3), st.integers(0, 2**20))
+        gens = data.draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=25), label="gens")
+        gens += data.draw(st.lists(st.sampled_from(gens), max_size=5), label="duplicates")
+        if data.draw(st.booleans(), label="with one"):
+            gens.append((0,) * n)
+        got = [g.exps for g in minimalize(gens).min_gens]
+        assert got == sorted(naive_minimalize(gens))
+
     def test_constructor_requires_sorted_gens(self):
         with pytest.raises(ValueError):
             MonomialIdeal(2, (Monomial((1, 0)), Monomial((0, 1))))
@@ -216,6 +250,67 @@ class TestInitialIdeal:
             for order in orders:
                 got = frozenset(g.exps for g in initial_ideal(lam, order).min_gens)
                 assert got == expansion_initial_ideal(lam, order)
+
+
+def closed_form_route(lam, order):
+    """The checked public route: Tableau objects and closed_form_initial_monomial."""
+    return minimalize([
+        closed_form_initial_monomial(t, order)
+        for mu in dominated_partitions(lam, same_first_part=True)
+        for t in standard_tableaux(mu, order)
+    ])
+
+
+class TestInitialIdealFastPath:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_order_matches_closed_form_route(self, n):
+        for lam in all_shapes(n):
+            for sigma in permutations(range(1, n + 1)):
+                order = VariableOrder(sigma)
+                assert initial_ideal(lam, order) == closed_form_route(lam, order), (lam, order)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_sampled_orders_match_closed_form_route(self, n):
+        rng = random.Random(f"fast-path|{n}")
+        for lam in all_shapes(n):
+            for order in sample_orders(n, 2, rng):
+                assert initial_ideal(lam, order) == closed_form_route(lam, order), (lam, order)
+
+    def test_six_four_two_generator_count(self):
+        ideal = initial_ideal(Partition.parse("6,4,2"), VariableOrder.identity(12))
+        assert len(ideal.min_gens) == 3331
+
+    def test_every_shape_to_n12_is_under_the_limit(self):
+        for lam in all_shapes(12):
+            shapes = dominated_partitions(lam, same_first_part=True)
+            assert sum(standard_tableau_count(mu) for mu in shapes) <= INITIAL_IDEAL_TABLEAU_LIMIT
+
+    def test_above_the_limit_is_refused_before_any_tableau(self, monkeypatch):
+        def refuse(parts):
+            raise AssertionError("tableaux were built before the size check")
+
+        cache = spechtfan.combinatorics._identity_fillings
+        before = cache.cache_info().currsize
+        monkeypatch.setattr(spechtfan.specht, "_identity_fillings", refuse)
+        with pytest.raises(CapacityError, match="generating tableaux"):
+            initial_ideal(Partition.parse("7,5,3"), VariableOrder.identity(15))
+        assert cache.cache_info().currsize == before
+
+    def test_large_n_is_refused_before_the_shapes_are_listed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the partitions of n were listed before the size check")
+
+        monkeypatch.setattr(spechtfan.specht, "dominated_partitions", refuse)
+        n = INITIAL_IDEAL_N_LIMIT + 1
+        with pytest.raises(CapacityError, match="initial-ideal limit"):
+            initial_ideal(Partition((n - 1, 1)), VariableOrder.identity(n))
+
+    def test_hook_at_the_n_limit(self):
+        n = INITIAL_IDEAL_N_LIMIT
+        ideal = initial_ideal(Partition((n - 1, 1)), VariableOrder.identity(n))
+        assert [g.exps for g in ideal.min_gens] == [
+            tuple(int(i == j) for i in range(n)) for j in range(n - 1, 0, -1)
+        ]
 
 
 class TestGapAudit:
