@@ -16,7 +16,7 @@ from .fan import enumerate_fan, theorem_count
 from .oracle import DEFAULT_ORACLE_LIMIT, certify_groebner, marked_basis
 from .polytope import pnk_vertices
 from .reporting import csv_text, json_text
-from .specht import initial_ideal, lex_groebner_generators
+from .specht import INITIAL_IDEAL_N_LIMIT, initial_ideal, lex_groebner_generators
 from .verify import SKIP_GROUPS, run_verification
 
 __all__ = ["main", "build_parser"]
@@ -30,10 +30,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(text: str, path: str | None) -> None:
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
+    if path is None:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _add_output(p) -> None:
@@ -90,6 +93,9 @@ def cmd_count(args) -> int:
     elif args.n_max is not None:
         if args.n_max < 2:
             raise ValueError("--n-max must be at least 2")
+        # the shapes are listed before anything else, and there are p(n) of them
+        if args.n_max > INITIAL_IDEAL_N_LIMIT:
+            raise CapacityError(f"--n-max {args.n_max} exceeds the limit {INITIAL_IDEAL_N_LIMIT}")
         lams = [
             lam
             for n in range(2, args.n_max + 1)
@@ -161,7 +167,7 @@ def cmd_oracle(args) -> int:
     lam = Partition.parse(args.lam)
     if lam.n > DEFAULT_ORACLE_LIMIT:
         raise ValueError(f"n={lam.n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
-    order = VariableOrder.parse(args.sigma) if args.sigma else VariableOrder.identity(lam.n)
+    order = VariableOrder.identity(lam.n) if args.sigma is None else VariableOrder.parse(args.sigma)
     basis = marked_basis(lex_groebner_generators(lam, order).polynomials(), order)
     cert = certify_groebner(basis)
     obj = {"check": "certify-groebner", "lambda": list(lam.parts), "sigma": list(order.sigma)}

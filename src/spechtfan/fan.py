@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
+from operator import itemgetter
 
 from .combinatorics import (
     Partition,
@@ -23,7 +24,6 @@ from .combinatorics import (
     standard_tableaux,
 )
 from .errors import CapacityError
-from .polyring import Monomial
 from .specht import MonomialIdeal, initial_ideal
 
 __all__ = [
@@ -56,16 +56,20 @@ class DegreeStatistic:
         return self.values[variable - 1]
 
 
+def _degree_values(n: int, tabs) -> tuple[int, ...]:
+    values = [0] * n
+    for t in tabs:
+        for r0, row in enumerate(t.rows):
+            for entry in row:
+                values[entry - 1] += r0
+    return tuple(values)
+
+
 def degree_statistic(lam: Partition, order: VariableOrder) -> DegreeStatistic:
     """Sum of initial-monomial exponents of each variable over STab(lam)."""
     if lam.n != order.n:
         raise ValueError("partition and order must agree on n")
-    values = [0] * lam.n
-    for t in standard_tableaux(lam, order):
-        for r0, row in enumerate(t.rows):
-            for entry in row:
-                values[entry - 1] += r0
-    return DegreeStatistic(lam, order, tuple(values))
+    return DegreeStatistic(lam, order, _degree_values(lam.n, standard_tableaux(lam, order)))
 
 
 @dataclass(frozen=True)
@@ -99,21 +103,21 @@ class MonotonicityReport:
 def monotonicity_check(lam: Partition, order: VariableOrder) -> MonotonicityReport:
     """Degrees must weakly increase along the order, strictly exactly when
     some standard tableau of the shape puts the two variables in one column."""
-    stat = degree_statistic(lam, order)
     tabs = standard_tableaux(lam, order)
+    values = _degree_values(lam.n, tabs)
     pairs = []
     failures = []
     for i in range(1, lam.n):
         a = order.sigma[i - 1]
         b = order.sigma[i]
-        da = stat.value_of(a)
-        db = stat.value_of(b)
+        da = values[a - 1]
+        db = values[b - 1]
         witness = any(t.column_of(a) == t.column_of(b) for t in tabs)
         pair = MonotonicityPair(i, a, b, da, db, da < db, witness)
         pairs.append(pair)
         if not pair.ok:
             failures.append(pair)
-    return MonotonicityReport(lam, order, stat.values, tuple(pairs), tuple(failures))
+    return MonotonicityReport(lam, order, values, tuple(pairs), tuple(failures))
 
 
 def theorem_count(lam: Partition) -> int:
@@ -121,42 +125,41 @@ def theorem_count(lam: Partition) -> int:
     return factorial(lam.n) // factorial(min_gap_k(lam) + 1)
 
 
-def order_class_predictor(lam: Partition, sigma: VariableOrder, tau: VariableOrder) -> bool:
-    """Whether two orders should share an initial ideal.
+def order_class_predictor(lam: Partition, sigma: tuple[int, ...], tau: tuple[int, ...]) -> bool:
+    """Whether two orders, given in one-line notation, should share an initial ideal.
 
     True exactly when the orders agree position-by-position up to n-k-1 and
     agree as sets on the last k+1 positions.
     """
     n = lam.n
-    if sigma.n != n or tau.n != n:
+    if len(sigma) != n or len(tau) != n:
         raise ValueError("orders must match the partition's n")
-    k = min_gap_k(lam)
-    head = n - k - 1
-    if sigma.sigma[:head] != tau.sigma[:head]:
-        return False
-    return set(sigma.sigma[head:]) == set(tau.sigma[head:])
+    head = n - min_gap_k(lam) - 1
+    return sigma[:head] == tau[:head] and set(sigma[head:]) == set(tau[head:])
 
 
 @dataclass
 class FanSummary:
-    """The ideal-to-orders grouping over all n! variable orders."""
+    """The ideal-to-orders grouping over all n! orders, each in one-line notation."""
 
     partition: Partition
     k: int
-    total_orders: int
-    distinct_count: int
-    classes: dict[MonomialIdeal, tuple[VariableOrder, ...]]
+    classes: dict[MonomialIdeal, tuple[tuple[int, ...], ...]]
 
-    def representative(self, ideal: MonomialIdeal) -> VariableOrder:
+    @property
+    def total_orders(self) -> int:
+        return factorial(self.partition.n)
+
+    @property
+    def distinct_count(self) -> int:
+        return len(self.classes)
+
+    def representative(self, ideal: MonomialIdeal) -> tuple[int, ...]:
         """Lexicographically smallest order in the class."""
         return self.classes[ideal][0]
 
     def order_to_ideal(self) -> dict[tuple[int, ...], MonomialIdeal]:
-        out = {}
-        for ideal, orders in self.classes.items():
-            for o in orders:
-                out[o.sigma] = ideal
-        return out
+        return {o: ideal for ideal, orders in self.classes.items() for o in orders}
 
     def to_json(self) -> dict:
         return {
@@ -169,7 +172,7 @@ class FanSummary:
                 {
                     "ideal": ideal.to_json(),
                     "size": len(orders),
-                    "representative": list(orders[0].sigma),
+                    "representative": list(orders[0]),
                 }
                 for ideal, orders in self.classes.items()
             ],
@@ -186,38 +189,28 @@ def enumerate_fan(lam: Partition, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Fan
         raise ValueError("fan enumeration needs a shape with at least two rows")
     if n > limit:
         raise CapacityError(f"n={n} exceeds the enumeration limit {limit}")
-    base = initial_ideal(lam, VariableOrder.identity(n))
-    base_exps = tuple(m.exps for m in base.min_gens)
+    base = initial_ideal(lam, VariableOrder.identity(n)).min_gens
     groups: dict[tuple, list[tuple[int, ...]]] = {}
+    # permutations yields the orders in lex order, so every class list is sorted
     for sigma in permutations(range(1, n + 1)):
-        inv0 = [0] * n
-        for a0, v in enumerate(sigma):
-            inv0[v - 1] = a0
-        key = tuple(sorted(tuple(map(e.__getitem__, inv0)) for e in base_exps))
+        # variable sigma(a) takes the exponent of variable a; n >= 2, so a tuple
+        move = itemgetter(*sorted(range(n), key=sigma.__getitem__))
+        key = tuple(sorted(map(move, base)))
         groups.setdefault(key, []).append(sigma)
-    classes: dict[MonomialIdeal, tuple[VariableOrder, ...]] = {}
-    for key in sorted(groups):
-        ideal = MonomialIdeal(n, tuple(Monomial(e) for e in key))
-        classes[ideal] = tuple(VariableOrder(s) for s in sorted(groups[key]))
-    return FanSummary(
-        partition=lam,
-        k=min_gap_k(lam),
-        total_orders=factorial(n),
-        distinct_count=len(classes),
-        classes=classes,
-    )
+    classes = {MonomialIdeal(n, key): tuple(groups[key]) for key in sorted(groups)}
+    return FanSummary(lam, min_gap_k(lam), classes)
 
 
 @dataclass(frozen=True)
 class EliminationIdentityReport:
-    """Monomial-level elimination comparison for one order."""
+    """Monomial-level elimination comparison for one order, on exponent tuples."""
 
     partition: Partition
     order: VariableOrder
     hat_partition: Partition | None
     skipped: bool
-    lhs: tuple[Monomial, ...]
-    rhs: tuple[Monomial, ...]
+    lhs: tuple[tuple[int, ...], ...]
+    rhs: tuple[tuple[int, ...], ...]
     equal: bool
 
     @property
@@ -240,12 +233,7 @@ def elimination_identity_check(lam: Partition, order: VariableOrder) -> Eliminat
         return EliminationIdentityReport(lam, order, lhat, True, (), (), True)
     n = lam.n
     inner, removed, asc = prefix_standardization(order)
-    lhs = tuple(
-        m for m in initial_ideal(lam, order).min_gens if m.exps[removed - 1] == 0
-    )
-    rhs = [
-        Monomial(embed_exponents(m.exps, n, asc)) for m in initial_ideal(lhat, inner).min_gens
-    ]
-    rhs_sorted = tuple(sorted(rhs, key=lambda m: m.exps))
-    equal = tuple(m.exps for m in lhs) == tuple(m.exps for m in rhs_sorted)
-    return EliminationIdentityReport(lam, order, lhat, False, lhs, rhs_sorted, equal)
+    lhs = tuple(e for e in initial_ideal(lam, order).min_gens if e[removed - 1] == 0)
+    # asc is increasing, so embedding keeps the sorted order of min_gens
+    rhs = tuple(embed_exponents(e, n, asc) for e in initial_ideal(lhat, inner).min_gens)
+    return EliminationIdentityReport(lam, order, lhat, False, lhs, rhs, lhs == rhs)

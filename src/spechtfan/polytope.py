@@ -11,7 +11,7 @@ from math import factorial
 from .combinatorics import Partition, VariableOrder, min_gap_k
 from .errors import CapacityError, TheoremViolationError
 from .fan import DEFAULT_ENUMERATION_LIMIT, enumerate_fan
-from .polyring import Monomial, WeightVector, initial_form, leading_term
+from .polyring import WeightVector, initial_form, leading_term
 from .specht import MonomialIdeal, lex_groebner_generators, minimalize
 
 __all__ = [
@@ -184,18 +184,18 @@ def interior_sample(cone: BraidCone, seed: int) -> WeightVector:
     return WeightVector(tuple(vals))
 
 
-def vertex_for_order(n: int, k: int, order: VariableOrder) -> tuple[int, ...]:
-    """Vertex whose normal cone contains the given order's chain cone.
+def vertex_for_order(n: int, k: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """Vertex whose normal cone contains the chain cone of the order sigma.
 
-    Position order.apply(j) receives the j-th coordinate of the base point
+    Position sigma(j) receives the j-th coordinate of the base point
     (1,...,n-k-1, n-k,...,n-k), so larger values sit on later order positions.
     """
-    if order.n != n:
+    if len(sigma) != n:
         raise ValueError("order length must be n")
     u = tuple(range(1, n - k)) + (n - k,) * (k + 1)
     p = [0] * n
-    for j in range(1, n + 1):
-        p[order.apply(j) - 1] = u[j - 1]
+    for v, c in zip(sigma, u):
+        p[v - 1] = c
     return tuple(p)
 
 
@@ -266,7 +266,7 @@ def weight_initial_ideal(lam: Partition, order: VariableOrder, w: WeightVector) 
         if len(g) != 1:
             raise ValueError("weight vector does not isolate a single term")
         ((exps, _),) = g.items()
-        monos.append(Monomial(exps))
+        monos.append(exps)
     return minimalize(monos)
 
 

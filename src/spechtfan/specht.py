@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import le, lt
 
 from .combinatorics import (
     Partition,
@@ -59,35 +60,38 @@ INITIAL_IDEAL_N_LIMIT = 40
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal held by its minimal generators, sorted by exponent tuple."""
+    """A monomial ideal held by its minimal generators' exponent tuples, strictly sorted."""
 
     n: int
-    min_gens: tuple[Monomial, ...]
+    min_gens: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        gens = tuple(self.min_gens)
+        gens = tuple(map(tuple, self.min_gens))
         if not gens:
             raise ValueError("a monomial ideal here always has at least one generator")
-        exps = [g.exps for g in gens]
-        if any(g.n != self.n for g in gens):
+        if set(map(len, gens)) != {self.n}:
             raise ValueError("generators must all live in the ambient ring")
-        if any(a >= b for a, b in zip(exps, exps[1:])):
+        if self.n and min(map(min, gens)) < 0:
+            raise ValueError("exponents must be nonnegative")
+        if not all(map(lt, gens, gens[1:])):
             raise ValueError("generators must be strictly sorted by exponent tuple")
         object.__setattr__(self, "min_gens", gens)
 
-    def contains(self, m: Monomial) -> bool:
-        """Monomial membership: some generator divides m."""
-        return any(g.divides(m) for g in self.min_gens)
+    def contains(self, exps: tuple[int, ...]) -> bool:
+        """Monomial membership: some generator divides the exponent tuple."""
+        if len(exps) != self.n:
+            raise ValueError("monomial lives in a different ring")
+        return any(all(map(le, g, exps)) for g in self.min_gens)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "min_gens": [list(g.exps) for g in self.min_gens]}
+        return {"n": self.n, "min_gens": [list(g) for g in self.min_gens]}
 
     def __str__(self) -> str:
-        return "<" + ", ".join(str(g) for g in self.min_gens) + ">"
+        return "<" + ", ".join(str(Monomial(g)) for g in self.min_gens) + ">"
 
 
 def minimalize(gens) -> MonomialIdeal:
-    """Drop every monomial strictly divisible by another; sort what is left.
+    """Drop every exponent tuple strictly divisible by another; sort what is left.
 
     The surviving set is the unique minimal generating set of the ideal the
     input generates. Each exponent tuple is packed into one int with w bits
@@ -96,7 +100,7 @@ def minimalize(gens) -> MonomialIdeal:
     ((pack(e) | G) - pack(f)) & G == G, and no field borrows. Monomials are
     taken by degree, so every divisor is kept or dropped before its multiples.
     """
-    pool = {g.exps if isinstance(g, Monomial) else tuple(map(int, g)) for g in gens}
+    pool = {tuple(map(int, g)) for g in gens}
     if not pool:
         raise ValueError("cannot minimalize an empty generating set")
     n = len(next(iter(pool)))
@@ -120,7 +124,7 @@ def minimalize(gens) -> MonomialIdeal:
             kept.append(e)
             packed.append(p)
     kept.sort()
-    return MonomialIdeal(n, tuple(Monomial(e) for e in kept))
+    return MonomialIdeal(n, tuple(kept))
 
 
 def specht_polynomial(t: Tableau) -> Polynomial:
@@ -263,9 +267,9 @@ def initial_ideal(lam: Partition, order: VariableOrder) -> MonomialIdeal:
 
 @dataclass(frozen=True)
 class GapAuditEntry:
-    """One minimal generator with its witness tableau and the row-gap verdict."""
+    """One minimal generator (exponent tuple), its witness tableau and the row-gap verdict."""
 
-    monomial: Monomial
+    monomial: tuple[int, ...]
     shape: Partition
     tableau: Tableau
     row_of_largest: int
@@ -301,10 +305,10 @@ def gap_condition_audit(lam: Partition, order: VariableOrder) -> GapAuditReport:
     ideal = initial_ideal(lam, order)
     n = lam.n
     largest = order.largest
-    witnesses: dict[Monomial, tuple[Partition, Tableau]] = {}
+    witnesses: dict[tuple[int, ...], tuple[Partition, Tableau]] = {}
     for mu in dominated_partitions(lam):
         for t in standard_tableaux(mu, order):
-            witnesses.setdefault(closed_form_initial_monomial(t, order), (mu, t))
+            witnesses.setdefault(closed_form_initial_monomial(t, order).exps, (mu, t))
         if all(gen in witnesses for gen in ideal.min_gens):
             break
     entries: list[GapAuditEntry] = []

@@ -158,7 +158,7 @@ def _certify_failure(basis) -> str:
 def _oracle_lex_failure(lam: Partition, order: VariableOrder) -> str:
     basis = marked_basis(lex_groebner_generators(lam, order).polynomials(), order)
     failure = _certify_failure(basis)
-    if not failure and minimalize([m for _, m in basis.elements]) != initial_ideal(lam, order):
+    if not failure and minimalize([m.exps for _, m in basis.elements]) != initial_ideal(lam, order):
         failure = f"marks disagree with closed form under {order}"
     return failure
 
@@ -202,11 +202,10 @@ def _predictor_row(lam: Partition, fan, seed: int) -> CheckRow:
     if n <= PREDICTOR_EXHAUSTIVE_N:
         checked = 0
         for a in sigmas:
-            oa = VariableOrder(a)
             ia = lookup[a]
             for b in sigmas:
                 checked += 1
-                if order_class_predictor(lam, oa, VariableOrder(b)) != (ia is lookup[b]):
+                if order_class_predictor(lam, a, b) != (ia is lookup[b]):
                     mismatches += 1
         instance = f"lambda={lam} pairs={checked} exhaustive"
     else:
@@ -215,9 +214,7 @@ def _predictor_row(lam: Partition, fan, seed: int) -> CheckRow:
         for _ in range(checked):
             a = sigmas[rng.randrange(len(sigmas))]
             b = sigmas[rng.randrange(len(sigmas))]
-            if order_class_predictor(lam, VariableOrder(a), VariableOrder(b)) != (
-                lookup[a] is lookup[b]
-            ):
+            if order_class_predictor(lam, a, b) != (lookup[a] is lookup[b]):
                 mismatches += 1
         instance = f"lambda={lam} pairs={checked} seed={seed}|class-predictor|{lam}"
     return CheckRow("class-predictor", instance, mismatches == 0, f"mismatches={mismatches}")
@@ -263,7 +260,7 @@ def _cone_pair_failure(lam: Partition, k: int, seed: int, sigma, tau) -> str:
     ct = BraidCone(tau, k)
     ws = interior_sample(cs, seed)
     wt = interior_sample(ct, seed)
-    same = order_class_predictor(lam, sigma, tau)
+    same = order_class_predictor(lam, sigma.sigma, tau.sigma)
     if cone_membership(ws, ct) != same or cone_membership(wt, cs) != same:
         return f"membership mismatch for {sigma} vs {tau}"
     if not cone_membership(ws, cs) or not cone_membership(wt, ct):

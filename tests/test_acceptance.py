@@ -96,10 +96,9 @@ def test_criterion_03_class_predictor():
     for n in range(2, 6):
         for lam in shapes(n):
             lookup = fan_of(lam.parts).order_to_ideal()
-            orders = [VariableOrder(s) for s in lookup]
-            for a in orders:
-                for b in orders:
-                    if order_class_predictor(lam, a, b) != (lookup[a.sigma] is lookup[b.sigma]):
+            for a in lookup:
+                for b in lookup:
+                    if order_class_predictor(lam, a, b) != (lookup[a] is lookup[b]):
                         mismatches += 1
     rng = rng_for("predictor")
     for lam in shapes(6):
@@ -108,9 +107,7 @@ def test_criterion_03_class_predictor():
         for _ in range(100_000):
             sa = rng.choice(sigmas)
             sb = rng.choice(sigmas)
-            predicted = order_class_predictor(
-                lam, VariableOrder(sa), VariableOrder(sb)
-            )
+            predicted = order_class_predictor(lam, sa, sb)
             if predicted != (lookup[sa] is lookup[sb]):
                 mismatches += 1
     ok = mismatches == 0

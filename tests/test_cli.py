@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spechtfan.cli
 import spechtfan.verify
 from spechtfan.cli import main
+from spechtfan.combinatorics import enumerate_partitions
 from spechtfan.polyring import Monomial
 from spechtfan.verify import run_verification
 
@@ -89,6 +95,17 @@ class TestCount:
         assert code == 1
         assert out == ""
         assert err == "error: --n-max must be at least 2\n"
+
+    @pytest.mark.parametrize("n_max", ["41", "1000000"])
+    def test_n_max_above_the_limit(self, capsys, monkeypatch, n_max):
+        def refuse(n):
+            raise AssertionError("the shapes were listed before the size check")
+
+        monkeypatch.setattr(spechtfan.cli, "enumerate_partitions", refuse)
+        code, out, err = run(["count", "--n-max", n_max], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "limit" in err and err.count("\n") == 1
 
     def test_lambda_and_n_max_are_exclusive(self, capsys):
         code, out, err = run(["count", "--lambda", "2,2", "--n-max", "3"], capsys)
@@ -197,6 +214,12 @@ class TestOracle:
         )
         assert code == 0
         assert json.loads(out)["sigma"] == [3, 1, 2]
+
+    def test_empty_sigma_is_refused(self, capsys):
+        code, out, err = run(["oracle", "--lambda", "2,1", "--sigma", ""], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_limit_guard(self, capsys):
         code, _, err = run(["oracle", "--lambda", "5,1"], capsys)
@@ -312,6 +335,21 @@ class TestPlumbing:
             "min_gens": [[0, 0, 1], [0, 1, 0]],
         }
 
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "dir" / "x.json"
+        code, out, err = run(["polytope", "--lambda", "2,1", "--output", str(target)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not target.parent.exists()
+
+    def test_empty_output_is_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["polytope", "--lambda", "2,1", "--output", ""], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_no_subcommand(self, capsys):
         code, _, err = run([], capsys)
         assert code == 1
@@ -335,3 +373,67 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k"] == 0
+
+
+# Valid inputs are drawn only where a call is cheap: shapes with n <= 5,
+# verify --n-max <= 3 and count --n-max <= 5; everything else is malformed
+# or far beyond a size limit, so each call ends within milliseconds.
+SHAPES = [",".join(map(str, lam.parts)) for n in range(1, 6) for lam in enumerate_partitions(n)]
+MALFORMED = ["", "a", "-1", "3,,1", "9" * 5000, "0", ",", "1.5"]
+HUGE = ["41", "1000000", "9" * 4000]
+
+
+@st.composite
+def sigma_text(draw):
+    n = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(1, n + 1)))
+    broken = draw(st.sampled_from(["none", "repeat", "drop"]))
+    if broken == "repeat" and n > 1:
+        perm[draw(st.integers(0, n - 1))] = perm[draw(st.integers(0, n - 1))]
+    elif broken == "drop":
+        del perm[draw(st.integers(0, n - 1))]
+    return ",".join(map(str, perm))
+
+
+@st.composite
+def argv_lists(draw):
+    shape = st.sampled_from(SHAPES + MALFORMED)
+    sigma = st.one_of(sigma_text(), st.sampled_from(MALFORMED))
+    command = draw(st.sampled_from(["count", "initial-ideal", "fan", "polytope", "verify", "oracle"]))
+    argv = [command]
+    if command == "count":
+        if draw(st.booleans()):
+            argv += ["--lambda", draw(shape)]
+        else:
+            small = st.integers(2, 5).map(str)
+            argv += ["--n-max", draw(st.one_of(small, st.sampled_from(MALFORMED + HUGE)))]
+        if draw(st.booleans()):
+            argv += ["--format", draw(st.sampled_from(["csv", "json", "xml"]))]
+    elif command == "verify":
+        small = st.integers(2, 3).map(str)
+        argv += ["--n-max", draw(st.one_of(small, st.sampled_from(MALFORMED + HUGE)))]
+        argv += ["--seed", draw(st.one_of(st.integers(0, 9).map(str), st.sampled_from(MALFORMED)))]
+        if draw(st.booleans()):
+            argv += ["--skip", draw(st.sampled_from(["fan", "oracle", "polytope", "", "nope"]))]
+    else:
+        argv += ["--lambda", draw(shape)]
+        if command in ("initial-ideal", "oracle") and draw(st.booleans()):
+            argv += ["--sigma", draw(sigma)]
+    if draw(st.booleans()):
+        tail = [["--output", ""], ["--output", "no/such/dir/x.json"], ["--bogus"], ["--n-max"]]
+        argv += draw(st.sampled_from(tail))
+    return argv
+
+
+class TestArgvProperty:
+    @settings(deadline=None, max_examples=150)
+    @given(argv_lists())
+    def test_every_argv_exits_0_1_or_2_without_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

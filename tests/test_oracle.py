@@ -225,7 +225,7 @@ class TestCertify:
                     lex_groebner_generators(lam, order).polynomials(), order
                 )
                 assert certify_groebner(basis).passed, (lam, order)
-                marks = minimalize([m for _, m in basis.elements])
+                marks = minimalize([m.exps for _, m in basis.elements])
                 assert marks == initial_ideal(lam, order)
 
     @pytest.mark.parametrize("n", [3, 4])
