@@ -7,6 +7,7 @@ identity failed on concrete data.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -22,11 +23,19 @@ from .verify import SKIP_GROUPS, run_verification
 __all__ = ["main", "build_parser"]
 
 
+# An error line shows a number this long by its digit count, not its digits.
+_LONG_NUMBER = re.compile(r"\d{31,}")
+
+
+def _short(message) -> str:
+    return _LONG_NUMBER.sub(lambda m: f"<{len(m[0])}-digit number>", str(message))
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; this tool reserves 2 for real failures."""
 
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: error: {_short(message)}\n")
 
 
 def _write(text: str, path: str | None) -> None:
@@ -89,7 +98,11 @@ def build_parser() -> _Parser:
 
 def cmd_count(args) -> int:
     if args.lam is not None:
-        lams = [Partition.parse(args.lam)]
+        lam = Partition.parse(args.lam)
+        # theorem_count takes n!, so n is bounded first, as for --n-max
+        if lam.n > INITIAL_IDEAL_N_LIMIT:
+            raise CapacityError(f"n={lam.n} exceeds the limit {INITIAL_IDEAL_N_LIMIT}")
+        lams = [lam]
     elif args.n_max is not None:
         if args.n_max < 2:
             raise ValueError("--n-max must be at least 2")
@@ -182,8 +195,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_short(exc)}", file=sys.stderr)
         return 1
     except TheoremViolationError as exc:
-        print(f"theorem violation: {exc}", file=sys.stderr)
+        print(f"theorem violation: {_short(exc)}", file=sys.stderr)
         return 2

@@ -10,7 +10,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from operator import add, itemgetter, sub
 
 from .combinatorics import (
     Partition,
@@ -20,7 +22,7 @@ from .combinatorics import (
     prefix_standardization,
     standard_tableaux,
 )
-from .polyring import Monomial, Polynomial, leading_coefficient, leading_monomial, lex_key
+from .polyring import Coefficient, Monomial, Polynomial, leading_monomial
 from .specht import lex_groebner_generators, specht_polynomial
 
 __all__ = [
@@ -36,6 +38,11 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_LIMIT = 5
+
+
+def _unit_inverse(c):
+    """1/c, an int when c is +1 or -1 (its own inverse) and a Fraction otherwise."""
+    return c if c in (1, -1) else Fraction(1) / Fraction(c)
 
 
 @dataclass(frozen=True)
@@ -62,10 +69,95 @@ class MarkedBasis:
     def polynomials(self) -> tuple[Polynomial, ...]:
         return tuple(f for f, _ in self.elements)
 
+    @cached_property
+    def division_table(self) -> tuple[int, tuple]:
+        """(w, rows): `_division_rows` at a field width that holds every exponent
+        of the basis with room to spare, computed once per basis."""
+        top = max(max(e) for f, _ in self.elements for e, _ in f.items())
+        w = max(16, top.bit_length() + 2)
+        return w, _division_rows(self, w)
+
 
 def marked_basis(polys, order: VariableOrder) -> MarkedBasis:
     elems = tuple((f, leading_monomial(f, order)) for f in polys)
     return MarkedBasis(elems, order)
+
+
+def _pack(exps: tuple[int, ...], desc: tuple[int, ...], w: int) -> int:
+    """One int holding w bits per exponent, the largest variable's on top.
+
+    While every exponent is below 2**(w-1), comparing packed ints compares
+    lex keys, and the top bit of each field is free to catch a carry.
+    """
+    p = 0
+    for i in desc:
+        p = (p << w) | exps[i]
+    return p
+
+
+def _unpack(p: int, desc: tuple[int, ...], w: int) -> tuple[int, ...]:
+    exps = [0] * len(desc)
+    mask = (1 << w) - 1
+    for i in reversed(desc):
+        exps[i] = p & mask
+        p >>= w
+    return tuple(exps)
+
+
+def _division_rows(basis: MarkedBasis, w: int):
+    """(mark, tail) per element, packed at width w and sorted by (mark, position).
+
+    The tail lists every other term as (exponents, -c/lc), so one division
+    step adds (current coefficient) * (tail coefficient) at each shifted
+    exponent; -c/lc stays an int whenever the lead coefficient lc is +-1.
+    """
+    desc = basis.order.desc0
+    rows = []
+    for f, mark in basis.elements:
+        inv = _unit_inverse(f.coefficient(mark))
+        tail = tuple((_pack(e, desc, w), -c * inv) for e, c in f.items() if e != mark.exps)
+        rows.append((_pack(mark.exps, desc, w), tail))
+    # a stable sort on the mark alone keeps basis position as the tie break
+    return tuple(sorted(rows, key=itemgetter(0)))
+
+
+def _divide(f: Polynomial, rows, desc: tuple[int, ...], w: int) -> Polynomial | None:
+    """Remainder of f by the packed rows, or None if an exponent outgrows w - 1 bits."""
+    guard = sum(1 << (w * j + w - 1) for j in range(len(desc)))
+    work = dict(f.items())
+    if max(map(max, work)) >> (w - 1):
+        return None
+    work = {_pack(e, desc, w): c for e, c in work.items()}
+    heap = [-p for p in work]
+    heapq.heapify(heap)
+    remainder: dict[tuple[int, ...], Coefficient] = {}
+    while heap:
+        p = -heapq.heappop(heap)
+        coeff = work.pop(p, 0)
+        if not coeff:
+            continue
+        # mark divides p exactly when no field of p - mark borrows
+        high = p | guard
+        for mark, tail in rows:
+            if (high - mark) & guard == guard:
+                break
+        else:
+            remainder[_unpack(p, desc, w)] = coeff
+            continue
+        shift = p - mark
+        for e2, c2 in tail:
+            target = e2 + shift
+            if target & guard:
+                return None
+            prev = work.get(target, 0)
+            new = prev + coeff * c2
+            if new:
+                work[target] = new
+                if not prev:
+                    heapq.heappush(heap, -target)
+            else:
+                del work[target]
+    return Polynomial._wrap(f.n, remainder)
 
 
 def reduce(f: Polynomial, basis: MarkedBasis) -> Polynomial:
@@ -74,78 +166,48 @@ def reduce(f: Polynomial, basis: MarkedBasis) -> Polynomial:
     Terms are consumed largest first via a heap with stale entries skipped.
     When several marks divide the current term the one with the lex-smallest
     mark wins, ties broken by basis position, so remainders are deterministic.
+    Coefficients stay ints when f's are ints and every lead coefficient of
+    the basis is +-1; otherwise the division is exact over Fractions.
+    Exponents are packed into ints (`_pack`); if one outgrows its field the
+    division restarts at twice the width.
     """
-    order = basis.order
-    n = f.n
-    if n != order.n:
+    if f.n != basis.order.n:
         raise ValueError("polynomial must live in the basis ring")
     if f.is_zero():
         return f
-    by_mark = sorted(
-        range(len(basis.elements)),
-        key=lambda i: (lex_key(basis.elements[i][1].exps, order), i),
-    )
-    marks = [basis.elements[i][1].exps for i in by_mark]
-    polys = [basis.elements[i][0] for i in by_mark]
-    lcs = [polys[i].coefficient(marks[i]) for i in range(len(polys))]
-
-    def negkey(exps):
-        return tuple(-v for v in lex_key(exps, order))
-
-    work = dict(f.items())
-    heap = [(negkey(e), e) for e in work]
-    heapq.heapify(heap)
-    remainder: dict[tuple[int, ...], object] = {}
-    while heap:
-        _, exps = heapq.heappop(heap)
-        coeff = work.pop(exps, 0)
-        if not coeff:
-            continue
-        hit = next(
-            (i for i in range(len(marks)) if all(a >= b for a, b in zip(exps, marks[i]))),
-            None,
-        )
-        if hit is None:
-            remainder[exps] = coeff
-            continue
-        lc = lcs[hit]
-        if lc == 1:
-            factor = coeff
-        elif lc == -1:
-            factor = -coeff
-        else:
-            factor = Fraction(coeff) / Fraction(lc)
-        mark = marks[hit]
-        shift = tuple(a - b for a, b in zip(exps, mark))
-        for e2, c2 in polys[hit].items():
-            if e2 == mark:
-                continue
-            target = tuple(a + b for a, b in zip(e2, shift))
-            prev = work.get(target, 0)
-            new = prev - factor * c2
-            if new:
-                work[target] = new
-                if not prev:
-                    heapq.heappush(heap, (negkey(target), target))
-            else:
-                work.pop(target, None)
-    return Polynomial._wrap(n, remainder)
+    desc = basis.order.desc0
+    w, rows = basis.division_table
+    while (remainder := _divide(f, rows, desc, w)) is None:
+        w *= 2
+        rows = _division_rows(basis, w)
+    return remainder
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: VariableOrder) -> Polynomial:
-    """lcm-cofactor difference with both leading coefficients normalized out."""
+    """lcm-cofactor difference with both leading coefficients normalized out.
+
+    Integer when both leading coefficients are +-1, exact Fractions otherwise.
+    """
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial needs nonzero inputs")
-    mf = leading_monomial(f, order)
-    mg = leading_monomial(g, order)
-    lcm = tuple(max(a, b) for a, b in zip(mf.exps, mg.exps))
-    qf = tuple(a - b for a, b in zip(lcm, mf.exps))
-    qg = tuple(a - b for a, b in zip(lcm, mg.exps))
-    cf = Fraction(1) / Fraction(leading_coefficient(f, order))
-    cg = Fraction(1) / Fraction(leading_coefficient(g, order))
-    left = Polynomial._wrap(f.n, {qf: cf}) * f
-    right = Polynomial._wrap(g.n, {qg: cg}) * g
-    return left - right
+    mf = leading_monomial(f, order).exps
+    mg = leading_monomial(g, order).exps
+    lcm = tuple(map(max, mf, mg))
+    qf = tuple(map(sub, lcm, mf))
+    qg = tuple(map(sub, lcm, mg))
+    cf = _unit_inverse(f.coefficient(mf))
+    cg = -_unit_inverse(g.coefficient(mg))
+    out = {tuple(map(add, e, qf)): c * cf for e, c in f.items()}
+    for e, c in g.items():
+        e = tuple(map(add, e, qg))
+        new = out.get(e, 0) + c * cg
+        if new:
+            out[e] = new
+        else:
+            del out[e]
+    if all(type(c) is int for c in out.values()):
+        return Polynomial._wrap(f.n, out)
+    return Polynomial(f.n, out)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,15 @@ exponent of x_i). The lex order attached to a VariableOrder compares the
 exponent of the largest variable first, so a monomial beats another as soon
 as it carries more of a bigger variable. Polynomial coefficients are exact
 integers throughout the public constructors; the division layer in
-`oracle` feeds Fractions through the same class.
+`oracle` feeds Fractions through the same class only when a leading
+coefficient is not a unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Union
 
 from .combinatorics import VariableOrder
@@ -21,7 +23,6 @@ __all__ = [
     "Polynomial",
     "WeightVector",
     "lex_key",
-    "lex_compare",
     "leading_monomial",
     "leading_coefficient",
     "leading_term",
@@ -90,19 +91,6 @@ class Monomial:
 def lex_key(exps: Exponents, order: VariableOrder):
     """Sort key realizing the lex order: exponents read from largest variable down."""
     return tuple(exps[i] for i in order.desc0)
-
-
-def lex_compare(a: Monomial, b: Monomial, order: VariableOrder) -> int:
-    """-1, 0, or 1 as a is below, equal to, or above b in the order's lex sense."""
-    if a.n != b.n or a.n != order.n:
-        raise ValueError("monomials and order must agree on the number of variables")
-    ka = lex_key(a.exps, order)
-    kb = lex_key(b.exps, order)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def _normalize_coeff(c: Coefficient) -> Coefficient:
@@ -281,8 +269,8 @@ def leading_monomial(f: Polynomial, order: VariableOrder) -> Monomial:
         raise ValueError("the zero polynomial has no leading monomial")
     if f.n != order.n:
         raise ValueError("polynomial and order must agree on the number of variables")
-    best = max((e for e, _ in f.items()), key=lambda e: lex_key(e, order))
-    return Monomial(best)
+    # one index makes itemgetter return the exponent itself, which orders the same
+    return Monomial(max(f._terms, key=itemgetter(*order.desc0)))
 
 
 def leading_coefficient(f: Polynomial, order: VariableOrder) -> Coefficient:
@@ -296,23 +284,31 @@ def leading_term(f: Polynomial, order: VariableOrder) -> tuple[Monomial, Coeffic
 
 @dataclass(frozen=True)
 class WeightVector:
-    """A rational weight per variable, used to take initial forms."""
+    """A rational weight per variable, used to take initial forms.
 
-    weights: tuple[Fraction, ...]
+    Weights are stored as ints when every one of them is integral and as
+    Fractions otherwise, so `dot` sums plain ints on integer weights.
+    """
+
+    weights: tuple[Coefficient, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+        weights = tuple(Fraction(w) for w in self.weights)
+        if all(w.denominator == 1 for w in weights):
+            weights = tuple(int(w) for w in weights)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def of(cls, values: Iterable) -> "WeightVector":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(tuple(values))
 
     @property
     def n(self) -> int:
         return len(self.weights)
 
-    def dot(self, exps: Exponents) -> Fraction:
-        return sum((w * e for w, e in zip(self.weights, exps)), Fraction(0))
+    def dot(self, exps: Exponents) -> Coefficient:
+        """An int on integral weights, an exact Fraction otherwise."""
+        return sum(map(mul, self.weights, exps))
 
     def __str__(self) -> str:
         return ",".join(str(w) for w in self.weights)
@@ -326,4 +322,4 @@ def initial_form(f: Polynomial, w: WeightVector) -> Polynomial:
         raise ValueError("polynomial and weight vector must agree on the number of variables")
     weighted = [(w.dot(e), e, c) for e, c in f.items()]
     top = max(t[0] for t in weighted)
-    return Polynomial(f.n, {e: c for t, e, c in weighted if t == top})
+    return Polynomial._wrap(f.n, {e: c for t, e, c in weighted if t == top})

@@ -16,6 +16,7 @@ from .specht import MonomialIdeal, lex_groebner_generators, minimalize
 
 __all__ = [
     "PNK_VERTEX_LIMIT",
+    "PNK_COORDINATE_LIMIT",
     "PointSet",
     "BraidCone",
     "pnk_vertices",
@@ -32,6 +33,8 @@ __all__ = [
 
 # The full permutohedron P(9,0) builds in a few seconds; P(10,0) would hold 3.6M points.
 PNK_VERTEX_LIMIT = factorial(9)
+# Few vertices can still be many coordinates: P(n,n-2) has n points of n entries.
+PNK_COORDINATE_LIMIT = 9 * PNK_VERTEX_LIMIT
 
 
 @dataclass(frozen=True)
@@ -127,17 +130,22 @@ def pnk_vertices(n: int, k: int) -> PointSet:
 
     A point is fixed by the positions of the distinct values 1..n-k-1, so the
     n!/(k+1)! placements are walked instead of all n! permutations. More than
-    PNK_VERTEX_LIMIT points raise CapacityError before any work.
+    PNK_VERTEX_LIMIT points or PNK_COORDINATE_LIMIT coordinates raise
+    CapacityError before any work; the count n(n-1)...(k+2) stops growing as
+    soon as it passes a limit, so a huge n costs a few multiplications.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= k <= n - 2:
         raise ValueError("k must satisfy 0 <= k <= n-2")
-    count = factorial(n) // factorial(k + 1)
-    if count > PNK_VERTEX_LIMIT:
-        raise CapacityError(
-            f"P(n={n},k={k}) has {count} vertices, above the limit {PNK_VERTEX_LIMIT}"
-        )
+    count = 1
+    for factor in range(n, k + 1, -1):
+        count *= factor
+        if count > PNK_VERTEX_LIMIT or count * n > PNK_COORDINATE_LIMIT:
+            raise CapacityError(
+                f"P(n={n},k={k}) has more than {PNK_VERTEX_LIMIT} vertices "
+                f"or {PNK_COORDINATE_LIMIT} coordinates"
+            )
     points = []
     for places in permutations(range(n), n - k - 1):
         p = [n - k] * n
@@ -299,6 +307,7 @@ def braid_refinement_check(lam: Partition, limit: int = 5) -> BraidRefinementRep
     for sigma in permutations(range(1, n + 1)):
         order = VariableOrder(sigma)
         system = lex_groebner_generators(lam, order)
+        leads = [leading_term(f, order) for _, f in system.generators]
         patterns = [
             [0] * n,
             [0] * n,
@@ -308,9 +317,8 @@ def braid_refinement_check(lam: Partition, limit: int = 5) -> BraidRefinementRep
             patterns[1][sigma[i - 1] - 1] = 2**i
         for name, pat in zip(("consecutive", "powers"), patterns):
             w = WeightVector.of(pat)
-            for t, f in system.generators:
+            for (t, f), (lead_m, lead_c) in zip(system.generators, leads):
                 gens += 1
-                lead_m, lead_c = leading_term(f, order)
                 g = initial_form(f, w)
                 if len(g) != 1 or g.coefficient(lead_m) != lead_c:
                     failures.append(f"order={order} weights={name} tableau={t}")

@@ -135,11 +135,18 @@ def specht_polynomial(t: Tableau) -> Polynomial:
     entries.
     """
     n = t.n
-    out = Polynomial.one(n)
+    terms = {(0,) * n: 1}
     for col in t.columns():
         for a, b in combinations(col, 2):
-            out = out * Polynomial.difference(n, a, b)
-    return out
+            # times (x_a - x_b): every term shifted up in x_a, minus it shifted in x_b
+            out: dict[tuple[int, ...], int] = {}
+            for e, c in terms.items():
+                up = e[: a - 1] + (e[a - 1] + 1,) + e[a:]
+                out[up] = out.get(up, 0) + c
+                up = e[: b - 1] + (e[b - 1] + 1,) + e[b:]
+                out[up] = out.get(up, 0) - c
+            terms = {e: c for e, c in out.items() if c}
+    return Polynomial._wrap(n, terms)
 
 
 def closed_form_initial_monomial(t: Tableau, order: VariableOrder) -> Monomial:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spechtfan.cli
+import spechtfan.polytope
 import spechtfan.verify
 from spechtfan.cli import main
 from spechtfan.combinatorics import enumerate_partitions
@@ -118,6 +119,25 @@ class TestCount:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "lam", ["41,1", "1000000,1", "9" * 4000 + ",1"], ids=["41,1", "1000000,1", "4000-digit,1"]
+    )
+    def test_lambda_above_the_limit(self, capsys, monkeypatch, lam):
+        def refuse(lam):
+            raise AssertionError("n! was taken before the size check")
+
+        monkeypatch.setattr(spechtfan.cli, "theorem_count", refuse)
+        code, out, err = run(["count", "--lambda", lam], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "limit 40" in err and err.count("\n") == 1
+        assert len(err) < 80
+
+    def test_huge_lambda_prints_its_digit_count(self, capsys):
+        code, _, err = run(["count", "--lambda", "9" * 4000 + ",1"], capsys)
+        assert code == 1
+        assert err == "error: n=<4001-digit number> exceeds the limit 40\n"
+
 
 class TestInitialIdeal:
     def test_identity_order(self, capsys):
@@ -189,6 +209,22 @@ class TestFanAndPolytope:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "lam",
+        ["1000000,1", "1807,1", "9" * 4000 + ",1", "9" * 4000 + ",9,1"],
+        ids=["1000000,1", "1807,1", "4000-digit,1", "4000-digit,9,1"],
+    )
+    def test_polytope_refuses_huge_n_before_any_work(self, capsys, monkeypatch, lam):
+        def refuse(*args):
+            raise AssertionError("points were placed before the size check")
+
+        monkeypatch.setattr(spechtfan.polytope, "permutations", refuse)
+        code, out, err = run(["polytope", "--lambda", lam], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: P(n=") and err.count("\n") == 1
+        assert len(err) < 120
 
     def test_jobs_flag_is_rejected(self, capsys):
         code, _, err = run(["fan", "--lambda", "2,2", "--jobs", "2"], capsys)
@@ -381,6 +417,7 @@ class TestPlumbing:
 SHAPES = [",".join(map(str, lam.parts)) for n in range(1, 6) for lam in enumerate_partitions(n)]
 MALFORMED = ["", "a", "-1", "3,,1", "9" * 5000, "0", ",", "1.5"]
 HUGE = ["41", "1000000", "9" * 4000]
+HUGE_SHAPES = ["41,1", "1000000,1", "1000000,999999", "9" * 4000 + ",1", "9" * 4000 + ",9,1"]
 
 
 @st.composite
@@ -397,7 +434,7 @@ def sigma_text(draw):
 
 @st.composite
 def argv_lists(draw):
-    shape = st.sampled_from(SHAPES + MALFORMED)
+    shape = st.sampled_from(SHAPES + MALFORMED + HUGE_SHAPES)
     sigma = st.one_of(sigma_text(), st.sampled_from(MALFORMED))
     command = draw(st.sampled_from(["count", "initial-ideal", "fan", "polytope", "verify", "oracle"]))
     argv = [command]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,99 @@ class TestCertify:
                     universal_groebner_generators(lam, order).polynomials(), order
                 )
                 assert certify_groebner(basis).passed, (lam, order)
+
+
+def int_coefficients(f):
+    return all(type(c) is int for _, c in f.items())
+
+
+class TestIntegerAndFractionPaths:
+    @pytest.mark.parametrize("parts", ["2,2", "3,2"])
+    def test_every_one_coefficient_tamper_fails(self, parts):
+        lam = Partition.parse(parts)
+        ido = VariableOrder.identity(lam.n)
+        polys = lex_groebner_generators(lam, ido).polynomials()
+        assert certify_groebner(marked_basis(polys, ido)).passed
+        tampered = 0
+        for i, f in enumerate(polys):
+            lead = leading_monomial(f, ido).exps
+            for exps, c in f.items():
+                if exps == lead:
+                    continue
+                g = Polynomial(f.n, {**dict(f.items()), exps: c + 1})
+                basis = marked_basis(polys[:i] + [g] + polys[i + 1 :], ido)
+                assert not certify_groebner(basis).passed, (i, exps)
+                tampered += 1
+        assert tampered == {"2,2": 21, "3,2": 45}[parts]
+
+    @pytest.mark.parametrize(
+        "parts,sigma", [("2,2", "1,2,3,4"), ("3,2", "2,5,1,4,3"), ("2,2,1", "5,4,3,2,1")]
+    )
+    def test_scaled_basis_takes_the_fraction_path_with_the_same_verdict(self, parts, sigma):
+        lam = Partition.parse(parts)
+        order = VariableOrder.parse(sigma)
+        polys = universal_groebner_generators(lam, order).polynomials()
+        lead = leading_monomial(polys[0], order).exps
+        exps, c = next((e, c) for e, c in polys[0].items() if e != lead)
+        tampered = [Polynomial(polys[0].n, {**dict(polys[0].items()), exps: c + 1})] + polys[1:]
+        for chosen, verdict in ((polys, True), (tampered, False)):
+            unit = marked_basis(chosen, order)
+            doubled = marked_basis([f * 2 for f in chosen], order)
+            _, rows = doubled.division_table
+            assert all(isinstance(c, Fraction) for _, tail in rows for _, c in tail)
+            _, rows = unit.division_table
+            assert all(type(c) is int for _, tail in rows for _, c in tail)
+            a = certify_groebner(unit)
+            b = certify_groebner(doubled)
+            assert a.passed is verdict
+            assert (b.passed, b.pairs_total, b.pairs_skipped_coprime, b.pairs_reduced) == (
+                a.passed,
+                a.pairs_total,
+                a.pairs_skipped_coprime,
+                a.pairs_reduced,
+            )
+            assert b.failures == a.failures
+
+    def test_unit_basis_keeps_int_coefficients(self):
+        ido = VariableOrder.identity(5)
+        lam = Partition.parse("3,2")
+        polys = universal_groebner_generators(lam, ido).polynomials()
+        basis = marked_basis(lex_groebner_generators(lam, ido).polynomials()[:-1], ido)
+        nonzero = 0
+        for f in polys:
+            for g in polys:
+                s = s_polynomial(f, g, ido)
+                assert int_coefficients(s)
+                r = reduce(s, basis)
+                assert int_coefficients(r)
+                nonzero += not r.is_zero()
+        assert nonzero > 0
+        f = Polynomial(5, {(3, 1, 2, 0, 1): 5, (0, 0, 2, 2, 3): -1, (1, 1, 1, 1, 1): 7})
+        assert int_coefficients(reduce(f, basis))
+
+    def test_division_table_is_built_once(self):
+        basis = lex_basis("2,2")
+        assert basis.division_table is basis.division_table
+        marks = [mark for mark, _ in basis.division_table[1]]
+        assert marks == sorted(marks)
+
+    def test_exponents_beyond_the_packed_field_restart_wider(self):
+        # x2 -> x1^(2^14) turns 3*x2^8 into 3*x1^(2^17), past a 17-bit field
+        ido = VariableOrder.identity(2)
+        basis = marked_basis([Polynomial(2, {(0, 1): 1, (2**14, 0): -1})], ido)
+        assert basis.division_table[0] == 17
+        f = Polynomial(2, {(0, 8): 3, (0, 3): 1, (1, 0): 1})
+        want = Polynomial(2, {(2**17, 0): 3, (3 * 2**14, 0): 1, (1, 0): 1})
+        assert reduce(f, basis) == want
+        huge = Polynomial(2, {(2**40, 0): 1, (0, 1): 1})
+        assert reduce(huge, basis) == Polynomial(2, {(2**40, 0): 1, (2**14, 0): 1})
+
+    def test_one_variable(self):
+        order = VariableOrder.identity(1)
+        basis = marked_basis([Polynomial(1, {(2,): 1, (0,): -1})], order)
+        f = Polynomial(1, {(5,): 1, (1,): 2})
+        # x^5 = x * (x^2)^2 = x on x^2 = 1, so the remainder is 3x
+        assert reduce(f, basis) == Polynomial(1, {(1,): 3})
 
 
 class TestEliminationPolynomial:

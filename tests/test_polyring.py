@@ -15,7 +15,6 @@ from spechtfan.polyring import (
     leading_coefficient,
     leading_monomial,
     leading_term,
-    lex_compare,
     lex_key,
 )
 
@@ -65,12 +64,13 @@ class TestMonomial:
 class TestLexOrder:
     def test_largest_variable_dominates(self):
         order = VariableOrder.identity(3)
-        a = Monomial((0, 1, 2))
-        b = Monomial((3, 3, 1))
+        a = (0, 1, 2)
+        b = (3, 3, 1)
         # more x3 beats any amount of the smaller variables
-        assert lex_compare(a, b, order) == 1
-        assert lex_compare(b, a, order) == -1
-        assert lex_compare(a, a, order) == 0
+        assert lex_key(a, order) > lex_key(b, order)
+        f = Polynomial(3, {a: 1, b: 1})
+        assert leading_monomial(f, order) == Monomial(a)
+        assert leading_monomial(f, VariableOrder.parse("3,2,1")) == Monomial(b)
 
     def test_key_reads_descending(self):
         order = VariableOrder.parse("2,3,1")
@@ -78,7 +78,7 @@ class TestLexOrder:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            lex_compare(Monomial((1, 0)), Monomial((1, 0)), VariableOrder.identity(3))
+            leading_monomial(Polynomial.one(2), VariableOrder.identity(3))
 
 
 class TestPolynomialBasics:
@@ -181,6 +181,14 @@ class TestLeadingTerm:
         with pytest.raises(ValueError):
             leading_monomial(Polynomial.zero(2), VariableOrder.identity(2))
 
+    def test_one_variable(self):
+        f = Polynomial(1, {(3,): 2, (1,): -1, (0,): 5})
+        order = VariableOrder.identity(1)
+        assert leading_monomial(f, order) == Monomial((3,))
+        assert leading_term(f, order) == (Monomial((3,)), 2)
+        assert leading_monomial(f, order).exps == sympy_lm_exps(poly_to_sympy(f), order)
+        assert leading_monomial(Polynomial.one(1), order) == Monomial((0,))
+
     @settings(deadline=None, max_examples=60)
     @given(st.integers(2, 4).flatmap(
         lambda n: st.tuples(poly_st(n).filter(bool), order_st(n))
@@ -229,6 +237,35 @@ class TestWeights:
             initial_form(Polynomial.zero(2), WeightVector.of([1, 2]))
         with pytest.raises(ValueError):
             initial_form(Polynomial.one(2), WeightVector.of([1, 2, 3]))
+
+    def test_integral_weights_are_ints_however_written(self):
+        ints = WeightVector.of([3, -1, 4])
+        fracs = WeightVector.of([Fraction(3), Fraction(-2, 2), Fraction(8, 2)])
+        assert ints == fracs
+        assert all(type(w) is int for w in fracs.weights)
+        for exps in [(1, 0, 2), (0, 0, 0), (5, 7, 1)]:
+            assert ints.dot(exps) == fracs.dot(exps)
+            assert type(fracs.dot(exps)) is int
+
+    def test_non_integral_weights_stay_exact_fractions(self):
+        w = WeightVector.of([1, Fraction(1, 3), 2])
+        assert all(isinstance(x, Fraction) for x in w.weights)
+        assert w.dot((1, 1, 1)) == Fraction(10, 3)
+        whole = w.dot((0, 3, 0))
+        assert whole == 1 and isinstance(whole, Fraction)
+        assert str(w) == "1,1/3,2"
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(poly_st(n).filter(bool), st.tuples(*[st.integers(-5, 5)] * n))
+    ))
+    def test_initial_form_is_the_same_on_int_and_fraction_weights(self, case):
+        f, weights = case
+        by_int = initial_form(f, WeightVector.of(weights))
+        assert by_int == initial_form(f, WeightVector.of([Fraction(w) for w in weights]))
+        # halving every weight keeps the maximizing terms; an odd weight makes them Fractions
+        halved = WeightVector.of([Fraction(w, 2) for w in weights])
+        assert initial_form(f, halved) == by_int
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(2, 4).flatmap(

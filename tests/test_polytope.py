@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spechtfan.polytope
 from helpers import in_hull_exact
 from spechtfan.combinatorics import Partition, VariableOrder
 from spechtfan.errors import CapacityError, TheoremViolationError
 from spechtfan.fan import enumerate_fan
 from spechtfan.polyring import WeightVector
 from spechtfan.polytope import (
+    PNK_COORDINATE_LIMIT,
     PNK_VERTEX_LIMIT,
     BraidCone,
     PointSet,
@@ -107,6 +109,22 @@ class TestPnkVertices:
             pnk_vertices(10, 0)
         with pytest.raises(CapacityError):
             pnk_vertices(40, 0)
+
+    def test_coordinate_limit_is_checked_first(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(spechtfan.polytope, "permutations", reached)
+        # 1807 points of 1807 coordinates stay within 9 * 9!, 1808 of 1808 do not
+        assert 1807 * 1807 <= PNK_COORDINATE_LIMIT < 1808 * 1808
+        with pytest.raises(Reached):
+            pnk_vertices(1807, 1805)
+        for n, k in [(1808, 1806), (10**6, 10**6 - 2), (10**4000, 0), (10**4000, 10**4000 - 2)]:
+            with pytest.raises(CapacityError):
+                pnk_vertices(n, k)
 
 
 class TestBraidCone:

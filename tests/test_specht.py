@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import spechtfan.combinatorics
 import spechtfan.specht
-from helpers import expansion_initial_ideal, naive_minimalize, specht_expr, sympy_lm_exps
+from helpers import (
+    expansion_initial_ideal,
+    naive_minimalize,
+    poly_to_sympy,
+    specht_expr,
+    sympy_lm_exps,
+)
 from spechtfan.combinatorics import (
     Partition,
     Tableau,
@@ -19,7 +25,7 @@ from spechtfan.combinatorics import (
     standard_tableaux,
 )
 from spechtfan.errors import CapacityError
-from spechtfan.polyring import Monomial, Polynomial, leading_coefficient
+from spechtfan.polyring import Monomial, Polynomial, leading_coefficient, leading_monomial
 from spechtfan.specht import (
     INITIAL_IDEAL_N_LIMIT,
     INITIAL_IDEAL_TABLEAU_LIMIT,
@@ -62,6 +68,25 @@ class TestSpechtPolynomial:
         f = specht_polynomial(Tableau(((1, 2), (3, 4))))
         g = specht_polynomial(Tableau(((3, 4), (1, 2))))
         assert g == f
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_sympy_expansion(self, n):
+        orders = [VariableOrder.identity(n)] + sample_orders(n, 2, random.Random(f"expand|{n}"))
+        for lam in enumerate_partitions(n):
+            for order in orders:
+                for t in standard_tableaux(lam, order):
+                    f = specht_polynomial(t)
+                    assert poly_to_sympy(f) == specht_expr(t), t
+                    assert all(type(c) is int for _, c in f.items())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_leading_monomial_matches_sympy(self, n):
+        rng = random.Random(f"expand-lm|{n}")
+        for lam in enumerate_partitions(n):
+            for order in [VariableOrder.identity(n)] + sample_orders(n, 3, rng):
+                for t in standard_tableaux(lam, order):
+                    got = leading_monomial(specht_polynomial(t), order)
+                    assert got.exps == sympy_lm_exps(specht_expr(t), order)
 
 
 class TestClosedForm:
