@@ -134,7 +134,11 @@ def order_class_predictor(lam: Partition, sigma: tuple[int, ...], tau: tuple[int
     n = lam.n
     if len(sigma) != n or len(tau) != n:
         raise ValueError("orders must match the partition's n")
-    head = n - min_gap_k(lam) - 1
+    return _same_class(n - min_gap_k(lam) - 1, sigma, tau)
+
+
+def _same_class(head: int, sigma: tuple[int, ...], tau: tuple[int, ...]) -> bool:
+    """order_class_predictor with head = n-k-1 given and the lengths taken as checked."""
     return sigma[:head] == tau[:head] and set(sigma[head:]) == set(tau[head:])
 
 

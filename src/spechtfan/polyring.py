@@ -287,12 +287,16 @@ class WeightVector:
     """A rational weight per variable, used to take initial forms.
 
     Weights are stored as ints when every one of them is integral and as
-    Fractions otherwise, so `dot` sums plain ints on integer weights.
+    Fractions otherwise, so `dot` sums plain ints on integer weights. Any
+    other weight, a float or a bool included, raises TypeError.
     """
 
     weights: tuple[Coefficient, ...]
 
     def __post_init__(self) -> None:
+        for w in self.weights:
+            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+                raise TypeError(f"weights must be int or Fraction, got {type(w).__name__}")
         weights = tuple(Fraction(w) for w in self.weights)
         if all(w.denominator == 1 for w in weights):
             weights = tuple(int(w) for w in weights)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 __all__ = ["CheckRow", "json_text", "csv_text"]
 
@@ -26,7 +26,68 @@ class CheckRow:
 
 
 def json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """The text of json.dumps(obj, indent=2) followed by a newline, byte for byte.
+
+    Accepts dicts with str keys, lists, tuples, str, int, bool and None, and
+    raises TypeError on anything else, floats and Fractions included, so no
+    report carries a floating-point number. A list or tuple whose items are
+    all of type int (not bool) is rendered once per call for each indent and
+    reused; a fan repeats the same few exponent tuples in every class. The
+    pieces are joined once, at the end.
+    """
+    memo: dict[tuple[tuple[int, ...], str], str] = {}
+    out: list[str] = []
+    emit = out.append
+
+    def write(o, indent: str) -> None:
+        if isinstance(o, str):
+            emit(encode_basestring_ascii(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                emit("[]")
+                return
+            inner = indent + "  "
+            # the type test comes first: True == 1 and both hash alike
+            if set(map(type, o)) == {int}:
+                key = (tuple(o), indent)
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = f"[\n{inner}" + f",\n{inner}".join(map(str, o)) + f"\n{indent}]"
+                emit(text)
+                return
+            sep, comma = f"[\n{inner}", f",\n{inner}"
+            for item in o:
+                emit(sep)
+                write(item, inner)
+                sep = comma
+            emit(f"\n{indent}]")
+        elif isinstance(o, dict):
+            if not o:
+                emit("{}")
+                return
+            inner = indent + "  "
+            sep, comma = f"{{\n{inner}", f",\n{inner}"
+            for name, value in o.items():
+                if not isinstance(name, str):
+                    raise TypeError(f"JSON keys must be str, not {type(name).__name__}")
+                emit(f"{sep}{encode_basestring_ascii(name)}: ")
+                write(value, inner)
+                sep = comma
+            emit(f"\n{indent}}}")
+        elif o is None:
+            emit("null")
+        elif o is True:
+            emit("true")
+        elif o is False:
+            emit("false")
+        elif isinstance(o, int):
+            emit(int.__repr__(o))
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(obj, "")
+    emit("\n")
+    return "".join(out)
 
 
 def csv_text(header, rows) -> str:

@@ -22,6 +22,7 @@ from .combinatorics import (
 )
 from .errors import TheoremViolationError
 from .fan import (
+    _same_class,
     elimination_identity_check,
     enumerate_fan,
     monotonicity_check,
@@ -196,6 +197,7 @@ def _repeated_part_row(lam: Partition, fan) -> CheckRow:
 
 def _predictor_row(lam: Partition, fan, seed: int) -> CheckRow:
     n = lam.n
+    head = n - min_gap_k(lam) - 1
     lookup = fan.order_to_ideal()
     sigmas = sorted(lookup)
     mismatches = 0
@@ -205,7 +207,7 @@ def _predictor_row(lam: Partition, fan, seed: int) -> CheckRow:
             ia = lookup[a]
             for b in sigmas:
                 checked += 1
-                if order_class_predictor(lam, a, b) != (ia is lookup[b]):
+                if _same_class(head, a, b) != (ia is lookup[b]):
                     mismatches += 1
         instance = f"lambda={lam} pairs={checked} exhaustive"
     else:
@@ -214,7 +216,7 @@ def _predictor_row(lam: Partition, fan, seed: int) -> CheckRow:
         for _ in range(checked):
             a = sigmas[rng.randrange(len(sigmas))]
             b = sigmas[rng.randrange(len(sigmas))]
-            if order_class_predictor(lam, a, b) != (lookup[a] is lookup[b]):
+            if _same_class(head, a, b) != (lookup[a] is lookup[b]):
                 mismatches += 1
         instance = f"lambda={lam} pairs={checked} seed={seed}|class-predictor|{lam}"
     return CheckRow("class-predictor", instance, mismatches == 0, f"mismatches={mismatches}")

@@ -343,6 +343,13 @@ class TestRunVerification:
         assert all(r.check and r.instance for r in rows)
         assert len({(r.check, r.instance) for r in rows}) == len(rows)
 
+    def test_a_wrong_class_predictor_fails_its_row(self, monkeypatch):
+        monkeypatch.setattr(spechtfan.verify, "_same_class", lambda head, a, b: a == b)
+        rows = run_verification(3, skip=("oracle", "polytope"))
+        # (2,1) has classes of two orders; the other shapes' classes are single orders
+        (row,) = [r for r in rows if r.check == "class-predictor" and r.instance.startswith("lambda=2,1 ")]
+        assert not row.passed and row.detail == "mismatches=6"
+
     def test_skip_removes_whole_groups(self):
         rows = run_verification(3, skip=("fan", "oracle", "polytope"))
         kept = {r.check for r in rows}

@@ -255,6 +255,11 @@ class TestWeights:
         assert whole == 1 and isinstance(whole, Fraction)
         assert str(w) == "1,1/3,2"
 
+    @pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", True], ids=["0.1", "0.5", "str", "bool"])
+    def test_only_int_and_fraction_weights(self, bad):
+        with pytest.raises(TypeError, match="weights must be int or Fraction"):
+            WeightVector.of([1, bad])
+
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 4).flatmap(
         lambda n: st.tuples(poly_st(n).filter(bool), st.tuples(*[st.integers(-5, 5)] * n))

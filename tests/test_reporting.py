@@ -1,0 +1,115 @@
+"""The JSON writer against json.dumps(indent=2), its oracle."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spechtfan.cli
+from spechtfan.cli import main
+from spechtfan.reporting import json_text
+
+
+def oracle(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+WIDE = st.one_of(st.integers(2**64, 2**300), st.integers(-(2**300), -(2**64)))
+TRICKY_CHARS = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "\ud800", "😀"])
+TEXT = st.text(st.one_of(TRICKY_CHARS, st.characters()), max_size=8)
+# Short lists over a tiny alphabet repeat, at one depth and at several, and
+# put a bool where an equal int was: the cases a wrong memo key gets wrong.
+ALIASES = st.sampled_from([0, 1, True, False])
+SHORT = st.lists(ALIASES, min_size=1, max_size=2)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), WIDE, TEXT, ALIASES)
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(SHORT, min_size=2, max_size=6),
+        SHORT,
+        st.dictionaries(TEXT, children, max_size=5),
+    )
+
+
+DOCUMENTS = st.recursive(SCALARS, containers, max_leaves=40)
+
+
+class TestJsonText:
+    @settings(deadline=None, max_examples=200)
+    @given(DOCUMENTS)
+    def test_matches_json_dumps(self, doc):
+        assert json_text(doc) == oracle(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[1, 1], [1, True], [True, 1], [0, False], [0, 0]],
+            ([1, 1], (1, True), [True, 1], (0, False), {"a": [0, 0], "b": [False, 0]}),
+            {"a": [1, 2], "b": {"c": [1, 2], "d": [[1, 2]]}},
+            [],
+            {},
+            [[]],
+            {"a": {}},
+            [[], {}, [[]], {"a": []}],
+            "",
+            0,
+            -(2**100),
+            True,
+            None,
+        ],
+        ids=["bool-int-aliases", "aliases-in-tuples", "same-list-at-three-depths", "empty-list",
+             "empty-dict", "nested-empty-list", "nested-empty-dict", "mixed-empties", "empty-str",
+             "zero", "wide-int", "true", "null"],
+    )
+    def test_frozen_cases(self, doc):
+        assert json_text(doc) == oracle(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [1.5, Fraction(1, 2), {1: 2}, [1, 0.5], {"a": [Fraction(1)]}, {(1,): 0}, {True: 1}, [1, {2}]],
+        ids=["float", "fraction", "int-key", "float-in-int-list", "nested-fraction", "tuple-key",
+             "bool-key", "set"],
+    )
+    def test_refuses_what_is_not_json(self, doc):
+        with pytest.raises(TypeError):
+            json_text(doc)
+
+
+class TestReports:
+    """Each report cli.main writes is json.dumps(indent=2) of the object it was given."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fan", "--lambda", "3,3"],
+            ["fan", "--lambda", "4,2"],
+            ["count", "--n-max", "5", "--format", "json"],
+            ["count", "--lambda", "5,4", "--format", "json"],
+            ["verify", "--n-max", "3", "--format", "json"],
+            ["oracle", "--lambda", "2,2"],
+            ["polytope", "--lambda", "3,1"],
+        ],
+        ids=lambda argv: " ".join(argv[:3]),
+    )
+    def test_report_matches_json_dumps(self, argv, capsys, monkeypatch):
+        seen = []
+
+        def capture(obj):
+            seen.append(obj)
+            return json_text(obj)
+
+        monkeypatch.setattr(spechtfan.cli, "json_text", capture)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(seen) == 1
+        assert out == oracle(seen[0])
+
+    def test_count_past_the_enumeration_limit_carries_null(self, capsys):
+        assert main(["count", "--lambda", "5,4", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert '"brute_force_count": null' in out and '"agree": null' in out
