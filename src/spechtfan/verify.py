@@ -153,7 +153,13 @@ def _closed_form_failure(lam: Partition, order: VariableOrder) -> str:
 
 def _certify_failure(basis) -> str:
     cert = certify_groebner(basis)
-    return "" if cert.passed else f"{len(cert.failures)} nonzero remainders under {basis.order}"
+    if cert.passed:
+        return ""
+    i, j, r = cert.failures[0]
+    return (
+        f"S-pair ({i},{j}) left a {len(r)}-term remainder; {len(cert.failures)} of "
+        f"{cert.pairs_reduced} reduced pairs failed under {basis.order}"
+    )
 
 
 def _oracle_lex_failure(lam: Partition, order: VariableOrder) -> str:

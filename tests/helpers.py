@@ -87,6 +87,29 @@ def sympy_lm_exps(expr, order: VariableOrder) -> tuple[int, ...]:
     return tuple(exps)
 
 
+def sympy_is_groebner(basis) -> bool:
+    """Whether a marked basis is a Groebner basis, decided by sympy alone.
+
+    sympy computes the reduced lex Groebner basis of the ideal, with the
+    generators listed largest first as in `sympy_lm_exps`. The marks are
+    leading monomials of ideal members, so they generate the initial ideal
+    exactly when every leading monomial of the reduced basis is divisible
+    by some mark.
+    """
+    order = basis.order
+    n = order.n
+    xs = sympy_vars(n)
+    gens = [xs[order.sigma[i] - 1] for i in range(n - 1, -1, -1)]
+    exprs = [poly_to_sympy(f) for f, _ in basis.elements]
+    reduced = sympy.groebner(exprs, *gens, order="lex")
+    marks = [mark.exps for _, mark in basis.elements]
+    for g in reduced.exprs:
+        lead = sympy_lm_exps(g, order)
+        if not any(all(a >= b for a, b in zip(lead, m)) for m in marks):
+            return False
+    return True
+
+
 def naive_minimalize(exps_list) -> frozenset:
     gens = set(exps_list)
     return frozenset(

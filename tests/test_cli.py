@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ import spechtfan.cli
 import spechtfan.polytope
 import spechtfan.verify
 from spechtfan.cli import main
-from spechtfan.combinatorics import enumerate_partitions
+from spechtfan.combinatorics import Partition, VariableOrder, enumerate_partitions
 from spechtfan.polyring import Monomial
 from spechtfan.verify import run_verification
 
@@ -23,6 +24,7 @@ ORACLE_KEYS = [
     "sigma",
     "pairs_total",
     "pairs_skipped_coprime",
+    "pairs_skipped_chain",
     "pairs_reduced",
     "failures",
     "pass",
@@ -258,7 +260,7 @@ class TestOracle:
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_limit_guard(self, capsys):
-        code, _, err = run(["oracle", "--lambda", "5,1"], capsys)
+        code, _, err = run(["oracle", "--lambda", "6,1"], capsys)
         assert code == 1
         assert "error:" in err
 
@@ -349,6 +351,23 @@ class TestRunVerification:
         # (2,1) has classes of two orders; the other shapes' classes are single orders
         (row,) = [r for r in rows if r.check == "class-predictor" and r.instance.startswith("lambda=2,1 ")]
         assert not row.passed and row.detail == "mismatches=6"
+
+    def test_a_failing_certificate_names_its_first_pair(self, monkeypatch):
+        # drop the last generator of every lex basis; for (2,2) under the
+        # identity the first of two failing pairs is (0,1), out of 5 reduced
+        real = spechtfan.verify.marked_basis
+        monkeypatch.setattr(
+            spechtfan.verify, "marked_basis", lambda polys, order: real(polys[:-1] or polys, order)
+        )
+        detail = spechtfan.verify._oracle_lex_failure(Partition.parse("2,2"), VariableOrder.identity(4))
+        assert detail == "S-pair (0,1) left a 6-term remainder; 2 of 5 reduced pairs failed under 1,2,3,4"
+        rows = run_verification(4, skip=("fan", "polytope"))
+        (row,) = [r for r in rows if r.check == "oracle-lex" and r.instance.startswith("lambda=2,2 ")]
+        assert not row.passed
+        assert re.fullmatch(
+            r"S-pair \(\d+,\d+\) left a \d+-term remainder; \d+ of \d+ reduced pairs failed under [1-4,]+",
+            row.detail,
+        )
 
     def test_skip_removes_whole_groups(self):
         rows = run_verification(3, skip=("fan", "oracle", "polytope"))

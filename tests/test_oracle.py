@@ -28,6 +28,8 @@ from spechtfan.specht import (
     universal_groebner_generators,
 )
 
+from helpers import sympy_is_groebner
+
 
 def lex_basis(parts, order=None):
     lam = Partition.parse(parts)
@@ -182,7 +184,8 @@ class TestCertify:
         assert cert.to_json() == {
             "pairs_total": 10,
             "pairs_skipped_coprime": 0,
-            "pairs_reduced": 10,
+            "pairs_skipped_chain": 5,
+            "pairs_reduced": 5,
             "failures": [],
             "pass": True,
         }
@@ -193,7 +196,10 @@ class TestCertify:
         polys = lex_groebner_generators(Partition.parse("2,2"), ido).polynomials()
         cert = certify_groebner(marked_basis(polys[:4], ido))
         assert not cert.passed
-        assert [(i, j) for i, j, _ in cert.failures] == [(0, 1), (1, 3), (2, 3)]
+        # (2,3) is skipped by the chain criterion through (0,2) and (0,3);
+        # (1,2) is reduced, as (0,1) failed and so never settled
+        assert (cert.pairs_skipped_chain, cert.pairs_reduced) == (1, 5)
+        assert [(i, j) for i, j, _ in cert.failures] == [(0, 1), (1, 3)]
         first = cert.failures[0][2]
         assert first == Polynomial(
             4,
@@ -207,12 +213,18 @@ class TestCertify:
             },
         )
         assert cert.failures[1][2] == -first
-        assert cert.failures[2][2] == -first * Polynomial.variable(4, 3)
         assert cert.to_json()["failures"] == [
             {"i": 0, "j": 1, "remainder_terms": 6},
             {"i": 1, "j": 3, "remainder_terms": 6},
-            {"i": 2, "j": 3, "remainder_terms": 6},
         ]
+
+    def test_universal_three_three_needs_99_reductions(self):
+        order = VariableOrder.identity(6)
+        polys = universal_groebner_generators(Partition.parse("3,3"), order).polynomials()
+        cert = certify_groebner(marked_basis(polys, order))
+        assert cert.passed
+        counts = (cert.pairs_total, cert.pairs_skipped_coprime, cert.pairs_skipped_chain, cert.pairs_reduced)
+        assert counts == (1275, 0, 1176, 99)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_lex_bases_certify_and_marks_match_closed_form(self, n):
@@ -241,6 +253,46 @@ class TestCertify:
                     universal_groebner_generators(lam, order).polynomials(), order
                 )
                 assert certify_groebner(basis).passed, (lam, order)
+
+
+SMALL_SHAPES = [lam for n in (2, 3, 4) for lam in enumerate_partitions(n) if lam.m >= 2]
+
+
+@st.composite
+def specht_bases(draw):
+    """A lex or universal Specht basis for n <= 4 under a drawn order, left
+    whole, cut to a subset, or with one non-leading coefficient raised by 1,
+    and then possibly scaled by 2 (the Fraction path)."""
+    lam = draw(st.sampled_from(SMALL_SHAPES))
+    order = VariableOrder(tuple(draw(st.permutations(range(1, lam.n + 1)))))
+    source = draw(st.sampled_from([lex_groebner_generators, universal_groebner_generators]))
+    polys = list(source(lam, order).polynomials())
+    edit = draw(st.sampled_from(["whole", "subset", "tamper"]))
+    if edit == "subset" and len(polys) > 1:
+        keep = draw(st.sets(st.integers(0, len(polys) - 1), min_size=1, max_size=len(polys) - 1))
+        polys = [polys[i] for i in sorted(keep)]
+    elif edit == "tamper":
+        i = draw(st.integers(0, len(polys) - 1))
+        f = polys[i]
+        lead = leading_monomial(f, order).exps
+        exps = draw(st.sampled_from(sorted(e for e, _ in f.items() if e != lead)))
+        polys[i] = Polynomial(f.n, {**dict(f.items()), exps: f.coefficient(exps) + 1})
+    if draw(st.booleans()):
+        polys = [f * 2 for f in polys]
+    return marked_basis(polys, order)
+
+
+class TestVerdictAgainstSympy:
+    @settings(deadline=None, max_examples=300)
+    @given(specht_bases())
+    def test_certificate_verdict_matches_sympy(self, basis):
+        assert certify_groebner(basis).passed == sympy_is_groebner(basis)
+
+    def test_both_verdicts_occur(self):
+        ido = VariableOrder.identity(4)
+        polys = lex_groebner_generators(Partition.parse("2,2"), ido).polynomials()
+        assert sympy_is_groebner(marked_basis(polys, ido))
+        assert not sympy_is_groebner(marked_basis(polys[:4], ido))
 
 
 def int_coefficients(f):
@@ -377,12 +429,12 @@ class TestEliminationPolynomial:
             )
         with pytest.raises(ValueError):
             elimination_polynomial_check(
-                Partition.parse("5,1"), VariableOrder.identity(6)
+                Partition.parse("6,1"), VariableOrder.identity(7)
             )
         rep = elimination_polynomial_check(
-            Partition.parse("5,1"), VariableOrder.identity(6), limit=6
+            Partition.parse("6,1"), VariableOrder.identity(7), limit=7
         )
         assert rep.passed
 
     def test_limit_default(self):
-        assert DEFAULT_ORACLE_LIMIT == 5
+        assert DEFAULT_ORACLE_LIMIT == 6
