@@ -22,7 +22,7 @@ from .fan import (
     theorem_count,
 )
 from .oracle import certify_groebner, elimination_polynomial_check, marked_basis, reduce, s_polynomial
-from .polyring import Monomial, Polynomial, WeightVector, initial_form, leading_monomial
+from .polyring import Polynomial, WeightVector, initial_form, leading_monomial
 from .polytope import (
     BraidCone,
     PointSet,
@@ -40,7 +40,6 @@ from .specht import (
     lex_groebner_generators,
     minimalize,
     specht_polynomial,
-    transposition_sign_check,
     universal_groebner_generators,
 )
 from .verify import run_verification
@@ -60,7 +59,6 @@ __all__ = [
     "standard_tableaux",
     "CapacityError",
     "TheoremViolationError",
-    "Monomial",
     "Polynomial",
     "WeightVector",
     "initial_form",
@@ -72,7 +70,6 @@ __all__ = [
     "initial_ideal",
     "lex_groebner_generators",
     "universal_groebner_generators",
-    "transposition_sign_check",
     "gap_condition_audit",
     "FanSummary",
     "enumerate_fan",

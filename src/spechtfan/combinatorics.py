@@ -179,23 +179,12 @@ class Tableau:
     def column_of(self, entry: int) -> int:
         return self._pos[entry][1]
 
-    def position_of(self, entry: int) -> tuple[int, int]:
-        return self._pos[entry]
-
     def column(self, c: int) -> tuple[int, ...]:
         """Entries of column c (1-based), top to bottom."""
         return tuple(row[c - 1] for row in self.rows if len(row) >= c)
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.column(c) for c in range(1, len(self.rows[0]) + 1))
-
-    def relabel(self, order: VariableOrder) -> "Tableau":
-        """Replace every entry a by order.apply(a)."""
-        return Tableau(tuple(tuple(order.apply(a) for a in row) for row in self.rows))
-
-    def with_entries_swapped(self, i: int, j: int) -> "Tableau":
-        swap = {i: j, j: i}
-        return Tableau(tuple(tuple(swap.get(a, a) for a in row) for row in self.rows))
 
     def row_word(self) -> tuple[int, ...]:
         return tuple(chain.from_iterable(self.rows))

@@ -52,9 +52,6 @@ class DegreeStatistic:
     order: VariableOrder
     values: tuple[int, ...]
 
-    def value_of(self, variable: int) -> int:
-        return self.values[variable - 1]
-
 
 def _degree_values(n: int, tabs) -> tuple[int, ...]:
     values = [0] * n
@@ -207,7 +204,7 @@ def enumerate_fan(lam: Partition, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Fan
 
 @dataclass(frozen=True)
 class EliminationIdentityReport:
-    """Monomial-level elimination comparison for one order, on exponent tuples."""
+    """Elimination comparison of monomial ideals for one order, on exponent tuples."""
 
     partition: Partition
     order: VariableOrder

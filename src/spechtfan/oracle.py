@@ -22,7 +22,7 @@ from .combinatorics import (
     prefix_standardization,
     standard_tableaux,
 )
-from .polyring import Coefficient, Monomial, Polynomial, leading_monomial
+from .polyring import Coefficient, Polynomial, leading_monomial
 from .specht import lex_groebner_generators, specht_polynomial
 
 __all__ = [
@@ -49,14 +49,14 @@ def _unit_inverse(c):
 class MarkedBasis:
     """Polynomials with their leading monomials pinned under one order."""
 
-    elements: tuple[tuple[Polynomial, Monomial], ...]
+    elements: tuple[tuple[Polynomial, tuple[int, ...]], ...]
     order: VariableOrder
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("a marked basis needs at least one element")
         for f, mark in self.elements:
-            if f.n != self.order.n or mark.n != self.order.n:
+            if f.n != self.order.n or len(mark) != self.order.n:
                 raise ValueError("basis entries must live in the order's ring")
             if not f.coefficient(mark):
                 raise ValueError("marked monomial must occur in its polynomial")
@@ -120,8 +120,8 @@ def _division_rows(basis: MarkedBasis, w: int):
     rows = []
     for f, mark in basis.elements:
         inv = _unit_inverse(f.coefficient(mark))
-        tail = tuple((_pack(e, desc, w), -c * inv) for e, c in f.items() if e != mark.exps)
-        rows.append((_pack(mark.exps, desc, w), tail))
+        tail = tuple((_pack(e, desc, w), -c * inv) for e, c in f.items() if e != mark)
+        rows.append((_pack(mark, desc, w), tail))
     # a stable sort on the mark alone keeps basis position as the tie break
     return tuple(sorted(rows, key=itemgetter(0)))
 
@@ -195,8 +195,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: VariableOrder) -> Polynomi
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial needs nonzero inputs")
-    mf = leading_monomial(f, order).exps
-    mg = leading_monomial(g, order).exps
+    mf = leading_monomial(f, order)
+    mg = leading_monomial(g, order)
     lcm = tuple(map(max, mf, mg))
     qf = tuple(map(sub, lcm, mf))
     qg = tuple(map(sub, lcm, mg))
@@ -278,7 +278,7 @@ def certify_groebner(basis: MarkedBasis) -> GroebnerCertificate:
     desc = basis.order.desc0
     w, _ = basis.division_table
     guard = _guard_bits(len(desc), w)
-    marks = [mark.exps for _, mark in elements]
+    marks = [mark for _, mark in elements]
     packed = [_pack(m, desc, w) for m in marks]
     # bit k of settled[i] is set once the pair {i, k} is settled
     settled = [0] * len(elements)
@@ -366,7 +366,7 @@ def elimination_polynomial_check(
             failures.append(f"subset: generator of {lhat} from {t} left a remainder")
     superset = 0
     for t, f in lex_groebner_generators(lam, order).generators:
-        if leading_monomial(f, order).exps[removed - 1] != 0:
+        if leading_monomial(f, order)[removed - 1] != 0:
             continue
         superset += 1
         if any(exps[removed - 1] != 0 for exps, _ in f.items()):

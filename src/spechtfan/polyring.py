@@ -19,12 +19,10 @@ from typing import Iterable, Iterator, Mapping, Union
 from .combinatorics import VariableOrder
 
 __all__ = [
-    "Monomial",
     "Polynomial",
     "WeightVector",
     "lex_key",
     "leading_monomial",
-    "leading_coefficient",
     "leading_term",
     "initial_form",
 ]
@@ -33,59 +31,15 @@ Coefficient = Union[int, Fraction]
 Exponents = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A power product stored as its exponent tuple."""
-
-    exps: Exponents
-
-    def __post_init__(self) -> None:
-        exps = tuple(int(e) for e in self.exps)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"exponents must be nonnegative: {exps}")
-        object.__setattr__(self, "exps", exps)
-
-    @classmethod
-    def one(cls, n: int) -> "Monomial":
-        return cls((0,) * n)
-
-    @classmethod
-    def variable(cls, n: int, i: int) -> "Monomial":
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
-        return cls(tuple(1 if j == i else 0 for j in range(1, n + 1)))
-
-    @property
-    def n(self) -> int:
-        return len(self.exps)
-
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def is_one(self) -> bool:
-        return all(e == 0 for e in self.exps)
-
-    def divides(self, other: "Monomial") -> bool:
-        if self.n != other.n:
-            raise ValueError("monomials live in different rings")
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.n != other.n:
-            raise ValueError("monomials live in different rings")
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def to_json(self) -> list[int]:
-        return list(self.exps)
-
-    def __str__(self) -> str:
-        parts = []
-        for i, e in enumerate(self.exps, start=1):
-            if e == 1:
-                parts.append(f"x{i}")
-            elif e > 1:
-                parts.append(f"x{i}^{e}")
-        return "*".join(parts) if parts else "1"
+def _monomial_text(exps: Exponents) -> str:
+    """x1^2*x3 for (2, 0, 1); "1" for the all-zero tuple."""
+    parts = []
+    for i, e in enumerate(exps, start=1):
+        if e == 1:
+            parts.append(f"x{i}")
+        elif e > 1:
+            parts.append(f"x{i}^{e}")
+    return "*".join(parts) if parts else "1"
 
 
 def lex_key(exps: Exponents, order: VariableOrder):
@@ -122,7 +76,7 @@ class Polynomial:
                 raise ValueError(f"exponent tuple {exps} does not have {self.n} entries")
             if any(e < 0 for e in exps):
                 raise ValueError(f"exponents must be nonnegative: {exps}")
-            acc = clean.get(exps, 0) + coeff
+            acc = clean.get(exps, 0) + _normalize_coeff(coeff)
             if acc == 0:
                 clean.pop(exps, None)
             else:
@@ -143,7 +97,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
-        return cls(n, {Monomial.variable(n, i).exps: 1})
+        if not 1 <= i <= n:
+            raise ValueError(f"variable index {i} out of range 1..{n}")
+        return cls(n, {tuple(1 if j == i else 0 for j in range(1, n + 1)): 1})
 
     @classmethod
     def difference(cls, n: int, i: int, j: int) -> "Polynomial":
@@ -165,19 +121,12 @@ class Polynomial:
         """Raw unordered view of the term map."""
         return iter(self._terms.items())
 
-    def terms(self) -> list[tuple[Monomial, Coefficient]]:
+    def terms(self) -> list[tuple[Exponents, Coefficient]]:
         """Terms sorted descending in the identity lex order, for stable output."""
-        ordered = sorted(self._terms.items(), key=lambda kv: tuple(reversed(kv[0])), reverse=True)
-        return [(Monomial(e), c) for e, c in ordered]
+        return sorted(self._terms.items(), key=lambda kv: kv[0][::-1], reverse=True)
 
-    def coefficient(self, monomial: Union[Monomial, Exponents]) -> Coefficient:
-        exps = monomial.exps if isinstance(monomial, Monomial) else tuple(monomial)
+    def coefficient(self, exps: Exponents) -> Coefficient:
         return self._terms.get(exps, 0)
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(sum(e) for e in self._terms)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -203,6 +152,7 @@ class Polynomial:
 
     def __mul__(self, other: Union["Polynomial", Coefficient]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
+            other = _normalize_coeff(other)
             if other == 0:
                 return Polynomial.zero(self.n)
             return self._wrap(self.n, {e: _normalize_coeff(c * other) for e, c in self._terms.items()})
@@ -240,9 +190,6 @@ class Polynomial:
         p._terms = terms
         return p
 
-    def to_json(self) -> list[dict]:
-        return [{"coeff": str(c), "exps": list(m.exps)} for m, c in self.terms()]
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -250,8 +197,8 @@ class Polynomial:
         for m, c in self.terms():
             sign = "-" if (c < 0) else "+"
             mag = -c if c < 0 else c
-            body = str(m) if mag == 1 and not m.is_one() else (
-                f"{mag}*{m}" if not m.is_one() else f"{mag}")
+            body = _monomial_text(m) if mag == 1 and any(m) else (
+                f"{mag}*{_monomial_text(m)}" if any(m) else f"{mag}")
             chunks.append((sign, body))
         first_sign, first_body = chunks[0]
         text = ("-" if first_sign == "-" else "") + first_body
@@ -263,21 +210,17 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def leading_monomial(f: Polynomial, order: VariableOrder) -> Monomial:
+def leading_monomial(f: Polynomial, order: VariableOrder) -> Exponents:
     """The lex-largest monomial of a nonzero polynomial."""
     if f.is_zero():
         raise ValueError("the zero polynomial has no leading monomial")
     if f.n != order.n:
         raise ValueError("polynomial and order must agree on the number of variables")
     # one index makes itemgetter return the exponent itself, which orders the same
-    return Monomial(max(f._terms, key=itemgetter(*order.desc0)))
+    return max(f._terms, key=itemgetter(*order.desc0))
 
 
-def leading_coefficient(f: Polynomial, order: VariableOrder) -> Coefficient:
-    return f.coefficient(leading_monomial(f, order))
-
-
-def leading_term(f: Polynomial, order: VariableOrder) -> tuple[Monomial, Coefficient]:
+def leading_term(f: Polynomial, order: VariableOrder) -> tuple[Exponents, Coefficient]:
     m = leading_monomial(f, order)
     return m, f.coefficient(m)
 

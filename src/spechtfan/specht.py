@@ -30,19 +30,17 @@ from .combinatorics import (
     standard_tableaux,
 )
 from .errors import CapacityError
-from .polyring import Monomial, Polynomial
+from .polyring import Polynomial, _monomial_text
 
 __all__ = [
     "INITIAL_IDEAL_N_LIMIT",
     "INITIAL_IDEAL_TABLEAU_LIMIT",
     "MonomialIdeal",
     "SpechtSystem",
-    "SignCheckResult",
     "GapAuditEntry",
     "GapAuditReport",
     "specht_polynomial",
     "closed_form_initial_monomial",
-    "transposition_sign_check",
     "lex_groebner_generators",
     "universal_groebner_generators",
     "minimalize",
@@ -78,7 +76,7 @@ class MonomialIdeal:
         object.__setattr__(self, "min_gens", gens)
 
     def contains(self, exps: tuple[int, ...]) -> bool:
-        """Monomial membership: some generator divides the exponent tuple."""
+        """Membership of a monomial: some generator divides the exponent tuple."""
         if len(exps) != self.n:
             raise ValueError("monomial lives in a different ring")
         return any(all(map(le, g, exps)) for g in self.min_gens)
@@ -87,7 +85,7 @@ class MonomialIdeal:
         return {"n": self.n, "min_gens": [list(g) for g in self.min_gens]}
 
     def __str__(self) -> str:
-        return "<" + ", ".join(str(Monomial(g)) for g in self.min_gens) + ">"
+        return "<" + ", ".join(map(_monomial_text, self.min_gens)) + ">"
 
 
 def minimalize(gens) -> MonomialIdeal:
@@ -149,7 +147,7 @@ def specht_polynomial(t: Tableau) -> Polynomial:
     return Polynomial._wrap(n, terms)
 
 
-def closed_form_initial_monomial(t: Tableau, order: VariableOrder) -> Monomial:
+def closed_form_initial_monomial(t: Tableau, order: VariableOrder) -> tuple[int, ...]:
     """Leading monomial of the column product, read from row positions.
 
     Valid only for column-standard fillings: there each difference factor
@@ -165,28 +163,7 @@ def closed_form_initial_monomial(t: Tableau, order: VariableOrder) -> Monomial:
     for r0, row in enumerate(t.rows):
         for entry in row:
             exps[entry - 1] = r0
-    return Monomial(tuple(exps))
-
-
-@dataclass(frozen=True)
-class SignCheckResult:
-    """Outcome of swapping two same-column entries of a tableau."""
-
-    tableau: Tableau
-    swapped_tableau: Tableau
-    polynomial: Polynomial
-    swapped_polynomial: Polynomial
-    negation_holds: bool
-
-
-def transposition_sign_check(t: Tableau, i: int, j: int) -> SignCheckResult:
-    """Swap entries i and j (same column) and test that the generator flips sign."""
-    if t.column_of(i) != t.column_of(j):
-        raise ValueError(f"entries {i} and {j} are not in the same column of {t}")
-    swapped = t.with_entries_swapped(i, j)
-    f = specht_polynomial(t)
-    g = specht_polynomial(swapped)
-    return SignCheckResult(t, swapped, f, g, g == -f)
+    return tuple(exps)
 
 
 @dataclass(frozen=True)
@@ -315,7 +292,7 @@ def gap_condition_audit(lam: Partition, order: VariableOrder) -> GapAuditReport:
     witnesses: dict[tuple[int, ...], tuple[Partition, Tableau]] = {}
     for mu in dominated_partitions(lam):
         for t in standard_tableaux(mu, order):
-            witnesses.setdefault(closed_form_initial_monomial(t, order).exps, (mu, t))
+            witnesses.setdefault(closed_form_initial_monomial(t, order), (mu, t))
         if all(gen in witnesses for gen in ideal.min_gens):
             break
     entries: list[GapAuditEntry] = []

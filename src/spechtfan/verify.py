@@ -165,7 +165,7 @@ def _certify_failure(basis) -> str:
 def _oracle_lex_failure(lam: Partition, order: VariableOrder) -> str:
     basis = marked_basis(lex_groebner_generators(lam, order).polynomials(), order)
     failure = _certify_failure(basis)
-    if not failure and minimalize([m.exps for _, m in basis.elements]) != initial_ideal(lam, order):
+    if not failure and minimalize([m for _, m in basis.elements]) != initial_ideal(lam, order):
         failure = f"marks disagree with closed form under {order}"
     return failure
 

@@ -102,7 +102,7 @@ def sympy_is_groebner(basis) -> bool:
     gens = [xs[order.sigma[i] - 1] for i in range(n - 1, -1, -1)]
     exprs = [poly_to_sympy(f) for f, _ in basis.elements]
     reduced = sympy.groebner(exprs, *gens, order="lex")
-    marks = [mark.exps for _, mark in basis.elements]
+    marks = [mark for _, mark in basis.elements]
     for g in reduced.exprs:
         lead = sympy_lm_exps(g, order)
         if not any(all(a >= b for a, b in zip(lead, m)) for m in marks):

@@ -183,7 +183,6 @@ class TestTableau:
         assert t.shape == Partition.parse("2,1")
         assert t.row_of(3) == 2
         assert t.column_of(2) == 2
-        assert t.position_of(1) == (1, 1)
         assert t.column(1) == (1, 3)
         assert str(t) == "1,2/3"
 
@@ -192,13 +191,6 @@ class TestTableau:
             Tableau(((1, 2), (2,)))
         with pytest.raises(ValueError):
             Tableau(((1,), (2, 3)))
-
-    def test_relabel_and_swap(self):
-        t = Tableau(((1, 2), (3,)))
-        r = t.relabel(VariableOrder.parse("2,3,1"))
-        assert r.rows == ((2, 3), (1,))
-        s = t.with_entries_swapped(1, 3)
-        assert s.rows == ((3, 2), (1,))
 
     def test_standard_predicates(self):
         ido = VariableOrder.identity(4)

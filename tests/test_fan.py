@@ -187,10 +187,6 @@ class TestDegreeStatistic:
             Partition.parse("1,1"), VariableOrder.identity(2)
         ).values == (0, 1)
 
-    def test_value_of_is_one_based(self):
-        stat = degree_statistic(Partition.parse("2,2"), VariableOrder.identity(4))
-        assert stat.value_of(4) == 2
-
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_total_mass(self, n):
         # each tableau contributes (row index - 1) per box, independent of the filling

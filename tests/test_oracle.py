@@ -20,7 +20,7 @@ from spechtfan.oracle import (
     reduce,
     s_polynomial,
 )
-from spechtfan.polyring import Monomial, Polynomial, leading_monomial
+from spechtfan.polyring import Polynomial, leading_monomial
 from spechtfan.specht import (
     initial_ideal,
     lex_groebner_generators,
@@ -41,7 +41,7 @@ class TestMarkedBasis:
     def test_builder_marks_leading_monomials(self):
         basis = lex_basis("2,1")
         assert len(basis) == 2
-        assert [m.exps for _, m in basis.elements] == [(0, 0, 1), (0, 1, 0)]
+        assert [m for _, m in basis.elements] == [(0, 0, 1), (0, 1, 0)]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -50,17 +50,17 @@ class TestMarkedBasis:
     def test_rejects_foreign_ring(self):
         f = Polynomial.difference(2, 1, 2)
         with pytest.raises(ValueError):
-            MarkedBasis(((f, Monomial((0, 1))),), VariableOrder.identity(3))
+            MarkedBasis(((f, (0, 1)),), VariableOrder.identity(3))
 
     def test_rejects_absent_mark(self):
         f = Polynomial.difference(2, 1, 2)
         with pytest.raises(ValueError):
-            MarkedBasis(((f, Monomial((1, 1))),), VariableOrder.identity(2))
+            MarkedBasis(((f, (1, 1)),), VariableOrder.identity(2))
 
     def test_rejects_non_leading_mark(self):
         f = Polynomial.difference(2, 1, 2)  # leading monomial is x2
         with pytest.raises(ValueError):
-            MarkedBasis(((f, Monomial((1, 0))),), VariableOrder.identity(2))
+            MarkedBasis(((f, (1, 0)),), VariableOrder.identity(2))
 
 
 class TestReduce:
@@ -90,7 +90,7 @@ class TestReduce:
         r = reduce(f, basis)
         marks = [m for _, m in basis.elements]
         for exps, _ in r.items():
-            assert not any(m.divides(Monomial(exps)) for m in marks)
+            assert not any(all(a <= b for a, b in zip(m, exps)) for m in marks)
         assert reduce(f, basis) == r
         assert reduce(r, basis) == r
 
@@ -158,14 +158,9 @@ class TestSPolynomial:
         ido = VariableOrder.identity(4)
         polys = lex_basis("2,2").polynomials()
         s = s_polynomial(polys[0], polys[1], ido)
-        lcm = Monomial(
-            tuple(
-                max(a, b)
-                for a, b in zip(
-                    leading_monomial(polys[0], ido).exps,
-                    leading_monomial(polys[1], ido).exps,
-                )
-            )
+        lcm = tuple(
+            max(a, b)
+            for a, b in zip(leading_monomial(polys[0], ido), leading_monomial(polys[1], ido))
         )
         if not s.is_zero():
             assert leading_monomial(s, ido) != lcm
@@ -238,7 +233,7 @@ class TestCertify:
                     lex_groebner_generators(lam, order).polynomials(), order
                 )
                 assert certify_groebner(basis).passed, (lam, order)
-                marks = minimalize([m.exps for _, m in basis.elements])
+                marks = minimalize([m for _, m in basis.elements])
                 assert marks == initial_ideal(lam, order)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -274,7 +269,7 @@ def specht_bases(draw):
     elif edit == "tamper":
         i = draw(st.integers(0, len(polys) - 1))
         f = polys[i]
-        lead = leading_monomial(f, order).exps
+        lead = leading_monomial(f, order)
         exps = draw(st.sampled_from(sorted(e for e, _ in f.items() if e != lead)))
         polys[i] = Polynomial(f.n, {**dict(f.items()), exps: f.coefficient(exps) + 1})
     if draw(st.booleans()):
@@ -308,7 +303,7 @@ class TestIntegerAndFractionPaths:
         assert certify_groebner(marked_basis(polys, ido)).passed
         tampered = 0
         for i, f in enumerate(polys):
-            lead = leading_monomial(f, ido).exps
+            lead = leading_monomial(f, ido)
             for exps, c in f.items():
                 if exps == lead:
                     continue
@@ -325,7 +320,7 @@ class TestIntegerAndFractionPaths:
         lam = Partition.parse(parts)
         order = VariableOrder.parse(sigma)
         polys = universal_groebner_generators(lam, order).polynomials()
-        lead = leading_monomial(polys[0], order).exps
+        lead = leading_monomial(polys[0], order)
         exps, c = next((e, c) for e, c in polys[0].items() if e != lead)
         tampered = [Polynomial(polys[0].n, {**dict(polys[0].items()), exps: c + 1})] + polys[1:]
         for chosen, verdict in ((polys, True), (tampered, False)):

@@ -25,7 +25,7 @@ from spechtfan.combinatorics import (
     standard_tableaux,
 )
 from spechtfan.errors import CapacityError
-from spechtfan.polyring import Monomial, Polynomial, leading_coefficient, leading_monomial
+from spechtfan.polyring import Polynomial, leading_monomial, leading_term
 from spechtfan.specht import (
     INITIAL_IDEAL_N_LIMIT,
     INITIAL_IDEAL_TABLEAU_LIMIT,
@@ -36,7 +36,6 @@ from spechtfan.specht import (
     lex_groebner_generators,
     minimalize,
     specht_polynomial,
-    transposition_sign_check,
     universal_groebner_generators,
 )
 
@@ -78,6 +77,13 @@ class TestSpechtPolynomial:
                     f = specht_polynomial(t)
                     assert poly_to_sympy(f) == specht_expr(t), t
                     assert all(type(c) is int for _, c in f.items())
+                    col = t.column(1)
+                    if len(col) > 1:
+                        # swapping two entries of one column negates the generator
+                        swap = {col[0]: col[-1], col[-1]: col[0]}
+                        s = Tableau(tuple(tuple(swap.get(a, a) for a in row) for row in t.rows))
+                        assert poly_to_sympy(specht_polynomial(s)) == specht_expr(s), s
+                        assert specht_polynomial(s) == -f, s
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_leading_monomial_matches_sympy(self, n):
@@ -86,16 +92,16 @@ class TestSpechtPolynomial:
             for order in [VariableOrder.identity(n)] + sample_orders(n, 3, rng):
                 for t in standard_tableaux(lam, order):
                     got = leading_monomial(specht_polynomial(t), order)
-                    assert got.exps == sympy_lm_exps(specht_expr(t), order)
+                    assert got == sympy_lm_exps(specht_expr(t), order)
 
 
 class TestClosedForm:
     def test_row_positions_become_exponents(self):
         ido = VariableOrder.identity(4)
         t = Tableau(((1, 2), (3, 4)))
-        assert closed_form_initial_monomial(t, ido) == Monomial((0, 0, 1, 1))
+        assert closed_form_initial_monomial(t, ido) == (0, 0, 1, 1)
         tall = Tableau(((1, 4), (2,), (3,)))
-        assert closed_form_initial_monomial(tall, ido) == Monomial((0, 1, 2, 0))
+        assert closed_form_initial_monomial(tall, ido) == (0, 1, 2, 0)
 
     def test_rejects_non_column_standard(self):
         t = Tableau(((3, 5, 1, 7), (4, 2), (6,)))
@@ -106,8 +112,8 @@ class TestClosedForm:
         ido = VariableOrder.identity(3)
         a = Tableau(((1, 2), (3,)))
         b = Tableau(((2, 1), (3,)))
-        assert closed_form_initial_monomial(a, ido) == Monomial((0, 0, 1))
-        assert closed_form_initial_monomial(b, ido) == Monomial((0, 0, 1))
+        assert closed_form_initial_monomial(a, ido) == (0, 0, 1)
+        assert closed_form_initial_monomial(b, ido) == (0, 0, 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_expansion_identity(self, n):
@@ -115,7 +121,7 @@ class TestClosedForm:
         for lam in all_shapes(n):
             for t in standard_tableaux(lam, ido):
                 got = closed_form_initial_monomial(t, ido)
-                assert got.exps == sympy_lm_exps(specht_expr(t), ido)
+                assert got == sympy_lm_exps(specht_expr(t), ido)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_expansion_sampled_orders(self, n):
@@ -124,29 +130,13 @@ class TestClosedForm:
             for lam in all_shapes(n):
                 for t in standard_tableaux(lam, order):
                     got = closed_form_initial_monomial(t, order)
-                    assert got.exps == sympy_lm_exps(specht_expr(t), order)
+                    assert got == sympy_lm_exps(specht_expr(t), order)
 
     def test_leading_coefficient_is_plus_minus_one(self):
         ido = VariableOrder.identity(4)
         for lam in all_shapes(4):
             for t in standard_tableaux(lam, ido):
-                assert leading_coefficient(specht_polynomial(t), ido) in (1, -1)
-
-
-class TestSignCheck:
-    def test_same_column_swap_negates(self):
-        res = transposition_sign_check(Tableau(((1, 2), (3, 4))), 1, 3)
-        assert res.negation_holds
-        assert res.swapped_tableau.rows == ((3, 2), (1, 4))
-        assert res.swapped_polynomial == -res.polynomial
-
-    def test_tall_column_swap_negates(self):
-        res = transposition_sign_check(Tableau(((1,), (2,), (3,))), 1, 3)
-        assert res.negation_holds
-
-    def test_cross_column_swap_rejected(self):
-        with pytest.raises(ValueError):
-            transposition_sign_check(Tableau(((1, 2), (3, 4))), 1, 2)
+                assert leading_term(specht_polynomial(t), ido)[1] in (1, -1)
 
 
 class TestMonomialIdeal:
@@ -208,6 +198,8 @@ class TestMonomialIdeal:
     def test_str_and_json(self):
         ideal = minimalize([(0, 1), (2, 0)])
         assert str(ideal) == "<x2, x1^2>"
+        readme = initial_ideal(Partition.parse("2,2"), VariableOrder.identity(4))
+        assert str(readme) == "<x3*x4, x2*x4, x2*x3^2>"
         assert ideal.to_json() == {"n": 2, "min_gens": [[0, 1], [2, 0]]}
 
 
@@ -225,7 +217,7 @@ class TestGeneratingSystems:
         sys = lex_groebner_generators(Partition.parse("2,2"), ido)
         tabs = [str(t) for t, _ in sys.generators]
         assert tabs == ["1,2/3,4", "1,3/2,4", "1,2/3/4", "1,3/2/4", "1,4/2/3"]
-        marks = [closed_form_initial_monomial(t, ido).exps for t, _ in sys.generators]
+        marks = [closed_form_initial_monomial(t, ido) for t, _ in sys.generators]
         assert marks == [
             (0, 0, 1, 1),
             (0, 1, 0, 1),
@@ -287,7 +279,7 @@ class TestInitialIdeal:
 def closed_form_route(lam, order):
     """The checked public route: Tableau objects and closed_form_initial_monomial."""
     return minimalize([
-        closed_form_initial_monomial(t, order).exps
+        closed_form_initial_monomial(t, order)
         for mu in dominated_partitions(lam, same_first_part=True)
         for t in standard_tableaux(mu, order)
     ])
