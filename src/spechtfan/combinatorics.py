@@ -36,6 +36,16 @@ __all__ = [
 ]
 
 
+def _check_ints(values, what: str) -> None:
+    """TypeError unless every value is an int; int() would truncate a float or a bool.
+
+    Each value's type is taken once; the test then runs per distinct type.
+    """
+    for t in set(map(type, values)):
+        if t is bool or not issubclass(t, int):
+            raise TypeError(f"{what} must be int, got {t.__name__}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Weakly decreasing positive parts; trailing zeros are dropped on input."""
@@ -43,7 +53,8 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
+        _check_ints(parts, "parts")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if not parts:
@@ -97,7 +108,8 @@ class VariableOrder:
     desc0: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        sigma = tuple(int(s) for s in self.sigma)
+        sigma = tuple(self.sigma)
+        _check_ints(sigma, "order entries")
         object.__setattr__(self, "sigma", sigma)
         n = len(sigma)
         if sorted(sigma) != list(range(1, n + 1)):
@@ -152,10 +164,11 @@ class Tableau:
     _pos: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         Partition(tuple(len(r) for r in rows))  # validates the shape
         entries = list(chain.from_iterable(rows))
+        _check_ints(entries, "tableau entries")
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"entries must be a bijective filling by 1..{n}")

@@ -24,15 +24,12 @@ from .combinatorics import (
     standard_tableaux,
 )
 from .errors import CapacityError
+from .polyring import _monomial_text
 from .specht import MonomialIdeal, initial_ideal
 
 __all__ = [
     "DEFAULT_ENUMERATION_LIMIT",
-    "DegreeStatistic",
-    "MonotonicityPair",
-    "MonotonicityReport",
     "FanSummary",
-    "EliminationIdentityReport",
     "degree_statistic",
     "monotonicity_check",
     "theorem_count",
@@ -44,15 +41,6 @@ __all__ = [
 DEFAULT_ENUMERATION_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class DegreeStatistic:
-    """Per-variable total degree across the initial monomials of one shape."""
-
-    partition: Partition
-    order: VariableOrder
-    values: tuple[int, ...]
-
-
 def _degree_values(n: int, tabs) -> tuple[int, ...]:
     values = [0] * n
     for t in tabs:
@@ -62,59 +50,34 @@ def _degree_values(n: int, tabs) -> tuple[int, ...]:
     return tuple(values)
 
 
-def degree_statistic(lam: Partition, order: VariableOrder) -> DegreeStatistic:
+def degree_statistic(lam: Partition, order: VariableOrder) -> tuple[int, ...]:
     """Sum of initial-monomial exponents of each variable over STab(lam)."""
     if lam.n != order.n:
         raise ValueError("partition and order must agree on n")
-    return DegreeStatistic(lam, order, _degree_values(lam.n, standard_tableaux(lam, order)))
+    return _degree_values(lam.n, standard_tableaux(lam, order))
 
 
-@dataclass(frozen=True)
-class MonotonicityPair:
-    position: int
-    lower_variable: int
-    upper_variable: int
-    lower_value: int
-    upper_value: int
-    strict: bool
-    witness: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.lower_value <= self.upper_value and self.strict == self.witness
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    partition: Partition
-    order: VariableOrder
-    values: tuple[int, ...]
-    pairs: tuple[MonotonicityPair, ...]
-    failures: tuple[MonotonicityPair, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def monotonicity_check(lam: Partition, order: VariableOrder) -> MonotonicityReport:
+def monotonicity_check(lam: Partition, order: VariableOrder) -> str:
     """Degrees must weakly increase along the order, strictly exactly when
-    some standard tableau of the shape puts the two variables in one column."""
+    some standard tableau of the shape puts the two variables in one column.
+
+    Returns "" on a pass, else a line naming the first failing pair and the order.
+    """
     tabs = standard_tableaux(lam, order)
     values = _degree_values(lam.n, tabs)
-    pairs = []
-    failures = []
     for i in range(1, lam.n):
         a = order.sigma[i - 1]
         b = order.sigma[i]
         da = values[a - 1]
         db = values[b - 1]
         witness = any(t.column_of(a) == t.column_of(b) for t in tabs)
-        pair = MonotonicityPair(i, a, b, da, db, da < db, witness)
-        pairs.append(pair)
-        if not pair.ok:
-            failures.append(pair)
-    return MonotonicityReport(lam, order, values, tuple(pairs), tuple(failures))
+        if da > db or (da < db) != witness:
+            shared = "shared" if witness else "no shared"
+            return (
+                f"positions {i},{i + 1}: x{a} has degree {da}, x{b} has {db}, "
+                f"{shared} column, under {order}"
+            )
+    return ""
 
 
 def theorem_count(lam: Partition) -> int:
@@ -180,16 +143,16 @@ class FanSummary:
         }
 
 
-def enumerate_fan(lam: Partition, limit: int = DEFAULT_ENUMERATION_LIMIT) -> FanSummary:
+def enumerate_fan(lam: Partition) -> FanSummary:
     """Group all n! variable orders by their initial ideal.
 
-    Brute force over the symmetric group; refuses n beyond `limit`.
+    Brute force over the symmetric group; refuses n beyond DEFAULT_ENUMERATION_LIMIT.
     """
     n = lam.n
     if lam.m < 2:
         raise ValueError("fan enumeration needs a shape with at least two rows")
-    if n > limit:
-        raise CapacityError(f"n={n} exceeds the enumeration limit {limit}")
+    if n > DEFAULT_ENUMERATION_LIMIT:
+        raise CapacityError(f"n={n} exceeds the enumeration limit {DEFAULT_ENUMERATION_LIMIT}")
     base = initial_ideal(lam, VariableOrder.identity(n)).min_gens
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     # permutations yields the orders in lex order, so every class list is sorted
@@ -198,43 +161,30 @@ def enumerate_fan(lam: Partition, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Fan
         move = itemgetter(*sorted(range(n), key=sigma.__getitem__))
         key = tuple(sorted(map(move, base)))
         groups.setdefault(key, []).append(sigma)
-    classes = {MonomialIdeal(n, key): tuple(groups[key]) for key in sorted(groups)}
+    # each key permutes the checked generators of base, so it is minimal and sorted
+    classes = {MonomialIdeal._wrap(n, key): tuple(groups[key]) for key in sorted(groups)}
     return FanSummary(lam, min_gap_k(lam), classes)
 
 
-@dataclass(frozen=True)
-class EliminationIdentityReport:
-    """Elimination comparison of monomial ideals for one order, on exponent tuples."""
-
-    partition: Partition
-    order: VariableOrder
-    hat_partition: Partition | None
-    skipped: bool
-    lhs: tuple[tuple[int, ...], ...]
-    rhs: tuple[tuple[int, ...], ...]
-    equal: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.skipped or self.equal
-
-
-def elimination_identity_check(lam: Partition, order: VariableOrder) -> EliminationIdentityReport:
+def elimination_identity_check(lam: Partition, order: VariableOrder) -> str:
     """Generators free of the largest variable must match the shrunken shape's ideal.
 
     The right side is computed for hat(lam) in the inner order on the
     surviving n-1 variables and embedded back into the ambient ring; for
     monomial ideals this filtering is an exact intersection with the
-    subring.
+    subring. hat(lam) has a second row too: its first part lam_1 - 1 is
+    below its n - 1 boxes. Returns "" on a pass, else a line naming the
+    smallest generator on one side only, that side, and the order.
     """
     if lam.parts[0] < 2 or lam.m < 2:
         raise ValueError("elimination needs a first part >= 2 and a second row")
     lhat = hat(lam)
-    if lhat.m < 2:
-        return EliminationIdentityReport(lam, order, lhat, True, (), (), True)
     n = lam.n
     inner, removed, asc = prefix_standardization(order)
-    lhs = tuple(e for e in initial_ideal(lam, order).min_gens if e[removed - 1] == 0)
-    # asc is increasing, so embedding keeps the sorted order of min_gens
-    rhs = tuple(embed_exponents(e, n, asc) for e in initial_ideal(lhat, inner).min_gens)
-    return EliminationIdentityReport(lam, order, lhat, False, lhs, rhs, lhs == rhs)
+    lhs = {e for e in initial_ideal(lam, order).min_gens if e[removed - 1] == 0}
+    rhs = {embed_exponents(e, n, asc) for e in initial_ideal(lhat, inner).min_gens}
+    if lhs == rhs:
+        return ""
+    first = min(lhs ^ rhs)
+    side = f"free of x{removed}, not from hat={lhat}" if first in lhs else f"from hat={lhat} only"
+    return f"generator {_monomial_text(first)} is {side}, under {order}"

@@ -33,7 +33,6 @@ __all__ = [
     "s_polynomial",
     "GroebnerCertificate",
     "certify_groebner",
-    "EliminationPolynomialReport",
     "elimination_polynomial_check",
 ]
 
@@ -313,25 +312,7 @@ def _project(f: Polynomial, asc: tuple[int, ...]) -> Polynomial:
     return Polynomial._wrap(len(asc), terms)
 
 
-@dataclass(frozen=True)
-class EliminationPolynomialReport:
-    partition: Partition
-    order: VariableOrder
-    hat_partition: Partition
-    base_certified: bool
-    hat_certified: bool
-    subset_checked: int
-    superset_checked: int
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.base_certified and self.hat_certified and not self.failures
-
-
-def elimination_polynomial_check(
-    lam: Partition, order: VariableOrder, limit: int = DEFAULT_ORACLE_LIMIT
-) -> EliminationPolynomialReport:
+def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
     """Two-sided division check that dropping the largest variable lands on hat(lam).
 
     Subset side: every generator of the smaller ideal, written in the
@@ -339,49 +320,36 @@ def elimination_polynomial_check(
     big ideal. Superset side: every big-ideal generator whose leading
     monomial avoids the removed variable must avoid it entirely, and its
     projection reduces to zero against the certified basis of the small
-    ideal.
+    ideal. Refuses n beyond DEFAULT_ORACLE_LIMIT. Returns "" on a pass, else
+    a line naming the first basis or side that failed and the order.
     """
     n = lam.n
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the oracle limit {limit}")
+    if n > DEFAULT_ORACLE_LIMIT:
+        raise ValueError(f"n={n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
     if lam.parts[0] < 2 or lam.m < 2:
         raise ValueError("check needs a first part >= 2 and a second row")
     lhat = hat(lam)
     if lhat.m < 2:
         raise ValueError("shrunken shape has fewer than two rows")
     inner, removed, asc = prefix_standardization(order)
-    base = marked_basis(lex_groebner_generators(lam, order).polynomials(), order)
+    system = lex_groebner_generators(lam, order)
+    base = marked_basis(system.polynomials(), order)
     small = marked_basis(lex_groebner_generators(lhat, inner).polynomials(), inner)
-    base_cert = certify_groebner(base)
-    small_cert = certify_groebner(small)
-    failures = []
-    subset = 0
+    if not certify_groebner(base).passed:
+        return f"basis of {lam} failed certification under {order}"
+    if not certify_groebner(small).passed:
+        return f"basis of hat={lhat} failed certification under {inner}, from {order}"
     for t in standard_tableaux(lhat, inner):
-        subset += 1
         g = Polynomial._wrap(
             n, {embed_exponents(e, n, asc): c for e, c in specht_polynomial(t).items()}
         )
-        r = reduce(g, base)
-        if not r.is_zero():
-            failures.append(f"subset: generator of {lhat} from {t} left a remainder")
-    superset = 0
-    for t, f in lex_groebner_generators(lam, order).generators:
+        if not reduce(g, base).is_zero():
+            return f"subset: generator of {lhat} from {t} left a remainder under {order}"
+    for t, f in system.generators:
         if leading_monomial(f, order)[removed - 1] != 0:
             continue
-        superset += 1
         if any(exps[removed - 1] != 0 for exps, _ in f.items()):
-            failures.append(f"superset: {t} has a free leading monomial but uses x{removed}")
-            continue
-        r = reduce(_project(f, asc), small)
-        if not r.is_zero():
-            failures.append(f"superset: projection of {t} left a remainder")
-    return EliminationPolynomialReport(
-        partition=lam,
-        order=order,
-        hat_partition=lhat,
-        base_certified=base_cert.passed,
-        hat_certified=small_cert.passed,
-        subset_checked=subset,
-        superset_checked=superset,
-        failures=tuple(failures),
-    )
+            return f"superset: {t} has a free leading monomial but uses x{removed} under {order}"
+        if not reduce(_project(f, asc), small).is_zero():
+            return f"superset: projection of {t} left a remainder under {order}"
+    return ""

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Union
 
-from .combinatorics import VariableOrder
+from .combinatorics import VariableOrder, _check_ints
 
 __all__ = [
     "Polynomial",
@@ -71,7 +71,8 @@ class Polynomial:
         clean: dict[Exponents, Coefficient] = {}
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
+            _check_ints(exps, "exponents")
             if len(exps) != self.n:
                 raise ValueError(f"exponent tuple {exps} does not have {self.n} entries")
             if any(e < 0 for e in exps):

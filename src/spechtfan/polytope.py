@@ -10,7 +10,7 @@ from math import factorial
 
 from .combinatorics import Partition, VariableOrder, min_gap_k
 from .errors import CapacityError, TheoremViolationError
-from .fan import DEFAULT_ENUMERATION_LIMIT, enumerate_fan
+from .fan import enumerate_fan
 from .polyring import WeightVector, initial_form, leading_term
 from .specht import MonomialIdeal, lex_groebner_generators, minimalize
 
@@ -27,7 +27,6 @@ __all__ = [
     "is_extreme_point",
     "edge_direction_violations",
     "weight_initial_ideal",
-    "BraidRefinementReport",
     "braid_refinement_check",
 ]
 
@@ -207,16 +206,14 @@ def vertex_for_order(n: int, k: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p)
 
 
-def vertex_ideal_bijection(
-    lam: Partition, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> dict[tuple[int, ...], MonomialIdeal]:
+def vertex_ideal_bijection(lam: Partition) -> dict[tuple[int, ...], MonomialIdeal]:
     """Map each vertex of the predicted polytope to its initial ideal.
 
     Raises TheoremViolationError if any ideal class maps to two vertices,
     two classes collide on one vertex, or the vertex set disagrees with
     pnk_vertices(n, k).
     """
-    fan = enumerate_fan(lam, limit=limit)
+    fan = enumerate_fan(lam)
     n = lam.n
     k = fan.k
     mapping: dict[tuple[int, ...], MonomialIdeal] = {}
@@ -278,32 +275,19 @@ def weight_initial_ideal(lam: Partition, order: VariableOrder, w: WeightVector) 
     return minimalize(monos)
 
 
-@dataclass(frozen=True)
-class BraidRefinementReport:
-    partition: Partition
-    orders_checked: int
-    generators_checked: int
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def braid_refinement_check(lam: Partition, limit: int = 5) -> BraidRefinementReport:
+def braid_refinement_check(lam: Partition) -> str:
     """Interior weights of every maximal chain cone must pick the leading term.
 
     For each order, two strictly spaced integer weight patterns (consecutive
     integers and powers of two along the chain) are applied to every basis
     generator; the weight-initial form has to be the single leading term.
     A pass certifies each chain cone sits inside one initial-ideal cone.
+    Refuses n beyond 5. Returns "" on a pass, else a line naming the first
+    failing order, weight pattern and tableau.
     """
     n = lam.n
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the refinement check limit {limit}")
-    orders = 0
-    gens = 0
-    failures = []
+    if n > 5:
+        raise ValueError(f"n={n} exceeds the refinement check limit 5")
     for sigma in permutations(range(1, n + 1)):
         order = VariableOrder(sigma)
         system = lex_groebner_generators(lam, order)
@@ -318,9 +302,7 @@ def braid_refinement_check(lam: Partition, limit: int = 5) -> BraidRefinementRep
         for name, pat in zip(("consecutive", "powers"), patterns):
             w = WeightVector.of(pat)
             for (t, f), (lead_m, lead_c) in zip(system.generators, leads):
-                gens += 1
                 g = initial_form(f, w)
                 if len(g) != 1 or g.coefficient(lead_m) != lead_c:
-                    failures.append(f"order={order} weights={name} tableau={t}")
-        orders += 1
-    return BraidRefinementReport(lam, orders, gens, tuple(failures))
+                    return f"order={order} weights={name} tableau={t}"
+    return ""

@@ -15,13 +15,14 @@ its column-standardness check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from operator import le, lt
 
 from .combinatorics import (
     Partition,
     Tableau,
     VariableOrder,
+    _check_ints,
     _identity_fillings,
     dominated_partitions,
     is_column_standard,
@@ -37,8 +38,6 @@ __all__ = [
     "INITIAL_IDEAL_TABLEAU_LIMIT",
     "MonomialIdeal",
     "SpechtSystem",
-    "GapAuditEntry",
-    "GapAuditReport",
     "specht_polynomial",
     "closed_form_initial_monomial",
     "lex_groebner_generators",
@@ -67,6 +66,7 @@ class MonomialIdeal:
         gens = tuple(map(tuple, self.min_gens))
         if not gens:
             raise ValueError("a monomial ideal here always has at least one generator")
+        _check_ints(chain.from_iterable(gens), "exponents")
         if set(map(len, gens)) != {self.n}:
             raise ValueError("generators must all live in the ambient ring")
         if self.n and min(map(min, gens)) < 0:
@@ -74,6 +74,14 @@ class MonomialIdeal:
         if not all(map(lt, gens, gens[1:])):
             raise ValueError("generators must be strictly sorted by exponent tuple")
         object.__setattr__(self, "min_gens", gens)
+
+    @classmethod
+    def _wrap(cls, n: int, gens: tuple[tuple[int, ...], ...]) -> "MonomialIdeal":
+        """An ideal from int tuples already checked to be minimal and strictly sorted."""
+        ideal = cls.__new__(cls)
+        object.__setattr__(ideal, "n", n)
+        object.__setattr__(ideal, "min_gens", gens)
+        return ideal
 
     def contains(self, exps: tuple[int, ...]) -> bool:
         """Membership of a monomial: some generator divides the exponent tuple."""
@@ -98,7 +106,10 @@ def minimalize(gens) -> MonomialIdeal:
     ((pack(e) | G) - pack(f)) & G == G, and no field borrows. Monomials are
     taken by degree, so every divisor is kept or dropped before its multiples.
     """
-    pool = {tuple(map(int, g)) for g in gens}
+    gens = list(map(tuple, gens))
+    # before the set: 1 == True, so a bool could hide behind an equal int
+    _check_ints(chain.from_iterable(gens), "exponents")
+    pool = set(gens)
     if not pool:
         raise ValueError("cannot minimalize an empty generating set")
     n = len(next(iter(pool)))
@@ -122,7 +133,7 @@ def minimalize(gens) -> MonomialIdeal:
             kept.append(e)
             packed.append(p)
     kept.sort()
-    return MonomialIdeal(n, tuple(kept))
+    return MonomialIdeal._wrap(n, tuple(kept))
 
 
 def specht_polynomial(t: Tableau) -> Polynomial:
@@ -249,33 +260,7 @@ def initial_ideal(lam: Partition, order: VariableOrder) -> MonomialIdeal:
     return minimalize(monos)
 
 
-@dataclass(frozen=True)
-class GapAuditEntry:
-    """One minimal generator (exponent tuple), its witness tableau and the row-gap verdict."""
-
-    monomial: tuple[int, ...]
-    shape: Partition
-    tableau: Tableau
-    row_of_largest: int
-    gap_ok: bool
-    neighbor_ok: bool
-    neighbor_rank: int | None
-
-
-@dataclass(frozen=True)
-class GapAuditReport:
-    partition: Partition
-    order: VariableOrder
-    k: int
-    entries: tuple[GapAuditEntry, ...]
-    violations: tuple[GapAuditEntry, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def gap_condition_audit(lam: Partition, order: VariableOrder) -> GapAuditReport:
+def gap_condition_audit(lam: Partition, order: VariableOrder) -> str:
     """Audit every minimal generator against the row-gap constraints.
 
     Each minimal generator's first witnessing standard tableau is located
@@ -283,7 +268,8 @@ def gap_condition_audit(lam: Partition, order: VariableOrder) -> GapAuditReport:
     which stops once every generator has a witness.
     When the largest variable sits in row j >= 2 of the witness, the shape
     must satisfy mu_{j-1} - mu_j >= k and the entry directly above must
-    rank below n - k in the order.
+    rank below n - k in the order. Returns "" on a pass, else a line naming
+    the first violating generator, its witness tableau and the order.
     """
     k = min_gap_k(lam)
     ideal = initial_ideal(lam, order)
@@ -295,21 +281,20 @@ def gap_condition_audit(lam: Partition, order: VariableOrder) -> GapAuditReport:
             witnesses.setdefault(closed_form_initial_monomial(t, order), (mu, t))
         if all(gen in witnesses for gen in ideal.min_gens):
             break
-    entries: list[GapAuditEntry] = []
-    violations: list[GapAuditEntry] = []
+    else:
+        gen = next(gen for gen in ideal.min_gens if gen not in witnesses)
+        raise AssertionError(f"no witness tableau for minimal generator {gen}")
     for gen in ideal.min_gens:
-        if gen not in witnesses:
-            raise AssertionError(f"no witness tableau for minimal generator {gen}")
         mu, t = witnesses[gen]
         j = t.row_of(largest)
         if j == 1:
-            entry = GapAuditEntry(gen, mu, t, j, True, True, None)
-        else:
-            gap_ok = mu.part(j - 1) - mu.part(j) >= k
-            above = t.rows[j - 2][mu.part(j) - 1]
-            rank = order.rank_of(above)
-            entry = GapAuditEntry(gen, mu, t, j, gap_ok, rank < n - k, rank)
-        entries.append(entry)
-        if not (entry.gap_ok and entry.neighbor_ok):
-            violations.append(entry)
-    return GapAuditReport(lam, order, k, tuple(entries), tuple(violations))
+            continue
+        gap = mu.part(j - 1) - mu.part(j)
+        above = t.rows[j - 2][mu.part(j) - 1]
+        rank = order.rank_of(above)
+        if gap < k or rank >= n - k:
+            return (
+                f"generator {_monomial_text(gen)} from tableau {t}: x{largest} in row {j}, "
+                f"gap {gap} with k={k}, x{above} above at rank {rank}, under {order}"
+            )
+    return ""

@@ -1,4 +1,5 @@
-"""Make the package in src/ importable by the subprocesses some tests start.
+"""Make the package in src/ importable by the subprocesses some tests start,
+and provide the `count_calls` fixture.
 
 pyproject's pytest `pythonpath` covers this process only; `python -m
 spechtfan` in a child process reads PYTHONPATH.
@@ -7,5 +8,25 @@ spechtfan` in a child process reads PYTHONPATH.
 import os
 from pathlib import Path
 
+import pytest
+
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, *names) wraps each named function of the module for
+    the test and returns a dict holding each one's call count so far."""
+
+    def install(module, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, name=name, real=getattr(module, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install

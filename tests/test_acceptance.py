@@ -21,6 +21,7 @@ from spechtfan.combinatorics import (
     standard_tableaux,
 )
 from spechtfan.fan import (
+    degree_statistic,
     elimination_identity_check,
     enumerate_fan,
     monotonicity_check,
@@ -156,14 +157,14 @@ def test_criterion_06_degree_monotonicity():
         for lam in enumerate_partitions(n):
             rng = rng_for(f"monotonic|{lam}")
             for order in sample_orders(n, 10, rng):
-                if not monotonicity_check(lam, order).passed:
+                if monotonicity_check(lam, order):
                     failures.append((lam, order))
     anchor_ok = True
     lam = Partition((2, 2))
     for order in [VariableOrder.identity(4)] + sample_orders(4, 3, rng_for("anchor6")):
-        rep = monotonicity_check(lam, order)
-        d2 = rep.values[order.apply(2) - 1]
-        d3 = rep.values[order.apply(3) - 1]
+        values = degree_statistic(lam, order)
+        d2 = values[order.apply(2) - 1]
+        d3 = values[order.apply(3) - 1]
         if not (d2 == d3 == 1):
             anchor_ok = False
     ok = not failures and anchor_ok
@@ -180,7 +181,7 @@ def test_criterion_07_elimination_two_level():
                 continue
             rng = rng_for(f"elim-monomial|{lam}")
             for order in sample_orders(n, 10, rng):
-                if not elimination_identity_check(lam, order).passed:
+                if elimination_identity_check(lam, order):
                     failures.append(("monomial", lam, order))
     for n in range(3, 6):
         for lam in shapes(n):
@@ -188,7 +189,7 @@ def test_criterion_07_elimination_two_level():
                 continue
             rng = rng_for(f"elim-polynomial|{lam}")
             for order in sample_orders(n, 5, rng):
-                if not elimination_polynomial_check(lam, order).passed:
+                if elimination_polynomial_check(lam, order):
                     failures.append(("polynomial", lam, order))
     ok = not failures
     verdict(7, "variable elimination lands on the companion shape, both levels", ok)
@@ -221,9 +222,9 @@ def test_criterion_09_braid_refinement():
     failures = []
     for n in range(2, 6):
         for lam in shapes(n):
-            rep = braid_refinement_check(lam)
-            if not rep.passed:
-                failures.append((lam, rep.failures[:2]))
+            detail = braid_refinement_check(lam)
+            if detail:
+                failures.append((lam, detail))
     ok = not failures
     verdict(9, "every braid cone sits inside one initial-ideal cone, n<=5", ok)
     assert not failures, failures

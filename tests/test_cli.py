@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spechtfan.cli
+import spechtfan.fan
 import spechtfan.polytope
 import spechtfan.verify
 from spechtfan.cli import main
@@ -367,6 +368,17 @@ class TestRunVerification:
             r"S-pair \(\d+,\d+\) left a \d+-term remainder; \d+ of \d+ reduced pairs failed under [1-4,]+",
             row.detail,
         )
+
+    def test_a_failing_monotonicity_row_carries_the_check_line(self, monkeypatch):
+        # degrees that fall along every order fail each order's first pair
+        monkeypatch.setattr(spechtfan.fan, "_degree_values", lambda n, tabs: tuple(range(n, 0, -1)))
+        rows = run_verification(3, skip=("fan", "oracle", "polytope"))
+        (row,) = [r for r in rows if r.check == "monotonicity" and r.instance.startswith("lambda=2,1 ")]
+        first = VariableOrder(tuple(map(int, row.instance.split("sigmas=")[1].split(",")[0])))
+        a, b = first.sigma[:2]
+        want = f"positions 1,2: x{a} has degree {4 - a}, x{b} has {4 - b}, "
+        assert row.to_dict()["detail"].startswith(want)
+        assert row.to_dict()["detail"].endswith(f" column, under {first}")
 
     def test_skip_removes_whole_groups(self):
         rows = run_verification(3, skip=("fan", "oracle", "polytope"))

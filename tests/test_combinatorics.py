@@ -280,3 +280,18 @@ class TestPrefixStandardization:
         out = embed_exponents((5, 6, 7), 4, asc)
         assert out == (5, 6, 0, 7)
         assert out[removed - 1] == 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Partition((2.7, 1)),
+        lambda: VariableOrder((1.5, 2.2, 3.9)),
+        lambda: Tableau(((1.0, 2.9), (3.2,))),
+    ],
+    ids=["partition", "order", "tableau"],
+)
+def test_float_entries_are_refused(build):
+    # int() would truncate each of these to a valid value: 2,1 / 1,2,3 / 1,2/3
+    with pytest.raises(TypeError, match="must be int, got float"):
+        build()

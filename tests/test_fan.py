@@ -4,6 +4,7 @@ from math import factorial
 import jsonschema
 import pytest
 
+import spechtfan.fan
 from helpers import brute_fan
 from spechtfan.combinatorics import (
     Partition,
@@ -22,7 +23,7 @@ from spechtfan.fan import (
     order_class_predictor,
     theorem_count,
 )
-from spechtfan.specht import initial_ideal
+from spechtfan.specht import MonomialIdeal, initial_ideal
 
 FAN_SCHEMA = {
     "type": "object",
@@ -115,11 +116,13 @@ class TestEnumerateFan:
             ((0, 1, 0), (1, 0, 0)): ((3, 1, 2), (3, 2, 1)),
         }
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
+    def test_capacity_guard(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an initial ideal was built before the size check")
+
+        monkeypatch.setattr(spechtfan.fan, "initial_ideal", refuse)
+        with pytest.raises(CapacityError, match="enumeration limit 8"):
             enumerate_fan(Partition.parse("8,1"))
-        with pytest.raises(CapacityError):
-            enumerate_fan(Partition.parse("2,1"), limit=2)
         with pytest.raises(ValueError):
             enumerate_fan(Partition.parse("3"))
 
@@ -175,17 +178,11 @@ class TestOrderClassPredictor:
                     assert predicted == (lookup[a.sigma] is lookup[b.sigma]), (lam, a, b)
 
 
-class TestDegreeStatistic:
+class TestDegrees:
     def test_anchors(self):
-        assert degree_statistic(
-            Partition.parse("2,1"), VariableOrder.identity(3)
-        ).values == (0, 1, 1)
-        assert degree_statistic(
-            Partition.parse("2,2"), VariableOrder.identity(4)
-        ).values == (0, 1, 1, 2)
-        assert degree_statistic(
-            Partition.parse("1,1"), VariableOrder.identity(2)
-        ).values == (0, 1)
+        assert degree_statistic(Partition.parse("2,1"), VariableOrder.identity(3)) == (0, 1, 1)
+        assert degree_statistic(Partition.parse("2,2"), VariableOrder.identity(4)) == (0, 1, 1, 2)
+        assert degree_statistic(Partition.parse("1,1"), VariableOrder.identity(2)) == (0, 1)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_total_mass(self, n):
@@ -196,17 +193,31 @@ class TestDegreeStatistic:
             for order in sample_orders(n, 4, rng):
                 stat = degree_statistic(lam, order)
                 count = len(standard_tableaux(lam, order))
-                assert sum(stat.values) == count * per_tableau
+                assert sum(stat) == count * per_tableau
 
 
 class TestMonotonicity:
     def test_two_two_identity_pairs(self):
-        rep = monotonicity_check(Partition.parse("2,2"), VariableOrder.identity(4))
-        assert rep.passed
-        assert rep.values == (0, 1, 1, 2)
-        flags = [(p.strict, p.witness) for p in rep.pairs]
-        # the middle pair is an equality and no tableau shares its column
-        assert flags == [(True, True), (False, False), (True, True)]
+        # degrees (0, 1, 1, 2): the middle pair is an equality and no tableau
+        # shares its column; the outer pairs are strict and share one
+        assert monotonicity_check(Partition.parse("2,2"), VariableOrder.identity(4)) == ""
+
+    @pytest.mark.parametrize(
+        "values,line",
+        [
+            # x2 < x3 strictly, yet no standard tableau of (2,2) puts 2 and 3 in one column
+            ((0, 1, 2, 2), "positions 2,3: x2 has degree 1, x3 has 2, no shared column"),
+            # a decrease fails whatever the columns say
+            ((1, 0, 1, 2), "positions 1,2: x1 has degree 1, x2 has 0, shared column"),
+            # the first two pairs pass; 3 and 4 share a column of 1,3/2,4 but tie
+            ((0, 1, 1, 1), "positions 3,4: x3 has degree 1, x4 has 1, shared column"),
+        ],
+        ids=["strict-apart", "decrease", "tie-in-a-column"],
+    )
+    def test_tampered_degrees_name_the_first_failing_pair(self, monkeypatch, values, line):
+        monkeypatch.setattr(spechtfan.fan, "_degree_values", lambda n, tabs: values)
+        got = monotonicity_check(Partition.parse("2,2"), VariableOrder.identity(4))
+        assert got == f"{line}, under 1,2,3,4"
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_small_shapes_pass(self, n):
@@ -214,18 +225,31 @@ class TestMonotonicity:
         orders = [VariableOrder.identity(n)] + sample_orders(n, 3, rng)
         for lam in shapes(n):
             for order in orders:
-                rep = monotonicity_check(lam, order)
-                assert rep.passed, (lam, order, rep.failures)
-                assert len(rep.pairs) == n - 1
+                assert monotonicity_check(lam, order) == "", (lam, order)
 
 
 class TestEliminationIdentity:
     def test_two_two_identity(self):
-        rep = elimination_identity_check(Partition.parse("2,2"), VariableOrder.identity(4))
-        assert not rep.skipped
-        assert rep.hat_partition == Partition.parse("1,1,1")
-        assert rep.lhs == ((0, 1, 2, 0),)
-        assert rep.equal and rep.passed
+        assert elimination_identity_check(Partition.parse("2,2"), VariableOrder.identity(4)) == ""
+
+    @pytest.mark.parametrize(
+        "hat_gen,line",
+        [
+            # the one generator of (2,2) free of x4 is x2*x3^2 = (0,1,2,0)
+            ((0, 2, 1), "generator x2*x3^2 is free of x4, not from hat=1,1,1"),
+            ((0, 0, 3), "generator x3^3 is from hat=1,1,1 only"),
+        ],
+        ids=["left-only", "hat-only"],
+    )
+    def test_a_tampered_hat_ideal_names_a_generator(self, monkeypatch, hat_gen, line):
+        real = spechtfan.fan.initial_ideal
+
+        def tampered(lam, order):
+            return MonomialIdeal(3, (hat_gen,)) if lam.n == 3 else real(lam, order)
+
+        monkeypatch.setattr(spechtfan.fan, "initial_ideal", tampered)
+        got = elimination_identity_check(Partition.parse("2,2"), VariableOrder.identity(4))
+        assert got == f"{line}, under 1,2,3,4"
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -241,11 +265,7 @@ class TestEliminationIdentity:
             if lam.parts[0] < 2:
                 continue
             for order in orders:
-                rep = elimination_identity_check(lam, order)
-                assert rep.passed, (lam, order)
-                # the filtered side really is free of the top variable
-                top = order.largest
-                assert all(e[top - 1] == 0 for e in rep.lhs)
+                assert elimination_identity_check(lam, order) == "", (lam, order)
 
 
 class TestAgainstWeightForms:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spechtfan.oracle
 from spechtfan.combinatorics import (
     Partition,
     VariableOrder,
@@ -383,37 +384,57 @@ class TestIntegerAndFractionPaths:
         assert reduce(f, basis) == Polynomial(1, {(1,): 3})
 
 
+# The generators each side checks: the subset side expands one Specht
+# polynomial per hat(lam) tableau, the superset side projects each generator.
+SIDES = ("specht_polynomial", "_project")
+
+
 class TestEliminationPolynomial:
-    def test_two_two_identity(self):
-        rep = elimination_polynomial_check(
-            Partition.parse("2,2"), VariableOrder.identity(4)
-        )
-        assert rep.passed
-        assert rep.base_certified and rep.hat_certified
-        assert rep.hat_partition == Partition.parse("1,1,1")
-        assert rep.subset_checked == 1
-        assert rep.superset_checked == 1
-        assert rep.failures == ()
+    def test_two_two_identity(self, count_calls):
+        calls = count_calls(spechtfan.oracle, *SIDES)
+        assert elimination_polynomial_check(Partition.parse("2,2"), VariableOrder.identity(4)) == ""
+        assert calls == {"specht_polynomial": 1, "_project": 1}
 
     @pytest.mark.parametrize(
         "parts,subset,superset",
         [("3,1", 2, 2), ("2,1", 1, 1)],
     )
-    def test_small_anchors(self, parts, subset, superset):
+    def test_small_anchors(self, count_calls, parts, subset, superset):
         lam = Partition.parse(parts)
-        rep = elimination_polynomial_check(lam, VariableOrder.identity(lam.n))
-        assert rep.passed
-        assert rep.subset_checked == subset
-        assert rep.superset_checked == superset
+        calls = count_calls(spechtfan.oracle, *SIDES)
+        assert elimination_polynomial_check(lam, VariableOrder.identity(lam.n)) == ""
+        assert calls == {"specht_polynomial": subset, "_project": superset}
+
+    @pytest.mark.parametrize(
+        "name,fake,line",
+        [
+            ("reduce", lambda f, basis: Polynomial.one(f.n), "basis of 2,2 failed certification"),
+            (
+                "specht_polynomial",
+                lambda t: Polynomial.variable(t.n, 1),
+                "subset: generator of 1,1,1 from 1/2/3 left a remainder",
+            ),
+            (
+                "_project",
+                lambda f, asc: Polynomial.variable(len(asc), 1),
+                "superset: projection of 1,4/2/3 left a remainder",
+            ),
+        ],
+        ids=["certification", "subset", "superset"],
+    )
+    def test_a_tampered_step_names_the_failing_side(self, monkeypatch, name, fake, line):
+        monkeypatch.setattr(spechtfan.oracle, name, fake)
+        got = elimination_polynomial_check(Partition.parse("2,2"), VariableOrder.identity(4))
+        assert got == f"{line} under 1,2,3,4"
 
     def test_sampled_orders_pass(self):
         rng = random.Random("elim-poly")
         for parts in ["2,2", "3,2", "2,2,1", "3,1,1"]:
             lam = Partition.parse(parts)
             for order in sample_orders(lam.n, 3, rng):
-                assert elimination_polynomial_check(lam, order).passed, (lam, order)
+                assert elimination_polynomial_check(lam, order) == "", (lam, order)
 
-    def test_preconditions(self):
+    def test_preconditions(self, monkeypatch):
         with pytest.raises(ValueError):
             elimination_polynomial_check(
                 Partition.parse("1,1"), VariableOrder.identity(2)
@@ -422,14 +443,15 @@ class TestEliminationPolynomial:
             elimination_polynomial_check(
                 Partition.parse("4"), VariableOrder.identity(4)
             )
-        with pytest.raises(ValueError):
+
+        def refuse(*args):
+            raise AssertionError("a basis was built before the size check")
+
+        monkeypatch.setattr(spechtfan.oracle, "lex_groebner_generators", refuse)
+        with pytest.raises(ValueError, match="oracle limit 6"):
             elimination_polynomial_check(
                 Partition.parse("6,1"), VariableOrder.identity(7)
             )
-        rep = elimination_polynomial_check(
-            Partition.parse("6,1"), VariableOrder.identity(7), limit=7
-        )
-        assert rep.passed
 
     def test_limit_default(self):
         assert DEFAULT_ORACLE_LIMIT == 6

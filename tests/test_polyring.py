@@ -93,6 +93,14 @@ class TestPolynomialBasics:
         with pytest.raises(TypeError):
             build()
 
+    @pytest.mark.parametrize(
+        "exps,kind", [((1.7, 0), "float"), ((True, False), "bool")], ids=["float", "bool"]
+    )
+    def test_each_exponent_is_type_checked(self, exps, kind):
+        # int() would read both as x1
+        with pytest.raises(TypeError, match=f"exponents must be int, got {kind}"):
+            Polynomial(2, {exps: 1})
+
     def test_like_terms_collapse(self):
         f = Polynomial(2, [((1, 0), 2), ((1, 0), -2), ((0, 1), 5)])
         assert len(f) == 1

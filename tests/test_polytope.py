@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spechtfan.fan
 import spechtfan.polytope
 from helpers import in_hull_exact
 from spechtfan.combinatorics import Partition, VariableOrder
@@ -236,11 +237,13 @@ class TestVertexCorrespondence:
             )
             assert list(ideal.min_gens) == want
 
-    def test_limit_is_forwarded(self):
-        from spechtfan.errors import CapacityError
+    def test_limit_is_forwarded(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an initial ideal was built before the size check")
 
-        with pytest.raises(CapacityError):
-            vertex_ideal_bijection(Partition.parse("2,1"), limit=2)
+        monkeypatch.setattr(spechtfan.fan, "initial_ideal", refuse)
+        with pytest.raises(CapacityError, match="enumeration limit 8"):
+            vertex_ideal_bijection(Partition.parse("8,1"))
 
 
 class TestExtremality:
@@ -319,19 +322,28 @@ class TestWeightInitialIdeal:
 
 
 class TestBraidRefinement:
-    def test_two_one(self):
-        rep = braid_refinement_check(Partition.parse("2,1"))
-        assert rep.passed
-        assert rep.orders_checked == 6
-        assert rep.generators_checked == 24
+    def test_two_one(self, count_calls):
+        # 3! orders, and two weight patterns on the two lex generators of each
+        calls = count_calls(spechtfan.polytope, "lex_groebner_generators", "initial_form")
+        assert braid_refinement_check(Partition.parse("2,1")) == ""
+        assert calls == {"lex_groebner_generators": 6, "initial_form": 24}
 
     @pytest.mark.parametrize("parts", ["2,2", "3,1", "3,2", "2,2,1"])
     def test_small_shapes_pass(self, parts):
-        rep = braid_refinement_check(Partition.parse(parts))
-        assert rep.passed
-        assert not rep.failures
+        assert braid_refinement_check(Partition.parse(parts)) == ""
 
-    def test_limit(self):
-        with pytest.raises(ValueError):
+    def test_a_wrong_leading_term_names_the_first_order(self, monkeypatch):
+        real = spechtfan.polytope.leading_term
+        monkeypatch.setattr(
+            spechtfan.polytope, "leading_term", lambda f, order: (real(f, order)[0], 0)
+        )
+        got = braid_refinement_check(Partition.parse("2,1"))
+        assert got == "order=1,2,3 weights=consecutive tableau=1,2/3"
+
+    def test_limit(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a basis was built before the size check")
+
+        monkeypatch.setattr(spechtfan.polytope, "lex_groebner_generators", refuse)
+        with pytest.raises(ValueError, match="limit 5"):
             braid_refinement_check(Partition.parse("5,1"))
-        braid_refinement_check(Partition.parse("5,1"), limit=6)

@@ -158,6 +158,21 @@ class TestMonomialIdeal:
         with pytest.raises(ValueError):
             minimalize([(1, 0), (0, -1)])
 
+    @pytest.mark.parametrize(
+        "build,kind",
+        [
+            (lambda: minimalize([(1.5, 0), (0, 2.0)]), "float"),
+            # 1 == True, so a set would keep only one of the two
+            (lambda: minimalize([(1, 0), (True, 0)]), "bool"),
+            (lambda: MonomialIdeal(2, ((0.5, 1),)), "float"),
+        ],
+        ids=["minimalize-float", "minimalize-bool", "ideal-float"],
+    )
+    def test_float_and_bool_exponents_are_refused(self, build, kind):
+        # at a truncating int() these would read <x2^2, x1>, <x1> and <x2>
+        with pytest.raises(TypeError, match=f"exponents must be int, got {kind}"):
+            build()
+
     def test_minimalize_edge_cases(self):
         assert minimalize([(3,), (1,), (2,)]).to_json() == {"n": 1, "min_gens": [[1]]}
         assert minimalize([(0, 0), (1, 2), (0, 0)]).to_json() == {"n": 2, "min_gens": [[0, 0]]}
@@ -339,18 +354,26 @@ class TestInitialIdealFastPath:
 
 class TestGapAudit:
     def test_two_two_identity_structure(self):
-        rep = gap_condition_audit(Partition.parse("2,2"), VariableOrder.identity(4))
-        assert rep.k == 0
-        assert rep.passed
-        assert len(rep.entries) == 3
-        assert [e.row_of_largest for e in rep.entries] == [2, 2, 1]
-        assert rep.violations == ()
+        assert gap_condition_audit(Partition.parse("2,2"), VariableOrder.identity(4)) == ""
 
-    def test_neighbor_rank_is_recorded(self):
-        rep = gap_condition_audit(Partition.parse("3,1"), VariableOrder.identity(4))
-        assert rep.k == 2
-        deep = [e for e in rep.entries if e.row_of_largest >= 2]
-        assert deep and all(e.neighbor_rank is not None for e in deep)
+    def test_neighbor_rank_is_recorded(self, monkeypatch):
+        # (3,1) has k = 2; at k = 3 the gap 3 - 1 under x4 in 1,2,3/4 is too small
+        monkeypatch.setattr(spechtfan.specht, "min_gap_k", lambda lam: 3)
+        got = gap_condition_audit(Partition.parse("3,1"), VariableOrder.identity(4))
+        assert got == (
+            "generator x4 from tableau 1,2,3/4: x4 in row 2, gap 2 with k=3, "
+            "x1 above at rank 1, under 1,2,3,4"
+        )
+
+    def test_generators_before_the_first_violation_pass(self, monkeypatch):
+        # at k = 1 the first generator x3*x4*x5^2 passes (x5 in row 3 of
+        # 1,2/3,4/5 under a gap of 1), and the second fails
+        monkeypatch.setattr(spechtfan.specht, "min_gap_k", lambda lam: 1)
+        got = gap_condition_audit(Partition.parse("2,2,1"), VariableOrder.identity(5))
+        assert got == (
+            "generator x3*x4^2*x5 from tableau 1,2/3,5/4: x5 in row 2, gap 0 with k=1, "
+            "x2 above at rank 2, under 1,2,3,4,5"
+        )
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_all_small_shapes_pass(self, n):
@@ -358,6 +381,4 @@ class TestGapAudit:
         orders = [VariableOrder.identity(n)] + sample_orders(n, 5, rng)
         for lam in all_shapes(n):
             for order in orders:
-                rep = gap_condition_audit(lam, order)
-                assert rep.passed, (lam, order, rep.violations)
-                assert len(rep.entries) == len(initial_ideal(lam, order).min_gens)
+                assert gap_condition_audit(lam, order) == "", (lam, order)
