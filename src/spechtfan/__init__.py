@@ -22,16 +22,8 @@ from .fan import (
     theorem_count,
 )
 from .oracle import certify_groebner, elimination_polynomial_check, marked_basis, reduce, s_polynomial
-from .polyring import Polynomial, WeightVector, initial_form, leading_monomial
-from .polytope import (
-    BraidCone,
-    PointSet,
-    braid_refinement_check,
-    cone_membership,
-    interior_sample,
-    pnk_vertices,
-    vertex_ideal_bijection,
-)
+from .polyring import Polynomial, leading_monomial
+from .polytope import PointSet, braid_refinement_check, pnk_vertices, vertex_ideal_bijection
 from .specht import (
     MonomialIdeal,
     closed_form_initial_monomial,
@@ -60,8 +52,6 @@ __all__ = [
     "CapacityError",
     "TheoremViolationError",
     "Polynomial",
-    "WeightVector",
-    "initial_form",
     "leading_monomial",
     "MonomialIdeal",
     "minimalize",
@@ -79,10 +69,7 @@ __all__ = [
     "monotonicity_check",
     "elimination_identity_check",
     "PointSet",
-    "BraidCone",
     "pnk_vertices",
-    "cone_membership",
-    "interior_sample",
     "vertex_ideal_bijection",
     "braid_refinement_check",
     "marked_basis",

@@ -94,12 +94,14 @@ def order_class_predictor(lam: Partition, sigma: tuple[int, ...], tau: tuple[int
     n = lam.n
     if len(sigma) != n or len(tau) != n:
         raise ValueError("orders must match the partition's n")
-    return _same_class(n - min_gap_k(lam) - 1, sigma, tau)
+    head = n - min_gap_k(lam) - 1
+    return _class_key(head, sigma) == _class_key(head, tau)
 
 
-def _same_class(head: int, sigma: tuple[int, ...], tau: tuple[int, ...]) -> bool:
-    """order_class_predictor with head = n-k-1 given and the lengths taken as checked."""
-    return sigma[:head] == tau[:head] and set(sigma[head:]) == set(tau[head:])
+def _class_key(head: int, sigma: tuple[int, ...]) -> tuple:
+    """The predicted class of an order, with head = n-k-1: two orders share
+    an initial ideal exactly when their keys are equal."""
+    return (sigma[:head], frozenset(sigma[head:]))
 
 
 @dataclass

@@ -11,20 +11,17 @@ coefficient is not a unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .combinatorics import VariableOrder, _check_ints
 
 __all__ = [
     "Polynomial",
-    "WeightVector",
     "lex_key",
     "leading_monomial",
     "leading_term",
-    "initial_form",
 ]
 
 Coefficient = Union[int, Fraction]
@@ -65,8 +62,9 @@ class Polynomial:
         n: int,
         terms: Union[Mapping[Exponents, Coefficient], Iterable[tuple[Exponents, Coefficient]], None] = None,
     ) -> None:
-        self.n = int(n)
-        if self.n < 1:
+        _check_ints((n,), "ring size")
+        self.n = n
+        if n < 1:
             raise ValueError("polynomial ring needs at least one variable")
         clean: dict[Exponents, Coefficient] = {}
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
@@ -98,6 +96,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
+        _check_ints((i,), "variable index")
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
         return cls(n, {tuple(1 if j == i else 0 for j in range(1, n + 1)): 1})
@@ -224,50 +223,3 @@ def leading_monomial(f: Polynomial, order: VariableOrder) -> Exponents:
 def leading_term(f: Polynomial, order: VariableOrder) -> tuple[Exponents, Coefficient]:
     m = leading_monomial(f, order)
     return m, f.coefficient(m)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """A rational weight per variable, used to take initial forms.
-
-    Weights are stored as ints when every one of them is integral and as
-    Fractions otherwise, so `dot` sums plain ints on integer weights. Any
-    other weight, a float or a bool included, raises TypeError.
-    """
-
-    weights: tuple[Coefficient, ...]
-
-    def __post_init__(self) -> None:
-        for w in self.weights:
-            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
-                raise TypeError(f"weights must be int or Fraction, got {type(w).__name__}")
-        weights = tuple(Fraction(w) for w in self.weights)
-        if all(w.denominator == 1 for w in weights):
-            weights = tuple(int(w) for w in weights)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def of(cls, values: Iterable) -> "WeightVector":
-        return cls(tuple(values))
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    def dot(self, exps: Exponents) -> Coefficient:
-        """An int on integral weights, an exact Fraction otherwise."""
-        return sum(map(mul, self.weights, exps))
-
-    def __str__(self) -> str:
-        return ",".join(str(w) for w in self.weights)
-
-
-def initial_form(f: Polynomial, w: WeightVector) -> Polynomial:
-    """The subsum of terms whose w-weight is maximal. Keeps coefficients."""
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no initial form")
-    if f.n != w.n:
-        raise ValueError("polynomial and weight vector must agree on the number of variables")
-    weighted = [(w.dot(e), e, c) for e, c in f.items()]
-    top = max(t[0] for t in weighted)
-    return Polynomial._wrap(f.n, {e: c for t, e, c in weighted if t == top})

@@ -1,32 +1,28 @@
-"""Permutation polytopes, braid cones, and the vertex/ideal correspondence."""
+"""Permutation polytopes, the braid-chamber certificate, and the vertex/ideal correspondence."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 from math import factorial
+from operator import itemgetter, sub
 
-from .combinatorics import Partition, VariableOrder, min_gap_k
+from .combinatorics import Partition, VariableOrder, _check_ints
 from .errors import CapacityError, TheoremViolationError
 from .fan import enumerate_fan
-from .polyring import WeightVector, initial_form, leading_term
-from .specht import MonomialIdeal, lex_groebner_generators, minimalize
+from .polyring import Exponents, Polynomial, _monomial_text, leading_monomial
+from .specht import MonomialIdeal, lex_groebner_generators
 
 __all__ = [
     "PNK_VERTEX_LIMIT",
     "PNK_COORDINATE_LIMIT",
     "PointSet",
-    "BraidCone",
     "pnk_vertices",
-    "cone_membership",
-    "interior_sample",
     "vertex_for_order",
     "vertex_ideal_bijection",
     "is_extreme_point",
     "edge_direction_violations",
-    "weight_initial_ideal",
     "braid_refinement_check",
 ]
 
@@ -47,7 +43,9 @@ class PointSet:
     points: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        pts = sorted({tuple(int(c) for c in p) for p in self.points})
+        pts = [tuple(p) for p in self.points]
+        _check_ints(chain.from_iterable(pts), "coordinates")
+        pts = sorted(set(pts))
         if not pts:
             raise ValueError("a point set needs at least one point")
         n = len(pts[0])
@@ -99,31 +97,6 @@ class PointSet:
         return [list(p) for p in self.points]
 
 
-@dataclass(frozen=True)
-class BraidCone:
-    """Chain on the first n-k-1 order positions, with the chain's top bounded
-    above by each of the remaining k+1 coordinates."""
-
-    order: VariableOrder
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.k < self.order.n:
-            raise ValueError("k must satisfy 0 <= k < n")
-
-    @property
-    def n(self) -> int:
-        return self.order.n
-
-    def class_key(self) -> tuple:
-        """Two cones are equal as sets iff their keys agree."""
-        head = self.n - self.k - 1
-        return (self.order.sigma[:head], frozenset(self.order.sigma[head:]))
-
-    def __str__(self) -> str:
-        return f"C({self.order},k={self.k})"
-
-
 def pnk_vertices(n: int, k: int) -> PointSet:
     """All distinct coordinate permutations of (1,...,n-k-1, n-k,...,n-k).
 
@@ -152,43 +125,6 @@ def pnk_vertices(n: int, k: int) -> PointSet:
             p[i] = value
         points.append(tuple(p))
     return PointSet(tuple(points))
-
-
-def cone_membership(w: WeightVector, cone: BraidCone) -> bool:
-    """Exact rational test of the cone's defining weak inequalities."""
-    if w.n != cone.n:
-        raise ValueError("weight length must match the cone's n")
-    head = cone.n - cone.k - 1
-    sig = cone.order.sigma
-    for i in range(head - 1):
-        if w.weights[sig[i] - 1] > w.weights[sig[i + 1] - 1]:
-            return False
-    if head >= 1:
-        anchor = w.weights[sig[head - 1] - 1]
-        for j in range(head, cone.n):
-            if anchor > w.weights[sig[j] - 1]:
-                return False
-    return True
-
-
-def interior_sample(cone: BraidCone, seed: int) -> WeightVector:
-    """Deterministic rational point satisfying every cone inequality strictly.
-
-    All coordinates come out pairwise distinct, so the sample also lies in a
-    single open chamber of the full chain refinement.
-    """
-    n = cone.n
-    rng = random.Random(f"interior|{cone.order}|{cone.k}|{seed}")
-    head = n - cone.k - 1
-    jit = lambda: Fraction(rng.randrange(32), 64)
-    vals: list[Fraction] = [Fraction(0)] * n
-    for i in range(1, head + 1):
-        vals[cone.order.apply(i) - 1] = i + jit()
-    offsets = list(range(1, cone.k + 2))
-    rng.shuffle(offsets)
-    for off, pos in zip(offsets, range(head + 1, n + 1)):
-        vals[cone.order.apply(pos) - 1] = head + off + jit()
-    return WeightVector(tuple(vals))
 
 
 def vertex_for_order(n: int, k: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -259,50 +195,49 @@ def edge_direction_violations(ps: PointSet) -> tuple[tuple[tuple[int, ...], tupl
     return tuple(bad)
 
 
-def weight_initial_ideal(lam: Partition, order: VariableOrder, w: WeightVector) -> MonomialIdeal:
-    """Minimalized monomials picked by the weight from the order's basis.
 
-    Requires the weight to isolate a single term in every generator, which
-    holds whenever all its coordinates are pairwise distinct.
+
+def _chamber_escape(f: Polynomial, lead: Exponents, chamber: tuple[int, ...]) -> Exponents | None:
+    """The first term m of f, other than lead, that some w in the open
+    chamber ranks at least as high as lead; None if there is none.
+
+    The chamber lists 0-based variable indices from the largest weight
+    down. With v = lead - m read in that order, v.w > 0 on the whole open
+    chamber iff every partial sum is >= 0, given that the full sum is 0.
+    Raises ValueError on a term whose degree differs from the lead's.
     """
-    monos = []
-    for f in lex_groebner_generators(lam, order).polynomials():
-        g = initial_form(f, w)
-        if len(g) != 1:
-            raise ValueError("weight vector does not isolate a single term")
-        ((exps, _),) = g.items()
-        monos.append(exps)
-    return minimalize(monos)
+    get = itemgetter(*chamber)
+    top = get(lead)
+    for m, _ in f.items():
+        if m == lead:
+            continue
+        sums = tuple(accumulate(map(sub, top, get(m))))
+        if sums[-1]:
+            raise ValueError(f"{f} is not homogeneous")
+        if min(sums) < 0:
+            return m
+    return None
 
 
 def braid_refinement_check(lam: Partition) -> str:
-    """Interior weights of every maximal chain cone must pick the leading term.
+    """Every open braid chamber must lie in the Groebner cone of its lex ideal.
 
-    For each order, two strictly spaced integer weight patterns (consecutive
-    integers and powers of two along the chain) are applied to every basis
-    generator; the weight-initial form has to be the single leading term.
-    A pass certifies each chain cone sits inside one initial-ideal cone.
-    Refuses n beyond 5. Returns "" on a pass, else a line naming the first
-    failing order, weight pattern and tableau.
+    For each order sigma, every generator of the lex system under sigma
+    has to keep its leading term strictly above each other term for every
+    weight w with w_sigma(1) < ... < w_sigma(n), proved with integer
+    partial sums, not sampled weights. Since the lex system is a Groebner
+    basis under sigma (the oracle rows certify that), a pass puts the whole
+    chamber inside the Groebner cone of in_sigma(I). Refuses n beyond 6.
+    Returns "" on a pass, else a line naming the first failing order,
+    tableau and term.
     """
     n = lam.n
-    if n > 5:
-        raise ValueError(f"n={n} exceeds the refinement check limit 5")
+    if n > 6:
+        raise ValueError(f"n={n} exceeds the refinement check limit 6")
     for sigma in permutations(range(1, n + 1)):
         order = VariableOrder(sigma)
-        system = lex_groebner_generators(lam, order)
-        leads = [leading_term(f, order) for _, f in system.generators]
-        patterns = [
-            [0] * n,
-            [0] * n,
-        ]
-        for i in range(1, n + 1):
-            patterns[0][sigma[i - 1] - 1] = i
-            patterns[1][sigma[i - 1] - 1] = 2**i
-        for name, pat in zip(("consecutive", "powers"), patterns):
-            w = WeightVector.of(pat)
-            for (t, f), (lead_m, lead_c) in zip(system.generators, leads):
-                g = initial_form(f, w)
-                if len(g) != 1 or g.coefficient(lead_m) != lead_c:
-                    return f"order={order} weights={name} tableau={t}"
+        for t, f in lex_groebner_generators(lam, order).generators:
+            m = _chamber_escape(f, leading_monomial(f, order), order.desc0)
+            if m is not None:
+                return f"order={order} tableau={t} term={_monomial_text(m)}"
     return ""

@@ -346,11 +346,19 @@ class TestRunVerification:
         assert len({(r.check, r.instance) for r in rows}) == len(rows)
 
     def test_a_wrong_class_predictor_fails_its_row(self, monkeypatch):
-        monkeypatch.setattr(spechtfan.verify, "_same_class", lambda head, a, b: a == b)
+        # every order its own class
+        monkeypatch.setattr(spechtfan.verify, "_class_key", lambda head, sigma: sigma)
         rows = run_verification(3, skip=("oracle", "polytope"))
         # (2,1) has classes of two orders; the other shapes' classes are single orders
         (row,) = [r for r in rows if r.check == "class-predictor" and r.instance.startswith("lambda=2,1 ")]
         assert not row.passed and row.detail == "mismatches=6"
+
+    def test_a_wrong_predictor_fails_the_cone_classes_row(self, monkeypatch):
+        # (2,2) has k = 0, so the first drawn pair of distinct orders is a mismatch
+        monkeypatch.setattr(spechtfan.verify, "order_class_predictor", lambda lam, a, b: True)
+        row = spechtfan.verify._cone_class_row(Partition.parse("2,2"), 2024)
+        assert not row.passed
+        assert row.detail == "initial ideals and predictor disagree for 3,4,2,1 vs 4,2,3,1"
 
     def test_a_failing_certificate_names_its_first_pair(self, monkeypatch):
         # drop the last generator of every lex basis; for (2,2) under the

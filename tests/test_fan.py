@@ -159,6 +159,10 @@ class TestOrderClassPredictor:
         assert order_class_predictor(lam, a.sigma, b.sigma)
         assert not order_class_predictor(lam, a.sigma, c.sigma)
 
+    def test_class_key_anchor(self):
+        # head = n-k-1 positions in order, the rest as a set
+        assert spechtfan.fan._class_key(2, (1, 2, 4, 3)) == ((1, 2), frozenset({3, 4}))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             order_class_predictor(

@@ -9,8 +9,6 @@ from helpers import poly_to_sympy, sympy_lm_exps, sympy_vars
 from spechtfan.combinatorics import VariableOrder
 from spechtfan.polyring import (
     Polynomial,
-    WeightVector,
-    initial_form,
     leading_monomial,
     leading_term,
     lex_key,
@@ -100,6 +98,19 @@ class TestPolynomialBasics:
         # int() would read both as x1
         with pytest.raises(TypeError, match=f"exponents must be int, got {kind}"):
             Polynomial(2, {exps: 1})
+
+    @pytest.mark.parametrize(
+        "build,what",
+        [
+            (lambda: Polynomial(2.9, {(1, 0): 1}), "ring size must be int, got float"),
+            (lambda: Polynomial.variable(2, True), "variable index must be int, got bool"),
+        ],
+        ids=["float-ring-size", "bool-variable-index"],
+    )
+    def test_ring_size_and_variable_index_are_type_checked(self, build, what):
+        # int(2.9) would build a ring of two variables, and True would name x1
+        with pytest.raises(TypeError, match=what):
+            build()
 
     def test_like_terms_collapse(self):
         f = Polynomial(2, [((1, 0), 2), ((1, 0), -2), ((0, 1), 5)])
@@ -209,71 +220,3 @@ class TestSevenVariableProduct:
             (xs[2] - xs[3]) * (xs[2] - xs[5]) * (xs[3] - xs[5]) * (xs[4] - xs[1])
         )
         assert sympy.expand(poly_to_sympy(f) - want) == 0
-
-
-class TestWeights:
-    def test_of_and_dot(self):
-        w = WeightVector.of([1, 2, Fraction(1, 2)])
-        assert w.n == 3
-        assert w.dot((1, 0, 2)) == 2
-        assert w.dot((0, 0, 0)) == 0
-
-    def test_initial_form_anchor(self):
-        f = Polynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 3})
-        w = WeightVector.of([1, 0])
-        assert initial_form(f, w) == Polynomial(2, {(2, 0): 1})
-        flat = WeightVector.of([1, 1])
-        assert initial_form(f, flat) == f
-
-    def test_initial_form_errors(self):
-        with pytest.raises(ValueError):
-            initial_form(Polynomial.zero(2), WeightVector.of([1, 2]))
-        with pytest.raises(ValueError):
-            initial_form(Polynomial.one(2), WeightVector.of([1, 2, 3]))
-
-    def test_integral_weights_are_ints_however_written(self):
-        ints = WeightVector.of([3, -1, 4])
-        fracs = WeightVector.of([Fraction(3), Fraction(-2, 2), Fraction(8, 2)])
-        assert ints == fracs
-        assert all(type(w) is int for w in fracs.weights)
-        for exps in [(1, 0, 2), (0, 0, 0), (5, 7, 1)]:
-            assert ints.dot(exps) == fracs.dot(exps)
-            assert type(fracs.dot(exps)) is int
-
-    def test_non_integral_weights_stay_exact_fractions(self):
-        w = WeightVector.of([1, Fraction(1, 3), 2])
-        assert all(isinstance(x, Fraction) for x in w.weights)
-        assert w.dot((1, 1, 1)) == Fraction(10, 3)
-        whole = w.dot((0, 3, 0))
-        assert whole == 1 and isinstance(whole, Fraction)
-        assert str(w) == "1,1/3,2"
-
-    @pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", True], ids=["0.1", "0.5", "str", "bool"])
-    def test_only_int_and_fraction_weights(self, bad):
-        with pytest.raises(TypeError, match="weights must be int or Fraction"):
-            WeightVector.of([1, bad])
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 4).flatmap(
-        lambda n: st.tuples(poly_st(n).filter(bool), st.tuples(*[st.integers(-5, 5)] * n))
-    ))
-    def test_initial_form_is_the_same_on_int_and_fraction_weights(self, case):
-        f, weights = case
-        by_int = initial_form(f, WeightVector.of(weights))
-        assert by_int == initial_form(f, WeightVector.of([Fraction(w) for w in weights]))
-        # halving every weight keeps the maximizing terms; an odd weight makes them Fractions
-        halved = WeightVector.of([Fraction(w, 2) for w in weights])
-        assert initial_form(f, halved) == by_int
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.integers(2, 4).flatmap(
-        lambda n: st.tuples(
-            poly_st(n).filter(bool),
-            poly_st(n).filter(bool),
-            st.tuples(*[st.integers(-3, 3)] * n),
-        )
-    ))
-    def test_initial_form_is_multiplicative(self, case):
-        f, g, weights = case
-        w = WeightVector.of(weights)
-        assert initial_form(f * g, w) == initial_form(f, w) * initial_form(g, w)

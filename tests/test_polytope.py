@@ -1,10 +1,10 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import spechtfan.fan
 import spechtfan.polytope
@@ -12,31 +12,20 @@ from helpers import in_hull_exact
 from spechtfan.combinatorics import Partition, VariableOrder
 from spechtfan.errors import CapacityError, TheoremViolationError
 from spechtfan.fan import enumerate_fan
-from spechtfan.polyring import WeightVector
+from spechtfan.polyring import Polynomial, leading_monomial, lex_key
 from spechtfan.polytope import (
     PNK_COORDINATE_LIMIT,
     PNK_VERTEX_LIMIT,
-    BraidCone,
     PointSet,
+    _chamber_escape,
     braid_refinement_check,
-    cone_membership,
     edge_direction_violations,
-    interior_sample,
     is_extreme_point,
     pnk_vertices,
     vertex_for_order,
     vertex_ideal_bijection,
-    weight_initial_ideal,
 )
-from spechtfan.specht import initial_ideal
-
-cones_st = st.integers(2, 5).flatmap(
-    lambda n: st.tuples(
-        st.permutations(range(1, n + 1)).map(lambda p: VariableOrder(tuple(p))),
-        st.integers(0, n - 1),
-        st.integers(0, 10_000),
-    )
-)
+from spechtfan.specht import SpechtSystem, initial_ideal, lex_groebner_generators, minimalize
 
 
 class TestPointSet:
@@ -57,6 +46,16 @@ class TestPointSet:
             PointSet(((1, 2), (1, 2, 0)))
         with pytest.raises(ValueError):
             PointSet(((1, 2), (2, 2)))
+
+    @pytest.mark.parametrize(
+        "points,kind",
+        [(((1.5, 2.9), (2.2, 1.0)), "float"), (((True, 2), (2, 1)), "bool")],
+        ids=["float", "bool"],
+    )
+    def test_coordinates_must_be_ints(self, points, kind):
+        # int() would read the floats as (1, 2) and (2, 1), and True as 1
+        with pytest.raises(TypeError, match=f"coordinates must be int, got {kind}"):
+            PointSet(points)
 
     def test_affine_dimension(self):
         assert PointSet(((1, 2, 3),)).affine_dimension() == 0
@@ -126,76 +125,6 @@ class TestPnkVertices:
         for n, k in [(1808, 1806), (10**6, 10**6 - 2), (10**4000, 0), (10**4000, 10**4000 - 2)]:
             with pytest.raises(CapacityError):
                 pnk_vertices(n, k)
-
-
-class TestBraidCone:
-    def test_validation(self):
-        order = VariableOrder.identity(3)
-        BraidCone(order, 2)
-        with pytest.raises(ValueError):
-            BraidCone(order, 3)
-        with pytest.raises(ValueError):
-            BraidCone(order, -1)
-
-    def test_class_key(self):
-        cone = BraidCone(VariableOrder.parse("1,2,4,3"), 1)
-        assert cone.class_key() == ((1, 2), frozenset({3, 4}))
-
-    def test_membership_anchors(self):
-        ido = VariableOrder.identity(3)
-        assert cone_membership(WeightVector.of([0, 1, 5]), BraidCone(ido, 0))
-        assert cone_membership(WeightVector.of([0, 5, 1]), BraidCone(ido, 1))
-        assert not cone_membership(WeightVector.of([5, 0, 1]), BraidCone(ido, 1))
-        assert not cone_membership(WeightVector.of([0, 5, 1]), BraidCone(ido, 0))
-
-    def test_boundary_weights_are_members(self):
-        ido = VariableOrder.identity(3)
-        assert cone_membership(WeightVector.of([1, 1, 1]), BraidCone(ido, 0))
-
-    def test_top_k_cone_is_everything(self):
-        cone = BraidCone(VariableOrder.parse("3,1,2"), 2)
-        assert cone_membership(WeightVector.of([-4, 17, Fraction(1, 3)]), cone)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cone_membership(WeightVector.of([1, 2]), BraidCone(VariableOrder.identity(3), 0))
-
-
-class TestInteriorSample:
-    @settings(deadline=None, max_examples=80)
-    @given(cones_st)
-    def test_member_distinct_deterministic(self, case):
-        order, k, seed = case
-        cone = BraidCone(order, k)
-        w = interior_sample(cone, seed)
-        assert cone_membership(w, cone)
-        assert len(set(w.weights)) == order.n
-        assert interior_sample(cone, seed) == w
-
-    def test_strictness_along_the_chain(self):
-        cone = BraidCone(VariableOrder.identity(5), 1)
-        w = interior_sample(cone, 7).weights
-        assert w[0] < w[1] < w[2]
-        assert w[2] < w[3] and w[2] < w[4]
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_cone_equality_matches_class_key(self, n):
-        from itertools import permutations
-
-        for k in range(0, n):
-            cones = [BraidCone(VariableOrder(s), k) for s in permutations(range(1, n + 1))]
-            for a in cones:
-                for b in cones:
-                    same_key = a.class_key() == b.class_key()
-                    # mutual containment of interior samples decides set equality
-                    # because the samples are strictly interior
-                    ab = all(
-                        cone_membership(interior_sample(a, s), b) for s in range(3)
-                    )
-                    ba = all(
-                        cone_membership(interior_sample(b, s), a) for s in range(3)
-                    )
-                    assert same_key == (ab and ba), (a, b)
 
 
 class TestVertexCorrespondence:
@@ -303,47 +232,91 @@ class TestEdgeDirections:
 class TestWeightInitialIdeal:
     @pytest.mark.parametrize("parts", ["2,1", "2,2", "3,1", "2,1,1"])
     def test_interior_weights_recover_the_lex_ideal(self, parts):
-        from itertools import permutations
-
-        from spechtfan.combinatorics import min_gap_k
-
+        # one integer point of each open chamber, by plain dot products: a spot
+        # check of what braid_refinement_check proves for the whole chamber
         lam = Partition.parse(parts)
-        k = min_gap_k(lam)
-        for s in permutations(range(1, lam.n + 1)):
-            order = VariableOrder(s)
-            w = interior_sample(BraidCone(order, k), 11)
-            assert weight_initial_ideal(lam, order, w) == initial_ideal(lam, order)
-
-    def test_tied_weights_are_rejected(self):
-        lam = Partition.parse("2,1")
-        order = VariableOrder.identity(3)
-        with pytest.raises(ValueError):
-            weight_initial_ideal(lam, order, WeightVector.of([1, 1, 1]))
+        rng = random.Random(parts)
+        for sigma in permutations(range(1, lam.n + 1)):
+            order = VariableOrder(sigma)
+            w = [0] * lam.n
+            for v, weight in zip(sigma, sorted(rng.sample(range(-50, 50), lam.n))):
+                w[v - 1] = weight
+            tops = []
+            for f in lex_groebner_generators(lam, order).polynomials():
+                by_weight = {}
+                for m, _ in f.items():
+                    by_weight.setdefault(sum(map(mul, w, m)), []).append(m)
+                (top,) = by_weight[max(by_weight)]
+                tops.append(top)
+            assert minimalize(tops) == initial_ideal(lam, order), (order, w)
 
 
 class TestBraidRefinement:
     def test_two_one(self, count_calls):
-        # 3! orders, and two weight patterns on the two lex generators of each
-        calls = count_calls(spechtfan.polytope, "lex_groebner_generators", "initial_form")
+        # 3! orders, each with two lex generators whose leads are taken once
+        calls = count_calls(spechtfan.polytope, "lex_groebner_generators", "leading_monomial")
         assert braid_refinement_check(Partition.parse("2,1")) == ""
-        assert calls == {"lex_groebner_generators": 6, "initial_form": 24}
+        assert calls == {"lex_groebner_generators": 6, "leading_monomial": 12}
 
-    @pytest.mark.parametrize("parts", ["2,2", "3,1", "3,2", "2,2,1"])
+    @pytest.mark.parametrize("parts", ["2,2", "3,1", "3,2", "2,2,1", "5,1"])
     def test_small_shapes_pass(self, parts):
         assert braid_refinement_check(Partition.parse(parts)) == ""
 
+    @pytest.mark.parametrize("parts,failing,pairs", [("2,2", 48, 120), ("3,3", 3600, 22320)])
+    def test_a_swapped_chamber_fails_as_pinned(self, parts, failing, pairs):
+        # each order's lex generators against the chamber with its two largest variables swapped
+        lam = Partition.parse(parts)
+        seen = []
+        for sigma in permutations(range(1, lam.n + 1)):
+            order = VariableOrder(sigma)
+            first, second, *rest = order.desc0
+            for f in lex_groebner_generators(lam, order).polynomials():
+                seen.append(_chamber_escape(f, leading_monomial(f, order), (second, first, *rest)))
+        assert (len(seen) - seen.count(None), len(seen)) == (failing, pairs)
+
+    def test_a_swapped_chamber_names_the_first_order(self, monkeypatch):
+        real = spechtfan.polytope._chamber_escape
+
+        def swapped(f, lead, chamber):
+            return real(f, lead, (chamber[1], chamber[0], *chamber[2:]))
+
+        monkeypatch.setattr(spechtfan.polytope, "_chamber_escape", swapped)
+        # under 1,2,3,4 the lead x2*x4 of (x1 - x2)(x3 - x4) loses to x1*x3 once w3 > w4
+        got = braid_refinement_check(Partition.parse("2,2"))
+        assert got == "order=1,2,3,4 tableau=1,3/2,4 term=x1*x3"
+
     def test_a_wrong_leading_term_names_the_first_order(self, monkeypatch):
-        real = spechtfan.polytope.leading_term
-        monkeypatch.setattr(
-            spechtfan.polytope, "leading_term", lambda f, order: (real(f, order)[0], 0)
-        )
+        def last(f, order):
+            return min((m for m, _ in f.items()), key=lambda m: lex_key(m, order))
+
+        monkeypatch.setattr(spechtfan.polytope, "leading_monomial", last)
+        # the true lead x3 is then the term that escapes
         got = braid_refinement_check(Partition.parse("2,1"))
-        assert got == "order=1,2,3 weights=consecutive tableau=1,2/3"
+        assert got == "order=1,2,3 tableau=1,2/3 term=x3"
+
+    def test_a_tampered_basis_names_the_escaping_term(self, monkeypatch):
+        real = spechtfan.polytope.lex_groebner_generators
+        x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
+
+        def tampered(lam, order):
+            (t, f), *rest = real(lam, order).generators
+            # x1*x3 still leads in lex, but x2^2 outweighs it wherever 2*w2 > w1 + w3
+            return SpechtSystem(lam, order, ((t, f * x1 - x2 * x2), *rest))
+
+        monkeypatch.setattr(spechtfan.polytope, "lex_groebner_generators", tampered)
+        got = braid_refinement_check(Partition.parse("2,1"))
+        assert got == "order=1,2,3 tableau=1,2/3 term=x2^2"
+
+    def test_a_non_homogeneous_generator_is_refused(self):
+        # x3 leads, and x3 - x1^2 has partial sums 1, 1, -1 read from x3 down
+        f = Polynomial(3, {(0, 0, 1): 1, (2, 0, 0): -1})
+        with pytest.raises(ValueError, match="not homogeneous"):
+            _chamber_escape(f, (0, 0, 1), VariableOrder.identity(3).desc0)
 
     def test_limit(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a basis was built before the size check")
 
         monkeypatch.setattr(spechtfan.polytope, "lex_groebner_generators", refuse)
-        with pytest.raises(ValueError, match="limit 5"):
-            braid_refinement_check(Partition.parse("5,1"))
+        with pytest.raises(ValueError, match="limit 6"):
+            braid_refinement_check(Partition.parse("6,1"))
