@@ -165,18 +165,25 @@ class Tableau:
 
     def __post_init__(self) -> None:
         rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
         Partition(tuple(len(r) for r in rows))  # validates the shape
         entries = list(chain.from_iterable(rows))
         _check_ints(entries, "tableau entries")
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"entries must be a bijective filling by 1..{n}")
-        pos = {}
-        for i, row in enumerate(rows, start=1):
-            for j, e in enumerate(row, start=1):
-                pos[e] = (i, j)
+        self._fill(rows)
+
+    def _fill(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "rows", rows)
+        pos = {e: (i, j) for i, row in enumerate(rows, 1) for j, e in enumerate(row, 1)}
         object.__setattr__(self, "_pos", pos)
+
+    @classmethod
+    def _wrap(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
+        """A tableau from int-tuple rows already known to fill a partition shape bijectively."""
+        t = cls.__new__(cls)
+        t._fill(rows)
+        return t
 
     @property
     def shape(self) -> Partition:
@@ -238,6 +245,7 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def dominated_partitions(lam: Partition, same_first_part: bool = False) -> tuple[Partition, ...]:
     """Partitions of lam.n dominated by lam, in decreasing lex order.
 
@@ -318,7 +326,7 @@ def standard_tableaux(shape: Partition, order: VariableOrder) -> tuple[Tableau, 
     if shape.n != order.n:
         raise ValueError(f"shape has {shape.n} boxes but order has {order.n} variables")
     tabs = [
-        Tableau(tuple(tuple(order.apply(a) for a in row) for row in rows))
+        Tableau._wrap(tuple(tuple(order.sigma[a - 1] for a in row) for row in rows))
         for rows in _identity_fillings(shape.parts)
     ]
     tabs.sort(key=Tableau.row_word)

@@ -195,8 +195,6 @@ def edge_direction_violations(ps: PointSet) -> tuple[tuple[tuple[int, ...], tupl
     return tuple(bad)
 
 
-
-
 def _chamber_escape(f: Polynomial, lead: Exponents, chamber: tuple[int, ...]) -> Exponents | None:
     """The first term m of f, other than lead, that some w in the open
     chamber ranks at least as high as lead; None if there is none.

@@ -15,8 +15,9 @@ its column-standardness check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
-from operator import le, lt
+from functools import lru_cache
+from itertools import chain, combinations, islice
+from operator import itemgetter, le, lt
 
 from .combinatorics import (
     Partition,
@@ -136,16 +137,13 @@ def minimalize(gens) -> MonomialIdeal:
     return MonomialIdeal._wrap(n, tuple(kept))
 
 
-def specht_polynomial(t: Tableau) -> Polynomial:
-    """Product over all columns of (x_a - x_b) for each pair with a above b.
-
-    A single-row tableau has no such pairs and yields the constant 1; a
-    single column yields the full pairwise-difference product of its
-    entries.
-    """
-    n = t.n
-    terms = {(0,) * n: 1}
-    for col in t.columns():
+@lru_cache(maxsize=None)
+def _shape_terms(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Terms of the column product of T0, the filling numbering the cells 1..n row by row."""
+    labels = iter(range(1, sum(parts) + 1))
+    t0 = Tableau._wrap(tuple(tuple(islice(labels, p)) for p in parts))
+    terms = {(0,) * t0.n: 1}
+    for col in t0.columns():
         for a, b in combinations(col, 2):
             # times (x_a - x_b): every term shifted up in x_a, minus it shifted in x_b
             out: dict[tuple[int, ...], int] = {}
@@ -155,7 +153,23 @@ def specht_polynomial(t: Tableau) -> Polynomial:
                 up = e[: b - 1] + (e[b - 1] + 1,) + e[b:]
                 out[up] = out.get(up, 0) - c
             terms = {e: c for e, c in out.items() if c}
-    return Polynomial._wrap(n, terms)
+    return terms
+
+
+def specht_polynomial(t: Tableau) -> Polynomial:
+    """Product over all columns of (x_a - x_b) for each pair with a above b.
+
+    A single row yields the constant 1, a single column the full
+    pairwise-difference product. The product for T0, which numbers the
+    cells 1..n row by row, is expanded once per shape; t's is T0's with
+    each x_i renamed to x_v, v being t's entry in the cell T0 numbers i.
+    """
+    word = t.row_word()
+    if len(word) == 1:
+        return Polynomial.one(1)  # a one-index itemgetter returns a scalar
+    relabel = itemgetter(*sorted(range(len(word)), key=word.__getitem__))
+    terms = _shape_terms(tuple(map(len, t.rows)))
+    return Polynomial._wrap(len(word), {relabel(e): c for e, c in terms.items()})
 
 
 def closed_form_initial_monomial(t: Tableau, order: VariableOrder) -> tuple[int, ...]:
@@ -189,9 +203,12 @@ class SpechtSystem:
         return [f for _, f in self.generators]
 
     def validate(self) -> None:
-        """Recheck the construction invariants; used by tests, not hot paths."""
+        """Recheck each polynomial as a product of Polynomial.difference factors; for tests."""
         for t, f in self.generators:
-            if specht_polynomial(t) != f:
+            want = Polynomial.one(t.n)
+            for a, b in (pair for col in t.columns() for pair in combinations(col, 2)):
+                want = want * Polynomial.difference(t.n, a, b)
+            if want != f:
                 raise AssertionError(f"stored polynomial for {t} is not its column product")
 
 
@@ -202,19 +219,19 @@ def _check_shape(lam: Partition, order: VariableOrder) -> None:
         raise ValueError("partition and order must agree on n")
 
 
-def _generating_tableaux(lam: Partition, order: VariableOrder, same_first_part: bool):
+def _expanded_system(lam: Partition, order: VariableOrder, same_first_part: bool) -> SpechtSystem:
     _check_shape(lam, order)
-    for mu in dominated_partitions(lam, same_first_part=same_first_part):
-        yield from standard_tableaux(mu, order)
+    gens = tuple(
+        (t, specht_polynomial(t))
+        for mu in dominated_partitions(lam, same_first_part=same_first_part)
+        for t in standard_tableaux(mu, order)
+    )
+    return SpechtSystem(lam, order, gens)
 
 
 def lex_groebner_generators(lam: Partition, order: VariableOrder) -> SpechtSystem:
     """Standard tableaux of dominated shapes sharing lam's first part, expanded."""
-    gens = tuple(
-        (t, specht_polynomial(t))
-        for t in _generating_tableaux(lam, order, same_first_part=True)
-    )
-    return SpechtSystem(lam, order, gens)
+    return _expanded_system(lam, order, same_first_part=True)
 
 
 def universal_groebner_generators(lam: Partition, order: VariableOrder) -> SpechtSystem:
@@ -223,11 +240,7 @@ def universal_groebner_generators(lam: Partition, order: VariableOrder) -> Spech
     A superset of the lex system; stays a Groebner basis under every
     variable order.
     """
-    gens = tuple(
-        (t, specht_polynomial(t))
-        for t in _generating_tableaux(lam, order, same_first_part=False)
-    )
-    return SpechtSystem(lam, order, gens)
+    return _expanded_system(lam, order, same_first_part=False)
 
 
 def initial_ideal(lam: Partition, order: VariableOrder) -> MonomialIdeal:

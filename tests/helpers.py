@@ -58,6 +58,15 @@ def specht_expr(t: Tableau):
     return sympy.expand(expr)
 
 
+def difference_product(t: Tableau) -> Polynomial:
+    """The column product of t multiplied out one Polynomial.difference factor at a time."""
+    f = Polynomial.one(t.n)
+    for col in t.columns():
+        for a, b in combinations(col, 2):
+            f = f * Polynomial.difference(t.n, a, b)
+    return f
+
+
 def poly_to_sympy(f: Polynomial):
     xs = sympy_vars(f.n)
     expr = sympy.Integer(0)
@@ -181,3 +190,39 @@ def in_hull_exact(p, points) -> bool:
             if sol is not None and all(t >= 0 for t in sol):
                 return True
     return False
+
+
+def in_hull_simplex(p, points) -> bool:
+    """Exact convex-hull membership by a phase-one simplex over Fractions.
+
+    Looks for l >= 0 with sum_i l_i q_i = p and sum_i l_i = 1. Each equation
+    gets an artificial variable, which together form the starting basis;
+    p lies in the hull iff the artificials' sum can be driven to zero.
+    Bland's rule (the lowest-index improving column enters, the lowest-index
+    basic variable leaves among tied ratios) rules out cycling.
+    """
+    pts = [tuple(Fraction(c) for c in q) for q in points]
+    rows = [[q[j] for q in pts] + [Fraction(c)] for j, c in enumerate(p)]
+    rows.append([Fraction(1)] * (len(pts) + 1))
+    m, k = len(pts), len(rows)
+    # columns: the m weights, then the k artificials, then the right-hand side
+    tab = []
+    for i, row in enumerate(rows):
+        sign = -1 if row[-1] < 0 else 1
+        tab.append([sign * x for x in row[:m]] + [Fraction(int(i == j)) for j in range(k)] + [sign * row[-1]])
+    cost = [0] * m + [1] * k
+    basis = list(range(m, m + k))
+    while True:
+        reduced = (cost[c] - sum(cost[b] * row[c] for b, row in zip(basis, tab)) for c in range(m + k))
+        enter = next((c for c, d in enumerate(reduced) if d < 0), None)
+        if enter is None:
+            return all(row[-1] == 0 for b, row in zip(basis, tab) if b >= m)
+        # the phase-one objective is bounded below by 0, so some row has a positive entry
+        _, _, r = min((row[-1] / row[enter], basis[i], i) for i, row in enumerate(tab) if row[enter] > 0)
+        pivot = tab[r][enter]
+        tab[r] = [x / pivot for x in tab[r]]
+        for i, row in enumerate(tab):
+            if i != r and row[enter]:
+                f = row[enter]
+                tab[i] = [x - f * y for x, y in zip(row, tab[r])]
+        basis[r] = enter

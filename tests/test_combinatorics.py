@@ -230,6 +230,18 @@ class TestStandardTableaux:
         assert all(is_standard(t, order) for t in got)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_built_tableaux_equal_checked_ones(self, n):
+        orders = [VariableOrder.identity(n)] + sample_orders(n, 4, random.Random(f"wrap|{n}"))
+        for lam in enumerate_partitions(n):
+            for order in orders:
+                for t in standard_tableaux(lam, order):
+                    checked = Tableau(t.rows)
+                    assert t == checked
+                    for e in range(1, n + 1):
+                        assert t.row_of(e) == checked.row_of(e), (t, e)
+                        assert t.column_of(e) == checked.column_of(e), (t, e)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_hook_length_count_matches_brute_force(self, n):
         ido = VariableOrder.identity(n)
         for lam in enumerate_partitions(n):

@@ -8,7 +8,7 @@ import pytest
 
 import spechtfan.fan
 import spechtfan.polytope
-from helpers import in_hull_exact
+from helpers import in_hull_exact, in_hull_simplex
 from spechtfan.combinatorics import Partition, VariableOrder
 from spechtfan.errors import CapacityError, TheoremViolationError
 from spechtfan.fan import enumerate_fan
@@ -198,22 +198,35 @@ class TestExtremality:
         for v in pts:
             others = [q for q in pts if q != v]
             assert not in_hull_exact(v, others)
+            assert not in_hull_simplex(v, others)
 
     def test_hull_oracle_positive_cases(self):
         pts = pnk_vertices(3, 0).points
-        assert in_hull_exact((2, 2, 2), pts)  # barycenter
-        assert in_hull_exact((Fraction(3, 2), Fraction(5, 2), 2), pts)  # edge midpoint
-        assert not in_hull_exact((0, 2, 4), pts)
+        for in_hull in (in_hull_exact, in_hull_simplex):
+            assert in_hull((2, 2, 2), pts)  # barycenter
+            assert in_hull((Fraction(3, 2), Fraction(5, 2), 2), pts)  # edge midpoint
+            assert not in_hull((0, 2, 4), pts)
+
+    def test_hull_oracles_agree_on_random_sets(self):
+        rng = random.Random("hull-oracles")
+        verdicts = set()
+        for _ in range(60):
+            dim = rng.randint(1, 3)
+            pts = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 6))]
+            queries = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(3)]
+            queries.append(tuple(Fraction(sum(c), len(pts)) for c in zip(*pts)))
+            queries.append(tuple(Fraction(3 * a + b, 4) for a, b in zip(pts[0], pts[-1])))
+            for p in queries:
+                got = in_hull_simplex(p, pts)
+                assert got == in_hull_exact(p, pts), (p, pts)
+                verdicts.add(got)
+        assert verdicts == {True, False}
 
     def test_hull_oracle_n4(self):
-        # the exhaustive oracle is slow at 24 points; one vertex suffices there
-        pts40 = pnk_vertices(4, 0).points
-        v = pts40[0]
-        assert not in_hull_exact(v, [q for q in pts40 if q != v])
-        for k in (1, 2):
+        for k in (0, 1, 2):
             pts = pnk_vertices(4, k).points
             for v in pts:
-                assert not in_hull_exact(v, [q for q in pts if q != v])
+                assert not in_hull_simplex(v, [q for q in pts if q != v])
 
 
 class TestEdgeDirections:

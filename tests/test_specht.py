@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import spechtfan.combinatorics
 import spechtfan.specht
 from helpers import (
+    difference_product,
     expansion_initial_ideal,
     naive_minimalize,
     poly_to_sympy,
@@ -84,6 +85,34 @@ class TestSpechtPolynomial:
                         s = Tableau(tuple(tuple(swap.get(a, a) for a in row) for row in t.rows))
                         assert poly_to_sympy(specht_polynomial(s)) == specht_expr(s), s
                         assert specht_polynomial(s) == -f, s
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_every_standard_tableau_matches_difference_product(self, n):
+        for lam in enumerate_partitions(n):
+            for order in (VariableOrder.identity(n), VariableOrder(tuple(range(n, 0, -1)))):
+                for t in standard_tableaux(lam, order):
+                    assert specht_polynomial(t) == difference_product(t), t
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.sampled_from(enumerate_partitions(n)),
+            st.permutations(range(1, n + 1)),
+        )
+    ))
+    def test_any_filling_matches_difference_product(self, case):
+        # neither rows nor columns need increase: relabeling holds for every filling
+        lam, word = case
+        labels = iter(word)
+        t = Tableau(tuple(tuple(islice(labels, p)) for p in lam.parts))
+        assert specht_polynomial(t) == difference_product(t), t
+
+    def test_each_call_returns_a_fresh_term_map(self):
+        t0 = Tableau(((1, 2, 3), (4, 5), (6,)))
+        f, g = specht_polynomial(t0), specht_polynomial(t0)
+        assert f == g
+        assert f._terms is not g._terms
+        assert f._terms is not spechtfan.specht._shape_terms((3, 2, 1))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_leading_monomial_matches_sympy(self, n):
@@ -264,6 +293,12 @@ class TestGeneratingSystems:
         with pytest.raises(AssertionError):
             bad.validate()
 
+
+    def test_validate_checks_against_its_own_product(self, monkeypatch):
+        # a wrong expansion must not be able to vouch for itself
+        sys = lex_groebner_generators(Partition.parse("2,2,1"), VariableOrder.parse("4,1,5,2,3"))
+        monkeypatch.setattr(spechtfan.specht, "specht_polynomial", lambda t: Polynomial.one(t.n))
+        sys.validate()
 
 class TestInitialIdeal:
     def test_two_one_under_rotations(self):
