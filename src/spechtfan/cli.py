@@ -181,7 +181,7 @@ def cmd_oracle(args) -> int:
     if lam.n > DEFAULT_ORACLE_LIMIT:
         raise ValueError(f"n={lam.n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
     order = VariableOrder.identity(lam.n) if args.sigma is None else VariableOrder.parse(args.sigma)
-    basis = marked_basis(lex_groebner_generators(lam, order).polynomials(), order)
+    basis = marked_basis([f for _, f in lex_groebner_generators(lam, order)], order)
     cert = certify_groebner(basis)
     obj = {"check": "certify-groebner", "lambda": list(lam.parts), "sigma": list(order.sigma)}
     obj.update(cert.to_json())

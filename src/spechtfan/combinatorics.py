@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, permutations
 from math import factorial
+from operator import itemgetter
 from random import Random
+
+from .errors import CapacityError
 
 __all__ = [
     "Partition",
@@ -44,6 +47,17 @@ def _check_ints(values, what: str) -> None:
     for t in set(map(type, values)):
         if t is bool or not issubclass(t, int):
             raise TypeError(f"{what} must be int, got {t.__name__}")
+
+
+def _permuter(sigma: tuple[int, ...]):
+    """The action of a valid permutation sigma of 1..n on exponent tuples of length n.
+
+    The returned callable maps e to the tuple that gives x_sigma(a) the
+    exponent e[a-1] of x_a, so applying tau's and then sigma's is sigma∘tau's.
+    """
+    if len(sigma) == 1:
+        return tuple  # a one-index itemgetter would return a scalar
+    return itemgetter(*sorted(range(len(sigma)), key=sigma.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -405,19 +419,9 @@ def _all_one_line(n: int) -> tuple[tuple[int, ...], ...]:
 
 def sample_orders(n: int, count: int, rng: Random) -> list[VariableOrder]:
     """Up to `count` distinct variable orders, deterministic for a given rng."""
-    total = factorial(n)
-    if count >= total:
+    # drawn from the list of all n! orders, so n is bounded before it is built
+    if n > 8:
+        raise CapacityError(f"n={n} exceeds the order sampling limit 8")
+    if count >= factorial(n):
         return [VariableOrder(s) for s in _all_one_line(n)]
-    if n <= 8:
-        picks = rng.sample(_all_one_line(n), count)
-    else:
-        seen: set[tuple[int, ...]] = set()
-        picks = []
-        while len(picks) < count:
-            perm = list(range(1, n + 1))
-            rng.shuffle(perm)
-            t = tuple(perm)
-            if t not in seen:
-                seen.add(t)
-                picks.append(t)
-    return [VariableOrder(s) for s in picks]
+    return [VariableOrder(s) for s in rng.sample(_all_one_line(n), count)]

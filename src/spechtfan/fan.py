@@ -3,8 +3,11 @@
 The fan of a shape is enumerated by computing the identity-order minimal
 generators once and permuting their exponent tuples for every sigma.
 Divisibility between monomials is preserved by any coordinate permutation,
-so the permuted sets are again minimal; the direct per-sigma route stays
-available through specht.initial_ideal and the two are compared in tests.
+so the permuted sets are again minimal. The direct route, specht.initial_ideal,
+moves each closed-form monomial before minimalizing, so both share the one
+sigma-action, `combinatorics._permuter`. `TestInitialIdealFastPath` checks that
+action against the tableaux standard_tableaux relabels on its own, for every
+sigma with n <= 5; `test_fan.py` compares enumerate_fan with `helpers.brute_fan`.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
-from operator import itemgetter
+from operator import add
 
 from .combinatorics import (
     Partition,
     VariableOrder,
+    _permuter,
     embed_exponents,
     hat,
     min_gap_k,
@@ -25,7 +29,7 @@ from .combinatorics import (
 )
 from .errors import CapacityError
 from .polyring import _monomial_text
-from .specht import MonomialIdeal, initial_ideal
+from .specht import MonomialIdeal, _row_exponents, initial_ideal
 
 __all__ = [
     "DEFAULT_ENUMERATION_LIMIT",
@@ -42,12 +46,10 @@ DEFAULT_ENUMERATION_LIMIT = 8
 
 
 def _degree_values(n: int, tabs) -> tuple[int, ...]:
-    values = [0] * n
+    values = (0,) * n
     for t in tabs:
-        for r0, row in enumerate(t.rows):
-            for entry in row:
-                values[entry - 1] += r0
-    return tuple(values)
+        values = tuple(map(add, values, _row_exponents(t.rows)))
+    return values
 
 
 def degree_statistic(lam: Partition, order: VariableOrder) -> tuple[int, ...]:
@@ -94,6 +96,8 @@ def order_class_predictor(lam: Partition, sigma: tuple[int, ...], tau: tuple[int
     n = lam.n
     if len(sigma) != n or len(tau) != n:
         raise ValueError("orders must match the partition's n")
+    for s in (sigma, tau):
+        VariableOrder(s)  # raises unless s permutes 1..n
     head = n - min_gap_k(lam) - 1
     return _class_key(head, sigma) == _class_key(head, tau)
 
@@ -159,9 +163,7 @@ def enumerate_fan(lam: Partition) -> FanSummary:
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     # permutations yields the orders in lex order, so every class list is sorted
     for sigma in permutations(range(1, n + 1)):
-        # variable sigma(a) takes the exponent of variable a; n >= 2, so a tuple
-        move = itemgetter(*sorted(range(n), key=sigma.__getitem__))
-        key = tuple(sorted(map(move, base)))
+        key = tuple(sorted(map(_permuter(sigma), base)))
         groups.setdefault(key, []).append(sigma)
     # each key permutes the checked generators of base, so it is minimal and sorted
     classes = {MonomialIdeal._wrap(n, key): tuple(groups[key]) for key in sorted(groups)}

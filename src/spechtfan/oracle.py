@@ -22,7 +22,7 @@ from .combinatorics import (
     prefix_standardization,
     standard_tableaux,
 )
-from .polyring import Coefficient, Polynomial, leading_monomial
+from .polyring import Coefficient, Polynomial, _guard_bits, _pack, leading_monomial
 from .specht import lex_groebner_generators, specht_polynomial
 
 __all__ = [
@@ -80,23 +80,6 @@ class MarkedBasis:
 def marked_basis(polys, order: VariableOrder) -> MarkedBasis:
     elems = tuple((f, leading_monomial(f, order)) for f in polys)
     return MarkedBasis(elems, order)
-
-
-def _pack(exps: tuple[int, ...], desc: tuple[int, ...], w: int) -> int:
-    """One int holding w bits per exponent, the largest variable's on top.
-
-    While every exponent is below 2**(w-1), comparing packed ints compares
-    lex keys, and the top bit of each field is free to catch a carry.
-    """
-    p = 0
-    for i in desc:
-        p = (p << w) | exps[i]
-    return p
-
-
-def _guard_bits(fields: int, w: int) -> int:
-    """The top bit of each of `fields` packed fields of width w."""
-    return sum(1 << (w * j + w - 1) for j in range(fields))
 
 
 def _unpack(p: int, desc: tuple[int, ...], w: int) -> tuple[int, ...]:
@@ -333,8 +316,8 @@ def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
         raise ValueError("shrunken shape has fewer than two rows")
     inner, removed, asc = prefix_standardization(order)
     system = lex_groebner_generators(lam, order)
-    base = marked_basis(system.polynomials(), order)
-    small = marked_basis(lex_groebner_generators(lhat, inner).polynomials(), inner)
+    base = marked_basis([f for _, f in system], order)
+    small = marked_basis([f for _, f in lex_groebner_generators(lhat, inner)], inner)
     if not certify_groebner(base).passed:
         return f"basis of {lam} failed certification under {order}"
     if not certify_groebner(small).passed:
@@ -345,7 +328,7 @@ def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
         )
         if not reduce(g, base).is_zero():
             return f"subset: generator of {lhat} from {t} left a remainder under {order}"
-    for t, f in system.generators:
+    for t, f in system:
         if leading_monomial(f, order)[removed - 1] != 0:
             continue
         if any(exps[removed - 1] != 0 for exps, _ in f.items()):

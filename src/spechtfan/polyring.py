@@ -39,6 +39,24 @@ def _monomial_text(exps: Exponents) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _pack(exps: Exponents, desc, w: int) -> int:
+    """One int holding w bits per exponent, taken in the index order `desc`, the first on top.
+
+    While every exponent is below 2**(w-1), the top bit of each field is free
+    to catch a borrow, and with `desc` listing the variables from the largest
+    down, comparing packed ints compares lex keys.
+    """
+    p = 0
+    for i in desc:
+        p = (p << w) | exps[i]
+    return p
+
+
+def _guard_bits(fields: int, w: int) -> int:
+    """The top bit of each of `fields` packed fields of width w."""
+    return sum(1 << (w * j + w - 1) for j in range(fields))
+
+
 def lex_key(exps: Exponents, order: VariableOrder):
     """Sort key realizing the lex order: exponents read from largest variable down."""
     return tuple(exps[i] for i in order.desc0)

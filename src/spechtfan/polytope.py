@@ -8,7 +8,7 @@ from itertools import accumulate, chain, combinations, permutations
 from math import factorial
 from operator import itemgetter, sub
 
-from .combinatorics import Partition, VariableOrder, _check_ints
+from .combinatorics import Partition, VariableOrder, _check_ints, _permuter
 from .errors import CapacityError, TheoremViolationError
 from .fan import enumerate_fan
 from .polyring import Exponents, Polynomial, _monomial_text, leading_monomial
@@ -97,6 +97,13 @@ class PointSet:
         return [list(p) for p in self.points]
 
 
+def _check_nk(n: int, k: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not 0 <= k <= n - 2:
+        raise ValueError("k must satisfy 0 <= k <= n-2")
+
+
 def pnk_vertices(n: int, k: int) -> PointSet:
     """All distinct coordinate permutations of (1,...,n-k-1, n-k,...,n-k).
 
@@ -106,10 +113,7 @@ def pnk_vertices(n: int, k: int) -> PointSet:
     CapacityError before any work; the count n(n-1)...(k+2) stops growing as
     soon as it passes a limit, so a huge n costs a few multiplications.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= k <= n - 2:
-        raise ValueError("k must satisfy 0 <= k <= n-2")
+    _check_nk(n, k)
     count = 1
     for factor in range(n, k + 1, -1):
         count *= factor
@@ -132,14 +136,13 @@ def vertex_for_order(n: int, k: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
 
     Position sigma(j) receives the j-th coordinate of the base point
     (1,...,n-k-1, n-k,...,n-k), so larger values sit on later order positions.
+    sigma must be a permutation of 1..n and k must suit pnk_vertices(n, k).
     """
+    _check_nk(n, k)
     if len(sigma) != n:
         raise ValueError("order length must be n")
-    u = tuple(range(1, n - k)) + (n - k,) * (k + 1)
-    p = [0] * n
-    for v, c in zip(sigma, u):
-        p[v - 1] = c
-    return tuple(p)
+    sigma = VariableOrder(sigma).sigma  # raises unless sigma permutes 1..n
+    return _permuter(sigma)(tuple(range(1, n - k)) + (n - k,) * (k + 1))
 
 
 def vertex_ideal_bijection(lam: Partition) -> dict[tuple[int, ...], MonomialIdeal]:
@@ -234,7 +237,7 @@ def braid_refinement_check(lam: Partition) -> str:
         raise ValueError(f"n={n} exceeds the refinement check limit 6")
     for sigma in permutations(range(1, n + 1)):
         order = VariableOrder(sigma)
-        for t, f in lex_groebner_generators(lam, order).generators:
+        for t, f in lex_groebner_generators(lam, order):
             m = _chamber_escape(f, leading_monomial(f, order), order.desc0)
             if m is not None:
                 return f"order={order} tableau={t} term={_monomial_text(m)}"

@@ -7,9 +7,9 @@ exponent d-1 to its variable. Initial ideals are assembled from those
 closed-form monomials alone; polynomial expansion is reserved for the
 generating systems handed to the division-algorithm layer.
 
-`initial_ideal` works on raw exponent tuples read off fillings that are
-standard by construction; the public `closed_form_initial_monomial` keeps
-its column-standardness check.
+`initial_ideal` reads the closed form off the identity-standard fillings
+and moves each exponent tuple by sigma; the public
+`closed_form_initial_monomial` keeps its column-standardness check.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice
-from operator import itemgetter, le, lt
+from operator import le, lt
 
 from .combinatorics import (
     Partition,
@@ -25,6 +25,7 @@ from .combinatorics import (
     VariableOrder,
     _check_ints,
     _identity_fillings,
+    _permuter,
     dominated_partitions,
     is_column_standard,
     min_gap_k,
@@ -32,13 +33,12 @@ from .combinatorics import (
     standard_tableaux,
 )
 from .errors import CapacityError
-from .polyring import Polynomial, _monomial_text
+from .polyring import Polynomial, _guard_bits, _monomial_text, _pack
 
 __all__ = [
     "INITIAL_IDEAL_N_LIMIT",
     "INITIAL_IDEAL_TABLEAU_LIMIT",
     "MonomialIdeal",
-    "SpechtSystem",
     "specht_polynomial",
     "closed_form_initial_monomial",
     "lex_groebner_generators",
@@ -101,8 +101,8 @@ def minimalize(gens) -> MonomialIdeal:
     """Drop every exponent tuple strictly divisible by another; sort what is left.
 
     The surviving set is the unique minimal generating set of the ideal the
-    input generates. Each exponent tuple is packed into one int with w bits
-    per variable, one more than the largest exponent needs; with G the top
+    input generates. Each exponent tuple is packed into one int (`_pack`) with
+    w bits per variable, one more than the largest exponent needs; with G the top
     bit of every field, f divides e exactly when
     ((pack(e) | G) - pack(f)) & G == G, and no field borrows. Monomials are
     taken by degree, so every divisor is kept or dropped before its multiples.
@@ -119,13 +119,12 @@ def minimalize(gens) -> MonomialIdeal:
     if n and min(map(min, pool)) < 0:
         raise ValueError("exponents must be nonnegative")
     w = (max(map(max, pool)) if n else 0).bit_length() + 1
-    guard = sum(1 << (w * i + w - 1) for i in range(n))
+    guard = _guard_bits(n, w)
+    fields = range(n)
     kept: list[tuple[int, ...]] = []
     packed: list[int] = []
     for e in sorted(pool, key=lambda e: (sum(e), e)):
-        p = 0
-        for x in e:
-            p = (p << w) | x
+        p = _pack(e, fields, w)
         high = p | guard
         for f in packed:
             if (high - f) & guard == guard:
@@ -164,12 +163,18 @@ def specht_polynomial(t: Tableau) -> Polynomial:
     cells 1..n row by row, is expanded once per shape; t's is T0's with
     each x_i renamed to x_v, v being t's entry in the cell T0 numbers i.
     """
-    word = t.row_word()
-    if len(word) == 1:
-        return Polynomial.one(1)  # a one-index itemgetter returns a scalar
-    relabel = itemgetter(*sorted(range(len(word)), key=word.__getitem__))
+    relabel = _permuter(t.row_word())
     terms = _shape_terms(tuple(map(len, t.rows)))
-    return Polynomial._wrap(len(word), {relabel(e): c for e, c in terms.items()})
+    return Polynomial._wrap(t.n, {relabel(e): c for e, c in terms.items()})
+
+
+def _row_exponents(rows) -> tuple[int, ...]:
+    """Exponent tuple putting r0 on each entry of 0-based row r0 of a bijective filling."""
+    exps = [0] * sum(map(len, rows))
+    for r0 in range(1, len(rows)):
+        for entry in rows[r0]:
+            exps[entry - 1] = r0
+    return tuple(exps)
 
 
 def closed_form_initial_monomial(t: Tableau, order: VariableOrder) -> tuple[int, ...]:
@@ -184,32 +189,7 @@ def closed_form_initial_monomial(t: Tableau, order: VariableOrder) -> tuple[int,
         raise ValueError("tableau and order must agree on the number of variables")
     if not is_column_standard(t, order):
         raise ValueError(f"tableau {t} is not column standard for order {order}")
-    exps = [0] * t.n
-    for r0, row in enumerate(t.rows):
-        for entry in row:
-            exps[entry - 1] = r0
-    return tuple(exps)
-
-
-@dataclass(frozen=True)
-class SpechtSystem:
-    """A generating system: (tableau, expanded polynomial) pairs under one order."""
-
-    partition: Partition
-    order: VariableOrder
-    generators: tuple[tuple[Tableau, Polynomial], ...]
-
-    def polynomials(self) -> list[Polynomial]:
-        return [f for _, f in self.generators]
-
-    def validate(self) -> None:
-        """Recheck each polynomial as a product of Polynomial.difference factors; for tests."""
-        for t, f in self.generators:
-            want = Polynomial.one(t.n)
-            for a, b in (pair for col in t.columns() for pair in combinations(col, 2)):
-                want = want * Polynomial.difference(t.n, a, b)
-            if want != f:
-                raise AssertionError(f"stored polynomial for {t} is not its column product")
+    return _row_exponents(t.rows)
 
 
 def _check_shape(lam: Partition, order: VariableOrder) -> None:
@@ -219,23 +199,27 @@ def _check_shape(lam: Partition, order: VariableOrder) -> None:
         raise ValueError("partition and order must agree on n")
 
 
-def _expanded_system(lam: Partition, order: VariableOrder, same_first_part: bool) -> SpechtSystem:
+_Pairs = tuple[tuple[Tableau, Polynomial], ...]
+
+
+def _expanded_system(lam: Partition, order: VariableOrder, same_first_part: bool) -> _Pairs:
     _check_shape(lam, order)
-    gens = tuple(
+    return tuple(
         (t, specht_polynomial(t))
         for mu in dominated_partitions(lam, same_first_part=same_first_part)
         for t in standard_tableaux(mu, order)
     )
-    return SpechtSystem(lam, order, gens)
 
 
-def lex_groebner_generators(lam: Partition, order: VariableOrder) -> SpechtSystem:
-    """Standard tableaux of dominated shapes sharing lam's first part, expanded."""
+def lex_groebner_generators(lam: Partition, order: VariableOrder) -> _Pairs:
+    """(tableau, expanded polynomial) pairs for the standard tableaux of the
+    dominated shapes sharing lam's first part."""
     return _expanded_system(lam, order, same_first_part=True)
 
 
-def universal_groebner_generators(lam: Partition, order: VariableOrder) -> SpechtSystem:
-    """Standard tableaux of every dominated shape, expanded.
+def universal_groebner_generators(lam: Partition, order: VariableOrder) -> _Pairs:
+    """(tableau, expanded polynomial) pairs for the standard tableaux of every
+    dominated shape.
 
     A superset of the lex system; stays a Groebner basis under every
     variable order.
@@ -248,8 +232,8 @@ def initial_ideal(lam: Partition, order: VariableOrder) -> MonomialIdeal:
 
     n and the tableau count are checked against INITIAL_IDEAL_N_LIMIT and
     INITIAL_IDEAL_TABLEAU_LIMIT before any tableau is built. Relabeled by
-    sigma, an identity-standard filling is sigma-standard, so entry a in
-    row r0 puts exponent r0 on sigma(a).
+    sigma, an identity-standard filling is sigma-standard, so its closed-form
+    monomial under sigma is the identity filling's moved by sigma.
     """
     _check_shape(lam, order)
     if lam.n > INITIAL_IDEAL_N_LIMIT:
@@ -261,16 +245,10 @@ def initial_ideal(lam: Partition, order: VariableOrder) -> MonomialIdeal:
             f"lambda={lam} has {count} generating tableaux, above the limit "
             f"{INITIAL_IDEAL_TABLEAU_LIMIT}"
         )
-    var0 = [v - 1 for v in order.sigma]
-    monos = []
-    for mu in shapes:
-        for rows in _identity_fillings(mu.parts):
-            exps = [0] * lam.n
-            for r0 in range(1, len(rows)):
-                for a in rows[r0]:
-                    exps[var0[a - 1]] = r0
-            monos.append(tuple(exps))
-    return minimalize(monos)
+    move = _permuter(order.sigma)
+    return minimalize(
+        [move(_row_exponents(rows)) for mu in shapes for rows in _identity_fillings(mu.parts)]
+    )
 
 
 def gap_condition_audit(lam: Partition, order: VariableOrder) -> str:

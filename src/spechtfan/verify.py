@@ -153,7 +153,7 @@ def _certify_failure(basis) -> str:
 
 
 def _oracle_lex_failure(lam: Partition, order: VariableOrder) -> str:
-    basis = marked_basis(lex_groebner_generators(lam, order).polynomials(), order)
+    basis = marked_basis([f for _, f in lex_groebner_generators(lam, order)], order)
     failure = _certify_failure(basis)
     if not failure and minimalize([m for _, m in basis.elements]) != initial_ideal(lam, order):
         failure = f"marks disagree with closed form under {order}"
@@ -162,7 +162,7 @@ def _oracle_lex_failure(lam: Partition, order: VariableOrder) -> str:
 
 def _oracle_universal_failure(lam: Partition, order: VariableOrder) -> str:
     return _certify_failure(
-        marked_basis(universal_groebner_generators(lam, order).polynomials(), order)
+        marked_basis([f for _, f in universal_groebner_generators(lam, order)], order)
     )
 
 

@@ -134,7 +134,7 @@ def expansion_initial_ideal(lam: Partition, order: VariableOrder) -> frozenset:
     from spechtfan.specht import lex_groebner_generators
 
     exps = []
-    for t, _ in lex_groebner_generators(lam, order).generators:
+    for t, _ in lex_groebner_generators(lam, order):
         exps.append(sympy_lm_exps(specht_expr(t), order))
     return naive_minimalize(exps)
 

@@ -1,14 +1,17 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spechtfan.combinatorics
 from helpers import brute_standard_tableaux, partition_count
 from spechtfan.combinatorics import (
     Partition,
     Tableau,
     VariableOrder,
+    _permuter,
     dominance_leq,
     dominated_partitions,
     embed_exponents,
@@ -23,6 +26,7 @@ from spechtfan.combinatorics import (
     standard_tableau_count,
     standard_tableaux,
 )
+from spechtfan.errors import CapacityError
 
 partitions_st = st.integers(2, 7).flatmap(
     lambda n: st.sampled_from(enumerate_partitions(n))
@@ -175,6 +179,44 @@ class TestVariableOrder:
         assert len(set(a)) == len(a) == 10
         small = sample_orders(2, 10, random.Random("x"))
         assert len(small) == 2
+
+    def test_sample_orders_refuses_n_above_8_before_listing_orders(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("all n! orders were listed before the size check")
+
+        monkeypatch.setattr(spechtfan.combinatorics, "_all_one_line", refuse)
+        for count in (1, 10**6):
+            with pytest.raises(CapacityError, match="sampling limit 8"):
+                sample_orders(9, count, random.Random("big"))
+
+
+def scatter(sigma, exps):
+    """Give variable sigma(a) the exponent of variable a, one entry at a time."""
+    out = [None] * len(sigma)
+    for a, e in enumerate(exps, start=1):
+        out[sigma[a - 1] - 1] = e
+    return tuple(out)
+
+
+class TestPermuter:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_a_scatter_loop_for_every_sigma(self, n):
+        exps = tuple(range(10, 10 + n))  # distinct entries, so any misplacement shows
+        for sigma in permutations(range(1, n + 1)):
+            got = _permuter(sigma)(exps)
+            assert type(got) is tuple
+            assert got == scatter(sigma, exps), sigma
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_is_a_left_action(self, n):
+        # a permuter that gathered instead of scattered would compose as tau∘sigma
+        exps = tuple(range(10, 10 + n))
+        perms = list(permutations(range(1, n + 1)))
+        for sigma in perms:
+            for tau in perms:
+                composed = tuple(sigma[t - 1] for t in tau)  # a -> sigma(tau(a))
+                want = _permuter(composed)(exps)
+                assert _permuter(sigma)(_permuter(tau)(exps)) == want, (sigma, tau)
 
 
 class TestTableau:

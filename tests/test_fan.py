@@ -171,6 +171,17 @@ class TestOrderClassPredictor:
                 VariableOrder.identity(4).sigma,
             )
 
+    @pytest.mark.parametrize(
+        "sigma, error",
+        [((1, 1, 1), ValueError), ((1, 1, 3), ValueError), ((1, 2, 3.0), TypeError)],
+    )
+    def test_rejects_an_order_that_is_not_a_permutation(self, sigma, error):
+        lam = Partition.parse("2,1")
+        with pytest.raises(error):
+            order_class_predictor(lam, sigma, (1, 2, 3))
+        with pytest.raises(error):
+            order_class_predictor(lam, (1, 2, 3), sigma)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_agrees_with_fan_exhaustively(self, n):
         for lam in shapes(n):

@@ -25,7 +25,7 @@ from spechtfan.polytope import (
     vertex_for_order,
     vertex_ideal_bijection,
 )
-from spechtfan.specht import SpechtSystem, initial_ideal, lex_groebner_generators, minimalize
+from spechtfan.specht import initial_ideal, lex_groebner_generators, minimalize
 
 
 class TestPointSet:
@@ -134,6 +134,22 @@ class TestVertexCorrespondence:
         assert vertex_for_order(4, 0, VariableOrder.parse("4,3,2,1").sigma) == (4, 3, 2, 1)
         with pytest.raises(ValueError):
             vertex_for_order(4, 0, VariableOrder.identity(3).sigma)
+
+    @pytest.mark.parametrize(
+        "n, k, sigma, error",
+        [
+            (3, 0, (1, 1, 3), ValueError),
+            (3, 0, (0, 1, 2), ValueError),
+            (3, 0, (1, 2, 3.0), TypeError),
+            (3, 0, (True, 2, 3), TypeError),
+            (3, 5, (1, 2, 3), ValueError),
+            (3, 2, (1, 2, 3), ValueError),
+            (3, -1, (1, 2, 3), ValueError),
+        ],
+    )
+    def test_vertex_for_order_rejects_bad_input(self, n, k, sigma, error):
+        with pytest.raises(error):
+            vertex_for_order(n, k, sigma)
 
     def test_two_one_bijection(self):
         got = vertex_ideal_bijection(Partition.parse("2,1"))
@@ -255,7 +271,7 @@ class TestWeightInitialIdeal:
             for v, weight in zip(sigma, sorted(rng.sample(range(-50, 50), lam.n))):
                 w[v - 1] = weight
             tops = []
-            for f in lex_groebner_generators(lam, order).polynomials():
+            for _, f in lex_groebner_generators(lam, order):
                 by_weight = {}
                 for m, _ in f.items():
                     by_weight.setdefault(sum(map(mul, w, m)), []).append(m)
@@ -283,7 +299,7 @@ class TestBraidRefinement:
         for sigma in permutations(range(1, lam.n + 1)):
             order = VariableOrder(sigma)
             first, second, *rest = order.desc0
-            for f in lex_groebner_generators(lam, order).polynomials():
+            for _, f in lex_groebner_generators(lam, order):
                 seen.append(_chamber_escape(f, leading_monomial(f, order), (second, first, *rest)))
         assert (len(seen) - seen.count(None), len(seen)) == (failing, pairs)
 
@@ -312,9 +328,9 @@ class TestBraidRefinement:
         x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
 
         def tampered(lam, order):
-            (t, f), *rest = real(lam, order).generators
+            (t, f), *rest = real(lam, order)
             # x1*x3 still leads in lex, but x2^2 outweighs it wherever 2*w2 > w1 + w3
-            return SpechtSystem(lam, order, ((t, f * x1 - x2 * x2), *rest))
+            return ((t, f * x1 - x2 * x2), *rest)
 
         monkeypatch.setattr(spechtfan.polytope, "lex_groebner_generators", tampered)
         got = braid_refinement_check(Partition.parse("2,1"))
