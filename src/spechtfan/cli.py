@@ -18,7 +18,7 @@ from .oracle import DEFAULT_ORACLE_LIMIT, certify_groebner, marked_basis
 from .polytope import pnk_vertices
 from .reporting import csv_text, json_text
 from .specht import INITIAL_IDEAL_N_LIMIT, initial_ideal, lex_groebner_generators
-from .verify import SKIP_GROUPS, run_verification
+from .verify import run_verification
 
 __all__ = ["main", "build_parser"]
 
@@ -84,7 +84,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-max", dest="n_max", type=int, default=5)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--skip", action="append", choices=SKIP_GROUPS, default=[])
     _add_output(p)
     p.set_defaults(func=cmd_verify)
 
@@ -166,7 +165,7 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows = run_verification(args.n_max, seed=args.seed, skip=args.skip)
+    rows = run_verification(args.n_max, seed=args.seed)
     if args.format == "json":
         text = json_text([r.to_dict() for r in rows])
     else:

@@ -126,6 +126,8 @@ class VariableOrder:
         _check_ints(sigma, "order entries")
         object.__setattr__(self, "sigma", sigma)
         n = len(sigma)
+        if n < 1:
+            raise ValueError("n must be at least 1")
         if sorted(sigma) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {sigma}")
         ranks = [0] * n
@@ -136,8 +138,6 @@ class VariableOrder:
 
     @classmethod
     def identity(cls, n: int) -> "VariableOrder":
-        if n < 1:
-            raise ValueError("n must be at least 1")
         return cls(tuple(range(1, n + 1)))
 
     @classmethod

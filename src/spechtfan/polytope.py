@@ -10,7 +10,7 @@ from operator import itemgetter, sub
 
 from .combinatorics import Partition, VariableOrder, _check_ints, _permuter
 from .errors import CapacityError, TheoremViolationError
-from .fan import enumerate_fan
+from .fan import FanSummary
 from .polyring import Exponents, Polynomial, _monomial_text, leading_monomial
 from .specht import MonomialIdeal, lex_groebner_generators
 
@@ -98,6 +98,7 @@ class PointSet:
 
 
 def _check_nk(n: int, k: int) -> None:
+    _check_ints((n, k), "n and k")
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= k <= n - 2:
@@ -145,15 +146,14 @@ def vertex_for_order(n: int, k: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
     return _permuter(sigma)(tuple(range(1, n - k)) + (n - k,) * (k + 1))
 
 
-def vertex_ideal_bijection(lam: Partition) -> dict[tuple[int, ...], MonomialIdeal]:
-    """Map each vertex of the predicted polytope to its initial ideal.
+def vertex_ideal_bijection(fan: FanSummary) -> dict[tuple[int, ...], MonomialIdeal]:
+    """Map each vertex of the predicted polytope to the initial ideal of fan.
 
     Raises TheoremViolationError if any ideal class maps to two vertices,
     two classes collide on one vertex, or the vertex set disagrees with
     pnk_vertices(n, k).
     """
-    fan = enumerate_fan(lam)
-    n = lam.n
+    n = fan.partition.n
     k = fan.k
     mapping: dict[tuple[int, ...], MonomialIdeal] = {}
     for ideal, orders in fan.classes.items():

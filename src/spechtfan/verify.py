@@ -52,9 +52,7 @@ from .specht import (
     universal_groebner_generators,
 )
 
-__all__ = ["run_verification", "SKIP_GROUPS"]
-
-SKIP_GROUPS = ("fan", "oracle", "polytope")
+__all__ = ["run_verification"]
 
 CLOSED_FORM_N = 6
 PREDICTOR_EXHAUSTIVE_N = 5
@@ -68,58 +66,50 @@ def _rng(seed: int, check: str, instance: str) -> random.Random:
     return random.Random(f"{seed}|{check}|{instance}")
 
 
-def run_verification(n_max: int, seed: int = 2024, skip=()) -> list[CheckRow]:
+def run_verification(n_max: int, seed: int = 2024) -> list[CheckRow]:
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if n_max > 7:
         raise ValueError("n_max beyond 7 is not supported by the enumeration limits")
-    unknown = set(skip) - set(SKIP_GROUPS)
-    if unknown:
-        raise ValueError(f"unknown skip groups: {sorted(unknown)}")
-    skip = frozenset(skip)
     rows: list[CheckRow] = []
     for n in range(2, n_max + 1):
         for lam in enumerate_partitions(n):
-            rows.extend(_partition_rows(lam, seed, skip))
-        if "polytope" not in skip:
-            rows.extend(_per_n_polytope_rows(n, seed))
+            rows.extend(_partition_rows(lam, seed))
+        rows.extend(_per_n_polytope_rows(n, seed))
     return rows
 
 
-def _partition_rows(lam: Partition, seed: int, skip) -> list[CheckRow]:
+def _partition_rows(lam: Partition, seed: int) -> list[CheckRow]:
     rows: list[CheckRow] = []
     n = lam.n
-    ideal_shaped = lam.m >= 2
-
     if n <= CLOSED_FORM_N:
         rows.append(_sampled_row("closed-form", lam, seed, 20, _closed_form_failure))
     rows.append(_sampled_row("monotonicity", lam, seed, 10, monotonicity_check))
-    if ideal_shaped:
-        rows.append(_sampled_row("gap-audit", lam, seed, 10, gap_condition_audit))
+    if lam.m < 2:
+        return rows
 
-    if "fan" not in skip and ideal_shaped:
-        fan = enumerate_fan(lam)
-        rows.append(_count_row(lam, fan))
-        if lam.has_repeated_part():
-            rows.append(_repeated_part_row(lam, fan))
-        rows.append(_predictor_row(lam, fan, seed))
-        if lam.parts[0] >= 2:
-            check = elimination_identity_check
-            rows.append(_sampled_row("elimination-monomial", lam, seed, 10, check))
+    rows.append(_sampled_row("gap-audit", lam, seed, 10, gap_condition_audit))
+    fan = enumerate_fan(lam)
+    rows.append(_count_row(lam, fan))
+    if lam.has_repeated_part():
+        rows.append(_repeated_part_row(lam, fan))
+    rows.append(_predictor_row(lam, fan, seed))
+    if lam.parts[0] >= 2:
+        check = elimination_identity_check
+        rows.append(_sampled_row("elimination-monomial", lam, seed, 10, check))
 
-    if "oracle" not in skip and ideal_shaped and n <= DEFAULT_ORACLE_LIMIT:
+    if n <= DEFAULT_ORACLE_LIMIT:
         rows.append(_sampled_row("oracle-lex", lam, seed, 10, _oracle_lex_failure))
         rows.append(_sampled_row("oracle-universal", lam, seed, 10, _oracle_universal_failure))
         if lam.parts[0] >= 2:
             check = elimination_polynomial_check
             rows.append(_sampled_row("elimination-poly", lam, seed, 5, check))
 
-    if "polytope" not in skip and ideal_shaped:
-        if n <= POLYTOPE_N:
-            rows.append(_bijection_row(lam))
-        if n <= CONE_N:
-            rows.append(_braid_row(lam))
-            rows.append(_cone_class_row(lam, seed))
+    if n <= POLYTOPE_N:
+        rows.append(_bijection_row(lam, fan))
+    if n <= CONE_N:
+        rows.append(_braid_row(lam))
+        rows.append(_cone_class_row(lam, seed))
     return rows
 
 
@@ -211,9 +201,9 @@ def _predictor_row(lam: Partition, fan, seed: int) -> CheckRow:
     return CheckRow("class-predictor", instance, mismatches == 0, f"mismatches={mismatches}")
 
 
-def _bijection_row(lam: Partition) -> CheckRow:
+def _bijection_row(lam: Partition, fan) -> CheckRow:
     try:
-        mapping = vertex_ideal_bijection(lam)
+        mapping = vertex_ideal_bijection(fan)
     except TheoremViolationError as exc:
         return CheckRow("state-polytope", f"lambda={lam}", False, str(exc))
     points = PointSet(tuple(mapping))
@@ -262,19 +252,16 @@ def _per_n_polytope_rows(n: int, seed: int) -> list[CheckRow]:
         ps = pnk_vertices(n, k)
         want = factorial(n) // factorial(k + 1)
         want_sum = (n - k - 1) * (n - k) // 2 + (k + 1) * (n - k)
-        ok = (
-            len(ps) == want
-            and ps.coordinate_sum() == want_sum
-            and ps.affine_dimension() == n - 1
-        )
-        detail = f"points={len(ps)} sum={ps.coordinate_sum()} dim={ps.affine_dimension()}"
+        total, dim = ps.coordinate_sum(), ps.affine_dimension()
+        ok = len(ps) == want and total == want_sum and dim == n - 1
+        detail = f"points={len(ps)} sum={total} dim={dim}"
         if n <= EDGE_N:
             bad = edge_direction_violations(ps)
             ok = ok and not bad
             detail += f" edge_violations={len(bad)}"
         rows.append(CheckRow("pnk", f"n={n} k={k}", ok, detail))
-    ps = pnk_vertices(n, n - 2)
-    ok = len(ps) == n and ps.affine_dimension() == n - 1
+    # the loop ends on k = n-2, the simplex
+    ok = len(ps) == n and dim == n - 1
     rows.append(CheckRow("simplex", f"n={n}", ok, f"points={len(ps)}"))
     if n <= CONE_N:
         rows.append(_coverage_row(n, seed))

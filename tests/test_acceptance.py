@@ -201,9 +201,10 @@ def test_criterion_08_state_polytope():
     for n in range(2, 7):
         for lam in shapes(n):
             k = min_gap_k(lam)
-            mapping = vertex_ideal_bijection(lam)
+            fan = fan_of(lam.parts)
+            mapping = vertex_ideal_bijection(fan)
             vertices = pnk_vertices(n, k)
-            if len(mapping) != fan_of(lam.parts).distinct_count:
+            if len(mapping) != fan.distinct_count:
                 failures.append(("size", lam))
             if len(vertices) != len(mapping):
                 failures.append(("vertex-count", lam))

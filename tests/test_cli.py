@@ -292,15 +292,11 @@ class TestVerify:
         assert a != b
         assert a.split("\n")[0] == b.split("\n")[0]
 
-    def test_skip_drops_rows(self, capsys):
-        _, full, _ = run(["verify", "--n-max", "3"], capsys)
-        _, skipped, _ = run(["verify", "--n-max", "3", "--skip", "oracle"], capsys)
-        assert len(skipped.split("\n")) < len(full.split("\n"))
-        assert "oracle" not in skipped
-
-    def test_unknown_skip_group(self, capsys):
-        code, _, err = run(["verify", "--skip", "nonsense"], capsys)
-        assert code == 1
+    def test_skip_option_is_gone(self, capsys):
+        code, out, err = run(["verify", "--skip", "oracle"], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "unrecognized arguments: --skip oracle" in err
+        assert "Traceback" not in err
 
     def test_n_max_bounds(self, capsys):
         assert run(["verify", "--n-max", "1"], capsys)[0] == 1
@@ -313,8 +309,7 @@ class TestVerify:
             return tuple(e + 1 for e in real(t, order))
 
         monkeypatch.setattr(spechtfan.verify, "closed_form_initial_monomial", tampered)
-        skips = ["--skip", "fan", "--skip", "oracle", "--skip", "polytope"]
-        code, out, _ = run(["verify", "--n-max", "3", "--format", "json", *skips], capsys)
+        code, out, _ = run(["verify", "--n-max", "3", "--format", "json"], capsys)
         assert code == 2
         rows = json.loads(out)
         jsonschema.validate(rows, VERIFY_ROW_SCHEMA)
@@ -336,8 +331,31 @@ class TestRunVerification:
             run_verification(1)
         with pytest.raises(ValueError):
             run_verification(8)
-        with pytest.raises(ValueError):
-            run_verification(3, skip=("bogus",))
+        # every group of rows always runs; there is no switch to drop one
+        with pytest.raises(TypeError):
+            run_verification(3, skip=("oracle",))
+
+    def test_each_fan_and_each_pnk_is_built_once(self, monkeypatch):
+        fans, pnk = [], []
+        real_summary, real_pnk = spechtfan.fan.FanSummary, spechtfan.verify.pnk_vertices
+
+        def summary(lam, k, classes):  # enumerate_fan builds one per call, from any caller
+            fans.append(lam)
+            return real_summary(lam, k, classes)
+
+        def vertices(n, k):
+            pnk.append((n, k))
+            return real_pnk(n, k)
+
+        monkeypatch.setattr(spechtfan.fan, "FanSummary", summary)
+        monkeypatch.setattr(spechtfan.verify, "pnk_vertices", vertices)
+        # the S-pair rows build neither and take most of the n = 6 run
+        for name in ("_oracle_lex_failure", "_oracle_universal_failure", "elimination_polynomial_check"):
+            monkeypatch.setattr(spechtfan.verify, name, lambda lam, order: "")
+        run_verification(6)
+        shapes = [lam for n in range(2, 7) for lam in enumerate_partitions(n) if lam.m >= 2]
+        assert fans == shapes and len(shapes) == 23
+        assert pnk == [(n, k) for n in range(2, 7) for k in range(n - 1)] and len(pnk) == 15
 
     def test_rows_carry_named_checks(self):
         rows = run_verification(2)
@@ -348,7 +366,7 @@ class TestRunVerification:
     def test_a_wrong_class_predictor_fails_its_row(self, monkeypatch):
         # every order its own class
         monkeypatch.setattr(spechtfan.verify, "_class_key", lambda head, sigma: sigma)
-        rows = run_verification(3, skip=("oracle", "polytope"))
+        rows = run_verification(3)
         # (2,1) has classes of two orders; the other shapes' classes are single orders
         (row,) = [r for r in rows if r.check == "class-predictor" and r.instance.startswith("lambda=2,1 ")]
         assert not row.passed and row.detail == "mismatches=6"
@@ -369,7 +387,7 @@ class TestRunVerification:
         )
         detail = spechtfan.verify._oracle_lex_failure(Partition.parse("2,2"), VariableOrder.identity(4))
         assert detail == "S-pair (0,1) left a 6-term remainder; 2 of 5 reduced pairs failed under 1,2,3,4"
-        rows = run_verification(4, skip=("fan", "polytope"))
+        rows = run_verification(4)
         (row,) = [r for r in rows if r.check == "oracle-lex" and r.instance.startswith("lambda=2,2 ")]
         assert not row.passed
         assert re.fullmatch(
@@ -380,18 +398,13 @@ class TestRunVerification:
     def test_a_failing_monotonicity_row_carries_the_check_line(self, monkeypatch):
         # degrees that fall along every order fail each order's first pair
         monkeypatch.setattr(spechtfan.fan, "_degree_values", lambda n, tabs: tuple(range(n, 0, -1)))
-        rows = run_verification(3, skip=("fan", "oracle", "polytope"))
+        rows = run_verification(3)
         (row,) = [r for r in rows if r.check == "monotonicity" and r.instance.startswith("lambda=2,1 ")]
         first = VariableOrder(tuple(map(int, row.instance.split("sigmas=")[1].split(",")[0])))
         a, b = first.sigma[:2]
         want = f"positions 1,2: x{a} has degree {4 - a}, x{b} has {4 - b}, "
         assert row.to_dict()["detail"].startswith(want)
         assert row.to_dict()["detail"].endswith(f" column, under {first}")
-
-    def test_skip_removes_whole_groups(self):
-        rows = run_verification(3, skip=("fan", "oracle", "polytope"))
-        kept = {r.check for r in rows}
-        assert kept and not any(c.startswith("oracle") for c in kept)
 
 
 class TestPlumbing:
@@ -495,8 +508,6 @@ def argv_lists(draw):
         small = st.integers(2, 3).map(str)
         argv += ["--n-max", draw(st.one_of(small, st.sampled_from(MALFORMED + HUGE)))]
         argv += ["--seed", draw(st.one_of(st.integers(0, 9).map(str), st.sampled_from(MALFORMED)))]
-        if draw(st.booleans()):
-            argv += ["--skip", draw(st.sampled_from(["fan", "oracle", "polytope", "", "nope"]))]
     else:
         argv += ["--lambda", draw(shape)]
         if command in ("initial-ideal", "oracle") and draw(st.booleans()):

@@ -160,6 +160,11 @@ class TestVariableOrder:
         assert ido.sigma == (1, 2, 3, 4)
         assert VariableOrder.parse("2,3,1").sigma == (2, 3, 1)
 
+    @pytest.mark.parametrize("make", [lambda: VariableOrder(()), lambda: VariableOrder.identity(0)])
+    def test_zero_variables_are_refused(self, make):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            make()
+
     @pytest.mark.parametrize("bad", ["1,1", "1,3", "0,1", "", "2"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from operator import mul
 
 import pytest
 
-import spechtfan.fan
 import spechtfan.polytope
 from helpers import in_hull_exact, in_hull_simplex
 from spechtfan.combinatorics import Partition, VariableOrder
@@ -97,6 +96,11 @@ class TestPnkVertices:
         with pytest.raises(ValueError):
             pnk_vertices(4, -1)
 
+    @pytest.mark.parametrize("n, k", [(3, True), (3, False), (True, 0), (3, 1.0)])
+    def test_n_and_k_must_be_int(self, n, k):
+        with pytest.raises(TypeError, match="n and k must be int"):
+            pnk_vertices(n, k)
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_all_coordinate_permutations(self, n):
         for k in range(0, n - 1):
@@ -145,6 +149,8 @@ class TestVertexCorrespondence:
             (3, 5, (1, 2, 3), ValueError),
             (3, 2, (1, 2, 3), ValueError),
             (3, -1, (1, 2, 3), ValueError),
+            (3, True, (1, 2, 3), TypeError),
+            (3, False, (1, 2, 3), TypeError),
         ],
     )
     def test_vertex_for_order_rejects_bad_input(self, n, k, sigma, error):
@@ -152,7 +158,7 @@ class TestVertexCorrespondence:
             vertex_for_order(n, k, sigma)
 
     def test_two_one_bijection(self):
-        got = vertex_ideal_bijection(Partition.parse("2,1"))
+        got = vertex_ideal_bijection(enumerate_fan(Partition.parse("2,1")))
         assert {
             v: ideal.min_gens for v, ideal in got.items()
         } == {
@@ -162,7 +168,7 @@ class TestVertexCorrespondence:
         }
 
     def test_two_two_bijection_count(self):
-        got = vertex_ideal_bijection(Partition.parse("2,2"))
+        got = vertex_ideal_bijection(enumerate_fan(Partition.parse("2,2")))
         assert len(got) == 24
         assert set(got) == set(pnk_vertices(4, 0).points)
         ideals = list(got.values())
@@ -171,7 +177,7 @@ class TestVertexCorrespondence:
     @pytest.mark.parametrize("n", [4, 5])
     def test_hook_shape_bijection(self, n):
         lam = Partition((n - 1, 1))
-        got = vertex_ideal_bijection(lam)
+        got = vertex_ideal_bijection(enumerate_fan(lam))
         assert len(got) == n
         for v, ideal in got.items():
             pivot = v.index(1) + 1
@@ -181,14 +187,6 @@ class TestVertexCorrespondence:
                 if i != pivot
             )
             assert list(ideal.min_gens) == want
-
-    def test_limit_is_forwarded(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("an initial ideal was built before the size check")
-
-        monkeypatch.setattr(spechtfan.fan, "initial_ideal", refuse)
-        with pytest.raises(CapacityError, match="enumeration limit 8"):
-            vertex_ideal_bijection(Partition.parse("8,1"))
 
 
 class TestExtremality:
