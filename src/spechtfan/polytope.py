@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, permutations
+from itertools import accumulate, chain, permutations
 from math import factorial
 from operator import itemgetter, sub
 
@@ -21,8 +21,6 @@ __all__ = [
     "pnk_vertices",
     "vertex_for_order",
     "vertex_ideal_bijection",
-    "is_extreme_point",
-    "edge_direction_violations",
     "braid_refinement_check",
 ]
 
@@ -62,9 +60,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __contains__(self, p) -> bool:
-        return tuple(p) in set(self.points)
 
     def coordinate_sum(self) -> int:
         return sum(self.points[0])
@@ -172,30 +167,6 @@ def vertex_ideal_bijection(fan: FanSummary) -> dict[tuple[int, ...], MonomialIde
             "vertex set from ideal classes does not match the predicted polytope"
         )
     return dict(sorted(mapping.items()))
-
-
-def is_extreme_point(ps: PointSet, p: tuple[int, ...]) -> bool:
-    """Certify extremality with the functional w = p.
-
-    Sound always; complete on point sets whose members share one coordinate
-    multiset, since equal-norm points make the self inner product a strict
-    maximum.
-    """
-    if p not in ps:
-        raise ValueError("point must belong to the set")
-    s = sum(c * c for c in p)
-    return all(sum(a * b for a, b in zip(p, q)) < s for q in ps.points if q != p)
-
-
-def edge_direction_violations(ps: PointSet) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Pairs differing in exactly two coordinates whose difference is not a
-    multiple of a difference of two unit vectors."""
-    bad = []
-    for p, q in combinations(ps.points, 2):
-        diff = [(i, a - b) for i, (a, b) in enumerate(zip(p, q)) if a != b]
-        if len(diff) == 2 and diff[0][1] + diff[1][1] != 0:
-            bad.append((p, q))
-    return tuple(bad)
 
 
 def _chamber_escape(f: Polynomial, lead: Exponents, chamber: tuple[int, ...]) -> Exponents | None:

@@ -64,6 +64,7 @@ class MonomialIdeal:
     min_gens: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _check_ints((self.n,), "ring size")
         gens = tuple(map(tuple, self.min_gens))
         if not gens:
             raise ValueError("a monomial ideal here always has at least one generator")

@@ -8,6 +8,7 @@ and whole runs are byte-stable.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from math import factorial
 
 from .combinatorics import (
@@ -34,13 +35,7 @@ from .oracle import (
     marked_basis,
 )
 from .polyring import leading_monomial
-from .polytope import (
-    PointSet,
-    braid_refinement_check,
-    edge_direction_violations,
-    pnk_vertices,
-    vertex_ideal_bijection,
-)
+from .polytope import braid_refinement_check, pnk_vertices, vertex_ideal_bijection
 from .reporting import CheckRow
 from .specht import (
     closed_form_initial_monomial,
@@ -55,11 +50,8 @@ from .specht import (
 __all__ = ["run_verification"]
 
 CLOSED_FORM_N = 6
-PREDICTOR_EXHAUSTIVE_N = 5
-PREDICTOR_SAMPLES = 100_000
 POLYTOPE_N = 6
 CONE_N = 5
-EDGE_N = 6
 
 
 def _rng(seed: int, check: str, instance: str) -> random.Random:
@@ -93,7 +85,7 @@ def _partition_rows(lam: Partition, seed: int) -> list[CheckRow]:
     rows.append(_count_row(lam, fan))
     if lam.has_repeated_part():
         rows.append(_repeated_part_row(lam, fan))
-    rows.append(_predictor_row(lam, fan, seed))
+    rows.append(_predictor_row(lam, fan))
     if lam.parts[0] >= 2:
         check = elimination_identity_check
         rows.append(_sampled_row("elimination-monomial", lam, seed, 10, check))
@@ -173,32 +165,29 @@ def _repeated_part_row(lam: Partition, fan) -> CheckRow:
     return CheckRow("repeated-part", f"lambda={lam}", ok)
 
 
-def _predictor_row(lam: Partition, fan, seed: int) -> CheckRow:
-    n = lam.n
-    head = n - min_gap_k(lam) - 1
-    lookup = fan.order_to_ideal()
-    sigmas = sorted(lookup)
-    keys = {s: _class_key(head, s) for s in sigmas}
-    mismatches = 0
-    if n <= PREDICTOR_EXHAUSTIVE_N:
-        checked = 0
-        for a in sigmas:
-            ia, ka = lookup[a], keys[a]
-            for b in sigmas:
-                checked += 1
-                if (ka == keys[b]) != (ia is lookup[b]):
-                    mismatches += 1
-        instance = f"lambda={lam} pairs={checked} exhaustive"
-    else:
-        rng = _rng(seed, "class-predictor", str(lam))
-        checked = PREDICTOR_SAMPLES
-        for _ in range(checked):
-            a = sigmas[rng.randrange(len(sigmas))]
-            b = sigmas[rng.randrange(len(sigmas))]
-            if (keys[a] == keys[b]) != (lookup[a] is lookup[b]):
-                mismatches += 1
-        instance = f"lambda={lam} pairs={checked} seed={seed}|class-predictor|{lam}"
+def _predictor_row(lam: Partition, fan) -> CheckRow:
+    """Every ordered pair of orders shares a class key iff it shares an initial ideal.
+
+    A pair disagrees when it shares one of key and ideal but not the other.
+    With c counting the orders of each key, each ideal and each (key, ideal)
+    cell, the mismatches are sum c_key^2 + sum c_ideal^2 - 2 sum c_cell^2.
+    """
+    head = lam.n - fan.k - 1
+    classes = fan.classes.values()
+    cells = Counter(
+        (_class_key(head, sigma), i) for i, orders in enumerate(classes) for sigma in orders
+    )
+    by_key: Counter = Counter()
+    for (key, _), c in cells.items():
+        by_key[key] += c
+    by_ideal = [len(orders) for orders in classes]
+    mismatches = _squares(by_key.values()) + _squares(by_ideal) - 2 * _squares(cells.values())
+    instance = f"lambda={lam} pairs={sum(by_ideal) ** 2} exhaustive"
     return CheckRow("class-predictor", instance, mismatches == 0, f"mismatches={mismatches}")
+
+
+def _squares(counts) -> int:
+    return sum(c * c for c in counts)
 
 
 def _bijection_row(lam: Partition, fan) -> CheckRow:
@@ -206,10 +195,8 @@ def _bijection_row(lam: Partition, fan) -> CheckRow:
         mapping = vertex_ideal_bijection(fan)
     except TheoremViolationError as exc:
         return CheckRow("state-polytope", f"lambda={lam}", False, str(exc))
-    points = PointSet(tuple(mapping))
-    dim = points.affine_dimension()
-    ok = len(mapping) == theorem_count(lam) and dim == lam.n - 1
-    return CheckRow("state-polytope", f"lambda={lam}", ok, f"vertices={len(mapping)} dim={dim}")
+    ok = len(mapping) == theorem_count(lam)
+    return CheckRow("state-polytope", f"lambda={lam}", ok, f"vertices={len(mapping)}")
 
 
 def _braid_row(lam: Partition) -> CheckRow:
@@ -254,12 +241,7 @@ def _per_n_polytope_rows(n: int, seed: int) -> list[CheckRow]:
         want_sum = (n - k - 1) * (n - k) // 2 + (k + 1) * (n - k)
         total, dim = ps.coordinate_sum(), ps.affine_dimension()
         ok = len(ps) == want and total == want_sum and dim == n - 1
-        detail = f"points={len(ps)} sum={total} dim={dim}"
-        if n <= EDGE_N:
-            bad = edge_direction_violations(ps)
-            ok = ok and not bad
-            detail += f" edge_violations={len(bad)}"
-        rows.append(CheckRow("pnk", f"n={n} k={k}", ok, detail))
+        rows.append(CheckRow("pnk", f"n={n} k={k}", ok, f"points={len(ps)} sum={total} dim={dim}"))
     # the loop ends on k = n-2, the simplex
     ok = len(ps) == n and dim == n - 1
     rows.append(CheckRow("simplex", f"n={n}", ok, f"points={len(ps)}"))

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
+from math import factorial
 
 import jsonschema
 import pytest
@@ -16,6 +18,7 @@ import spechtfan.polytope
 import spechtfan.verify
 from spechtfan.cli import main
 from spechtfan.combinatorics import Partition, VariableOrder, enumerate_partitions
+from spechtfan.fan import enumerate_fan
 from spechtfan.verify import run_verification
 
 ORACLE_KEYS = [
@@ -370,6 +373,50 @@ class TestRunVerification:
         # (2,1) has classes of two orders; the other shapes' classes are single orders
         (row,) = [r for r in rows if r.check == "class-predictor" and r.instance.startswith("lambda=2,1 ")]
         assert not row.passed and row.detail == "mismatches=6"
+
+    @pytest.mark.parametrize("parts,want", [("5,2", 46), ("4,2", 10)])
+    def test_one_split_order_fails_the_predictor_row(self, monkeypatch, parts, want):
+        # the identity leaves its class of (k+1)! orders: 2 * ((k+1)! - 1) ordered pairs
+        real = spechtfan.verify._class_key
+        lam = Partition.parse(parts)
+        split = tuple(range(1, lam.n + 1))
+        monkeypatch.setattr(
+            spechtfan.verify, "_class_key", lambda head, sigma: "split" if sigma == split else real(head, sigma)
+        )
+        row = spechtfan.verify._predictor_row(lam, enumerate_fan(lam))
+        assert not row.passed and row.detail == f"mismatches={want}"
+        assert row.instance == f"lambda={parts} pairs={factorial(lam.n) ** 2} exhaustive"
+
+    def test_predictor_row_counts_like_a_pair_loop(self, monkeypatch):
+        rng = random.Random("predictor-row")
+        real = spechtfan.verify._class_key
+        for lam in (lam for n in range(2, 6) for lam in enumerate_partitions(n) if lam.m >= 2):
+            fan = enumerate_fan(lam)
+            lookup = fan.order_to_ideal()
+            sigmas = sorted(lookup)
+            head = lam.n - fan.k - 1
+            a, b = rng.choice(sigmas), rng.choice(sigmas)
+
+            def merged(head, sigma):  # the key of b's class becomes the key of a's
+                key = real(head, sigma)
+                return real(head, a) if key == real(head, b) else key
+
+            corruptions = [
+                real,
+                lambda head, sigma: "split" if sigma == a else real(head, sigma),
+                merged,
+                lambda head, sigma: sum(i * s for i, s in enumerate(sigma)) % 3,
+            ]
+            for key in corruptions:
+                monkeypatch.setattr(spechtfan.verify, "_class_key", key)
+                keys = {s: key(head, s) for s in sigmas}
+                want = sum(
+                    (keys[s] == keys[t]) != (lookup[s] is lookup[t]) for s in sigmas for t in sigmas
+                )
+                row = spechtfan.verify._predictor_row(lam, fan)
+                assert row.detail == f"mismatches={want}", (lam, a, b)
+                assert row.passed == (want == 0)
+                assert row.instance == f"lambda={lam} pairs={len(sigmas) ** 2} exhaustive"
 
     def test_a_wrong_predictor_fails_the_cone_classes_row(self, monkeypatch):
         # (2,2) has k = 0, so the first drawn pair of distinct orders is a mismatch

@@ -18,8 +18,6 @@ from spechtfan.polytope import (
     PointSet,
     _chamber_escape,
     braid_refinement_check,
-    edge_direction_violations,
-    is_extreme_point,
     pnk_vertices,
     vertex_for_order,
     vertex_ideal_bijection,
@@ -32,8 +30,8 @@ class TestPointSet:
         ps = PointSet(((2, 1), (1, 2), (2, 1)))
         assert ps.points == ((1, 2), (2, 1))
         assert len(ps) == 2
-        assert (2, 1) in ps
-        assert (3, 0) not in ps
+        assert (2, 1) in ps.points
+        assert (3, 0) not in ps.points
         assert ps.n == 2
         assert ps.coordinate_sum() == 3
         assert ps.to_json() == [[1, 2], [2, 1]]
@@ -70,7 +68,7 @@ class TestPnkVertices:
     def test_full_permutohedron(self):
         ps = pnk_vertices(4, 0)
         assert len(ps) == 24
-        assert (1, 2, 3, 4) in ps and (4, 3, 2, 1) in ps
+        assert (1, 2, 3, 4) in ps.points and (4, 3, 2, 1) in ps.points
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_top_k_is_a_simplex(self, n):
@@ -190,22 +188,6 @@ class TestVertexCorrespondence:
 
 
 class TestExtremality:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_every_vertex_is_extreme(self, n):
-        for k in range(0, n - 1):
-            ps = pnk_vertices(n, k)
-            assert all(is_extreme_point(ps, p) for p in ps.points)
-
-    def test_requires_membership(self):
-        with pytest.raises(ValueError):
-            is_extreme_point(pnk_vertices(3, 0), (9, 9, 9))
-
-    def test_non_extreme_member_is_detected(self):
-        # a point set containing an interior lattice point of its hull
-        ps = PointSet(((0, 0, 3), (0, 3, 0), (3, 0, 0), (1, 1, 1)))
-        assert not is_extreme_point(ps, (1, 1, 1))
-        assert is_extreme_point(ps, (0, 0, 3))
-
     @pytest.mark.parametrize("n,k", [(2, 0), (3, 0), (3, 1)])
     def test_hull_oracle_agrees_small(self, n, k):
         pts = pnk_vertices(n, k).points
@@ -241,19 +223,6 @@ class TestExtremality:
             pts = pnk_vertices(4, k).points
             for v in pts:
                 assert not in_hull_simplex(v, [q for q in pts if q != v])
-
-
-class TestEdgeDirections:
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_pnk_has_no_violations(self, n):
-        for k in range(0, n - 1):
-            assert edge_direction_violations(pnk_vertices(n, k)) == ()
-
-    def test_wide_differences_are_not_flagged(self):
-        # only pairs touching exactly two coordinates are candidate edges;
-        # equal coordinate sums then force the two deltas to cancel
-        ps = PointSet(((0, 0, 4), (2, 1, 1)))
-        assert edge_direction_violations(ps) == ()
 
 
 class TestWeightInitialIdeal:

@@ -202,6 +202,12 @@ class TestMonomialIdeal:
         with pytest.raises(TypeError, match=f"exponents must be int, got {kind}"):
             build()
 
+    @pytest.mark.parametrize("n,kind", [(True, "bool"), (1.0, "float")], ids=["bool", "float"])
+    def test_ring_size_must_be_int(self, n, kind):
+        # {1} == {True} == {1.0}, so the length check alone lets both through
+        with pytest.raises(TypeError, match=f"ring size must be int, got {kind}"):
+            MonomialIdeal(n, ((1,),))
+
     def test_minimalize_edge_cases(self):
         assert minimalize([(3,), (1,), (2,)]).to_json() == {"n": 1, "min_gens": [[1]]}
         assert minimalize([(0, 0), (1, 2), (0, 0)]).to_json() == {"n": 2, "min_gens": [[0, 0]]}
