@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from pathlib import Path
 
 from .combinatorics import Partition, VariableOrder, enumerate_partitions, min_gap_k
 from .errors import CapacityError, TheoremViolationError
@@ -38,12 +37,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {_short(message)}\n")
 
 
+# A report is written in slices of this many characters, so that its encoded
+# bytes are never held next to the whole text.
+_SLICE = 1 << 20
+
+
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            for i in range(0, len(text), _SLICE):
+                f.write(text[i : i + _SLICE])
     except OSError as exc:
         raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 

@@ -1,13 +1,16 @@
 """Initial ideals across all variable orders: counting, classes, and checks.
 
 The fan of a shape is enumerated by computing the identity-order minimal
-generators once and permuting their exponent tuples for every sigma.
-Divisibility between monomials is preserved by any coordinate permutation,
-so the permuted sets are again minimal. The direct route, specht.initial_ideal,
-moves each closed-form monomial before minimalizing, so both share the one
-sigma-action, `combinatorics._permuter`. `TestInitialIdealFastPath` checks that
-action against the tableaux standard_tableaux relabels on its own, for every
-sigma with n <= 5; `test_fan.py` compares enumerate_fan with `helpers.brute_fan`.
+generators once, packing them as n column ints, and permuting those columns
+for every sigma. Each generator then sits in a 64-bit lane, one byte per
+variable with x1 on top, so comparing lane ints compares exponent tuples and
+the sorted lanes key the class (see enumerate_fan). Divisibility between
+monomials is preserved by any coordinate permutation, so the permuted sets are
+again minimal. The direct route, specht.initial_ideal, moves each closed-form
+monomial before minimalizing, so both share the one sigma-action,
+`combinatorics._permuter`. `TestInitialIdealFastPath` checks that action
+against the tableaux standard_tableaux relabels on its own, for every sigma
+with n <= 5; `test_fan.py` compares enumerate_fan with `helpers.brute_fan`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
-from operator import add
+from operator import add, lshift
+from struct import Struct
 
 from .combinatorics import (
     Partition,
@@ -124,13 +128,6 @@ class FanSummary:
     def distinct_count(self) -> int:
         return len(self.classes)
 
-    def representative(self, ideal: MonomialIdeal) -> tuple[int, ...]:
-        """Lexicographically smallest order in the class."""
-        return self.classes[ideal][0]
-
-    def order_to_ideal(self) -> dict[tuple[int, ...], MonomialIdeal]:
-        return {o: ideal for ideal, orders in self.classes.items() for o in orders}
-
     def to_json(self) -> dict:
         return {
             "lambda": list(self.partition.parts),
@@ -153,6 +150,14 @@ def enumerate_fan(lam: Partition) -> FanSummary:
     """Group all n! variable orders by their initial ideal.
 
     Brute force over the symmetric group; refuses n beyond DEFAULT_ENUMERATION_LIMIT.
+    The identity ideal's generators are packed once as n column ints, column
+    a holding the exponent of x_(a+1) in generator i in the 64-bit lane i.
+    Each sigma moves those columns with `_permuter` and shifts column p into
+    byte n-1-p of every lane, so lane i becomes sigma·g_i packed as
+    `polyring._pack(sigma·g_i, range(n), 8)`: one byte per variable, x1 on top.
+    With n <= 8 and every exponent at most 7, no field carries into the next,
+    so comparing lane ints compares the exponent tuples, and the sorted lanes
+    key the class in the order the sorted tuples would.
     """
     n = lam.n
     if lam.m < 2:
@@ -160,13 +165,23 @@ def enumerate_fan(lam: Partition) -> FanSummary:
     if n > DEFAULT_ENUMERATION_LIMIT:
         raise CapacityError(f"n={n} exceeds the enumeration limit {DEFAULT_ENUMERATION_LIMIT}")
     base = initial_ideal(lam, VariableOrder.identity(n)).min_gens
-    groups: dict[tuple, list[tuple[int, ...]]] = {}
+    cols = tuple(sum(g[a] << 64 * i for i, g in enumerate(base)) for a in range(n))
+    shifts = [8 * (n - 1 - p) for p in range(n)]
+    lanes = Struct(f"<{len(base)}Q")  # lane i is bits 64i to 64i+63 of a little-endian int
+    unpack, size = lanes.unpack, lanes.size
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     # permutations yields the orders in lex order, so every class list is sorted
     for sigma in permutations(range(1, n + 1)):
-        key = tuple(sorted(map(_permuter(sigma), base)))
+        x = sum(map(lshift, _permuter(sigma)(cols), shifts))
+        key = tuple(sorted(unpack(x.to_bytes(size, "little"))))
         groups.setdefault(key, []).append(sigma)
+    # each lane value is decoded once, and the classes share the tuples
+    decoded = {v: tuple(v.to_bytes(n, "big")) for v in set().union(*groups)}
     # each key permutes the checked generators of base, so it is minimal and sorted
-    classes = {MonomialIdeal._wrap(n, key): tuple(groups[key]) for key in sorted(groups)}
+    classes = {
+        MonomialIdeal._wrap(n, tuple(map(decoded.__getitem__, key))): tuple(groups[key])
+        for key in sorted(groups)
+    }
     return FanSummary(lam, min_gap_k(lam), classes)
 
 

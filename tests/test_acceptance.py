@@ -96,14 +96,16 @@ def test_criterion_03_class_predictor():
     mismatches = 0
     for n in range(2, 6):
         for lam in shapes(n):
-            lookup = fan_of(lam.parts).order_to_ideal()
+            classes = fan_of(lam.parts).classes
+            lookup = {o: ideal for ideal, orders in classes.items() for o in orders}
             for a in lookup:
                 for b in lookup:
                     if order_class_predictor(lam, a, b) != (lookup[a] is lookup[b]):
                         mismatches += 1
     rng = rng_for("predictor")
     for lam in shapes(6):
-        lookup = fan_of(lam.parts).order_to_ideal()
+        classes = fan_of(lam.parts).classes
+        lookup = {o: ideal for ideal, orders in classes.items() for o in orders}
         sigmas = sorted(lookup)
         for _ in range(100_000):
             sa = rng.choice(sigmas)

@@ -19,6 +19,7 @@ import spechtfan.verify
 from spechtfan.cli import main
 from spechtfan.combinatorics import Partition, VariableOrder, enumerate_partitions
 from spechtfan.fan import enumerate_fan
+from spechtfan.reporting import json_text
 from spechtfan.verify import run_verification
 
 ORACLE_KEYS = [
@@ -392,7 +393,7 @@ class TestRunVerification:
         real = spechtfan.verify._class_key
         for lam in (lam for n in range(2, 6) for lam in enumerate_partitions(n) if lam.m >= 2):
             fan = enumerate_fan(lam)
-            lookup = fan.order_to_ideal()
+            lookup = {o: ideal for ideal, orders in fan.classes.items() for o in orders}
             sigmas = sorted(lookup)
             head = lam.n - fan.k - 1
             a, b = rng.choice(sigmas), rng.choice(sigmas)
@@ -475,6 +476,15 @@ class TestPlumbing:
             "n": 3,
             "min_gens": [[0, 0, 1], [0, 1, 0]],
         }
+
+    def test_a_report_of_many_slices_is_written_whole(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spechtfan.cli, "_SLICE", 7)
+        target = tmp_path / "fan.json"
+        code, out, _ = run(["fan", "--lambda", "2,2", "--output", str(target)], capsys)
+        assert code == 0
+        assert out == ""
+        want = json_text(enumerate_fan(Partition.parse("2,2")).to_json())
+        assert target.read_text(encoding="utf-8") == want
 
     def test_unwritable_output_is_one_error_line(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "x.json"

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from math import factorial
 
 import jsonschema
@@ -9,6 +10,7 @@ from helpers import brute_fan
 from spechtfan.combinatorics import (
     Partition,
     VariableOrder,
+    _permuter,
     enumerate_partitions,
     min_gap_k,
     sample_orders,
@@ -16,6 +18,7 @@ from spechtfan.combinatorics import (
 )
 from spechtfan.errors import CapacityError
 from spechtfan.fan import (
+    DEFAULT_ENUMERATION_LIMIT,
     degree_statistic,
     elimination_identity_check,
     enumerate_fan,
@@ -105,6 +108,22 @@ class TestEnumerateFan:
             assert len(summary.classes) == summary.distinct_count
             assert all(len(v) == factorial(k + 1) for v in summary.classes.values())
 
+    @pytest.mark.parametrize("parts", ["7,1", "6,2"])
+    def test_full_lane_width_keeps_the_class_order(self, parts):
+        # at n = 8 every 64-bit lane of the packed key holds eight one-byte fields
+        lam = Partition.parse(parts)
+        base = initial_ideal(lam, VariableOrder.identity(lam.n)).min_gens
+        groups = {}
+        for s in permutations(range(1, lam.n + 1)):
+            groups.setdefault(tuple(sorted(map(_permuter(s), base))), []).append(s)
+        want = [(gens, tuple(groups[gens])) for gens in sorted(groups)]
+        got = [(ideal.min_gens, orders) for ideal, orders in enumerate_fan(lam).classes.items()]
+        assert got == want
+
+    def test_enumeration_limit_fits_one_lane(self):
+        # the packed key gives each variable one byte of a 64-bit lane
+        assert DEFAULT_ENUMERATION_LIMIT <= 8, "n > 8 one-byte fields overflow a 64-bit lane"
+
     def test_two_one_classes_exactly(self):
         summary = enumerate_fan(Partition.parse("2,1"))
         got = {
@@ -128,10 +147,10 @@ class TestEnumerateFan:
 
     def test_summary_accessors(self):
         summary = enumerate_fan(Partition.parse("2,2"))
-        lookup = summary.order_to_ideal()
-        assert len(lookup) == 24
+        lookup = {o: ideal for ideal, orders in summary.classes.items() for o in orders}
+        assert len(lookup) == summary.total_orders == 24
+        assert summary.distinct_count == len(summary.classes)
         for ideal, orders in summary.classes.items():
-            assert summary.representative(ideal) == orders[0]
             assert orders[0] == min(orders)
             assert all(lookup[o] == ideal for o in orders)
 
@@ -185,7 +204,8 @@ class TestOrderClassPredictor:
     @pytest.mark.parametrize("n", [3, 4])
     def test_agrees_with_fan_exhaustively(self, n):
         for lam in shapes(n):
-            lookup = enumerate_fan(lam).order_to_ideal()
+            classes = enumerate_fan(lam).classes
+            lookup = {o: ideal for ideal, orders in classes.items() for o in orders}
             orders = [VariableOrder(s) for s in sorted(lookup)]
             for a in orders:
                 for b in orders:
@@ -288,6 +308,5 @@ class TestAgainstWeightForms:
         # ideals attached to classes equal a fresh computation at the representative
         for lam in shapes(4):
             summary = enumerate_fan(lam)
-            for ideal in summary.classes:
-                rep = summary.representative(ideal)
-                assert initial_ideal(lam, VariableOrder(rep)) == ideal
+            for ideal, orders in summary.classes.items():
+                assert initial_ideal(lam, VariableOrder(orders[0])) == ideal
