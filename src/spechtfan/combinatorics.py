@@ -30,9 +30,7 @@ __all__ = [
     "hat",
     "standard_tableaux",
     "standard_tableau_count",
-    "is_row_standard",
     "is_column_standard",
-    "is_standard",
     "prefix_standardization",
     "embed_exponents",
     "sample_orders",
@@ -152,10 +150,6 @@ class VariableOrder:
     @property
     def n(self) -> int:
         return len(self.sigma)
-
-    def apply(self, a: int) -> int:
-        """sigma(a)."""
-        return self.sigma[a - 1]
 
     def rank_of(self, variable: int) -> int:
         """Position of a variable in the order, 1-based."""
@@ -361,14 +355,6 @@ def standard_tableau_count(shape: Partition) -> int:
     return factorial(shape.n) // hooks
 
 
-def is_row_standard(t: Tableau, order: VariableOrder) -> bool:
-    for row in t.rows:
-        for a, b in zip(row, row[1:]):
-            if order.rank_of(a) >= order.rank_of(b):
-                return False
-    return True
-
-
 def is_column_standard(t: Tableau, order: VariableOrder) -> bool:
     """Whether every column increases top to bottom in the given order."""
     for col in t.columns():
@@ -376,10 +362,6 @@ def is_column_standard(t: Tableau, order: VariableOrder) -> bool:
             if order.rank_of(a) >= order.rank_of(b):
                 return False
     return True
-
-
-def is_standard(t: Tableau, order: VariableOrder) -> bool:
-    return is_row_standard(t, order) and is_column_standard(t, order)
 
 
 def prefix_standardization(order: VariableOrder) -> tuple[VariableOrder, int, tuple[int, ...]]:

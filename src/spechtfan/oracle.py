@@ -2,14 +2,16 @@
 
 Everything here works from expanded polynomials and classical division,
 never from the closed-form initial monomials, so agreement between the two
-routes is meaningful evidence.
+routes is meaningful evidence. Every Specht generator is a product of
+linear forms x_a - x_b, so its leading coefficient is +-1 under every
+order; the division layer relies on that, stays in the integers, and
+refuses a basis or an S-pair whose leading coefficient is anything else.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import add, itemgetter, sub
@@ -22,7 +24,7 @@ from .combinatorics import (
     prefix_standardization,
     standard_tableaux,
 )
-from .polyring import Coefficient, Polynomial, _guard_bits, _pack, leading_monomial
+from .polyring import Polynomial, _guard_bits, _pack, leading_monomial
 from .specht import lex_groebner_generators, specht_polynomial
 
 __all__ = [
@@ -39,14 +41,10 @@ __all__ = [
 DEFAULT_ORACLE_LIMIT = 6
 
 
-def _unit_inverse(c):
-    """1/c, an int when c is +1 or -1 (its own inverse) and a Fraction otherwise."""
-    return c if c in (1, -1) else Fraction(1) / Fraction(c)
-
-
 @dataclass(frozen=True)
 class MarkedBasis:
-    """Polynomials with their leading monomials pinned under one order."""
+    """Polynomials with their leading monomials pinned under one order, each with
+    leading coefficient +-1."""
 
     elements: tuple[tuple[Polynomial, tuple[int, ...]], ...]
     order: VariableOrder
@@ -57,16 +55,13 @@ class MarkedBasis:
         for f, mark in self.elements:
             if f.n != self.order.n or len(mark) != self.order.n:
                 raise ValueError("basis entries must live in the order's ring")
-            if not f.coefficient(mark):
-                raise ValueError("marked monomial must occur in its polynomial")
             if leading_monomial(f, self.order) != mark:
                 raise ValueError("marked monomial must be the leading monomial")
+            if f.coefficient(mark) not in (1, -1):
+                raise ValueError("leading coefficient must be +1 or -1")
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def polynomials(self) -> tuple[Polynomial, ...]:
-        return tuple(f for f, _ in self.elements)
 
     @cached_property
     def division_table(self) -> tuple[int, tuple]:
@@ -96,13 +91,14 @@ def _division_rows(basis: MarkedBasis, w: int):
 
     The tail lists every other term as (exponents, -c/lc), so one division
     step adds (current coefficient) * (tail coefficient) at each shifted
-    exponent; -c/lc stays an int whenever the lead coefficient lc is +-1.
+    exponent. The lead coefficient lc is +-1 (`MarkedBasis` checks it), its
+    own inverse, so -c/lc is the int -c*lc.
     """
     desc = basis.order.desc0
     rows = []
     for f, mark in basis.elements:
-        inv = _unit_inverse(f.coefficient(mark))
-        tail = tuple((_pack(e, desc, w), -c * inv) for e, c in f.items() if e != mark)
+        lc = f.coefficient(mark)
+        tail = tuple((_pack(e, desc, w), -c * lc) for e, c in f.items() if e != mark)
         rows.append((_pack(mark, desc, w), tail))
     # a stable sort on the mark alone keeps basis position as the tie break
     return tuple(sorted(rows, key=itemgetter(0)))
@@ -117,7 +113,7 @@ def _divide(f: Polynomial, rows, desc: tuple[int, ...], w: int) -> Polynomial | 
     work = {_pack(e, desc, w): c for e, c in work.items()}
     heap = [-p for p in work]
     heapq.heapify(heap)
-    remainder: dict[tuple[int, ...], Coefficient] = {}
+    remainder: dict[tuple[int, ...], int] = {}
     while heap:
         p = -heapq.heappop(heap)
         coeff = work.pop(p, 0)
@@ -153,8 +149,8 @@ def reduce(f: Polynomial, basis: MarkedBasis) -> Polynomial:
     Terms are consumed largest first via a heap with stale entries skipped.
     When several marks divide the current term the one with the lex-smallest
     mark wins, ties broken by basis position, so remainders are deterministic.
-    Coefficients stay ints when f's are ints and every lead coefficient of
-    the basis is +-1; otherwise the division is exact over Fractions.
+    Every lead coefficient of the basis is +-1, so the division runs in the
+    integers and needs no fraction.
     Exponents are packed into ints (`_pack`); if one outgrows its field the
     division restarts at twice the width.
     """
@@ -173,7 +169,9 @@ def reduce(f: Polynomial, basis: MarkedBasis) -> Polynomial:
 def s_polynomial(f: Polynomial, g: Polynomial, order: VariableOrder) -> Polynomial:
     """lcm-cofactor difference with both leading coefficients normalized out.
 
-    Integer when both leading coefficients are +-1, exact Fractions otherwise.
+    Both leading coefficients must be +-1, each its own inverse, so the
+    result has int coefficients; any other leading coefficient raises
+    ValueError.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial needs nonzero inputs")
@@ -182,8 +180,10 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: VariableOrder) -> Polynomi
     lcm = tuple(map(max, mf, mg))
     qf = tuple(map(sub, lcm, mf))
     qg = tuple(map(sub, lcm, mg))
-    cf = _unit_inverse(f.coefficient(mf))
-    cg = -_unit_inverse(g.coefficient(mg))
+    cf = f.coefficient(mf)
+    cg = -g.coefficient(mg)
+    if cf not in (1, -1) or cg not in (1, -1):
+        raise ValueError("S-polynomial needs leading coefficients +1 or -1")
     out = {tuple(map(add, e, qf)): c * cf for e, c in f.items()}
     for e, c in g.items():
         e = tuple(map(add, e, qg))
@@ -192,9 +192,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: VariableOrder) -> Polynomi
             out[e] = new
         else:
             del out[e]
-    if all(type(c) is int for c in out.values()):
-        return Polynomial._wrap(f.n, out)
-    return Polynomial(f.n, out)
+    return Polynomial._wrap(f.n, out)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,16 @@
-"""Sparse multivariate polynomials over exact coefficients.
+"""Sparse multivariate polynomials with integer coefficients, held as term maps.
 
 Monomials are dense exponent tuples indexed by variable (entry i-1 is the
 exponent of x_i). The lex order attached to a VariableOrder compares the
 exponent of the largest variable first, so a monomial beats another as soon
-as it carries more of a bigger variable. Polynomial coefficients are exact
-integers throughout the public constructors; the division layer in
-`oracle` feeds Fractions through the same class only when a leading
-coefficient is not a unit.
+as it carries more of a bigger variable. A Polynomial is a validated map
+from exponent tuples to nonzero ints and carries no ring arithmetic: the
+Specht expansion and the division layer in `oracle` build term maps
+directly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -24,7 +23,6 @@ __all__ = [
     "leading_term",
 ]
 
-Coefficient = Union[int, Fraction]
 Exponents = tuple[int, ...]
 
 
@@ -62,14 +60,6 @@ def lex_key(exps: Exponents, order: VariableOrder):
     return tuple(exps[i] for i in order.desc0)
 
 
-def _normalize_coeff(c: Coefficient) -> Coefficient:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
-    return c
-
-
 class Polynomial:
     """Immutable-by-convention sparse polynomial; term map from exponents to coefficient."""
 
@@ -78,13 +68,13 @@ class Polynomial:
     def __init__(
         self,
         n: int,
-        terms: Union[Mapping[Exponents, Coefficient], Iterable[tuple[Exponents, Coefficient]], None] = None,
+        terms: Union[Mapping[Exponents, int], Iterable[tuple[Exponents, int]], None] = None,
     ) -> None:
         _check_ints((n,), "ring size")
         self.n = n
         if n < 1:
             raise ValueError("polynomial ring needs at least one variable")
-        clean: dict[Exponents, Coefficient] = {}
+        clean: dict[Exponents, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         for exps, coeff in items:
             exps = tuple(exps)
@@ -93,38 +83,13 @@ class Polynomial:
                 raise ValueError(f"exponent tuple {exps} does not have {self.n} entries")
             if any(e < 0 for e in exps):
                 raise ValueError(f"exponents must be nonnegative: {exps}")
-            acc = clean.get(exps, 0) + _normalize_coeff(coeff)
+            _check_ints((coeff,), "coefficients")
+            acc = clean.get(exps, 0) + coeff
             if acc == 0:
                 clean.pop(exps, None)
             else:
-                clean[exps] = _normalize_coeff(acc)
+                clean[exps] = acc
         self._terms = clean
-
-    @classmethod
-    def zero(cls, n: int) -> "Polynomial":
-        return cls(n)
-
-    @classmethod
-    def constant(cls, n: int, c: Coefficient) -> "Polynomial":
-        return cls(n, {(0,) * n: c})
-
-    @classmethod
-    def one(cls, n: int) -> "Polynomial":
-        return cls.constant(n, 1)
-
-    @classmethod
-    def variable(cls, n: int, i: int) -> "Polynomial":
-        _check_ints((i,), "variable index")
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
-        return cls(n, {tuple(1 if j == i else 0 for j in range(1, n + 1)): 1})
-
-    @classmethod
-    def difference(cls, n: int, i: int, j: int) -> "Polynomial":
-        """x_i - x_j."""
-        if i == j:
-            raise ValueError("difference needs two distinct variables")
-        return cls.variable(n, i) - cls.variable(n, j)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -135,64 +100,16 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def items(self) -> Iterator[tuple[Exponents, Coefficient]]:
+    def items(self) -> Iterator[tuple[Exponents, int]]:
         """Raw unordered view of the term map."""
         return iter(self._terms.items())
 
-    def terms(self) -> list[tuple[Exponents, Coefficient]]:
+    def terms(self) -> list[tuple[Exponents, int]]:
         """Terms sorted descending in the identity lex order, for stable output."""
         return sorted(self._terms.items(), key=lambda kv: kv[0][::-1], reverse=True)
 
-    def coefficient(self, exps: Exponents) -> Coefficient:
+    def coefficient(self, exps: Exponents) -> int:
         return self._terms.get(exps, 0)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("polynomials live in different rings")
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            acc = out.get(e, 0) + c
-            if acc == 0:
-                out.pop(e, None)
-            else:
-                out[e] = _normalize_coeff(acc)
-        return self._wrap(self.n, out)
-
-    def __neg__(self) -> "Polynomial":
-        return self._wrap(self.n, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: Union["Polynomial", Coefficient]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = _normalize_coeff(other)
-            if other == 0:
-                return Polynomial.zero(self.n)
-            return self._wrap(self.n, {e: _normalize_coeff(c * other) for e, c in self._terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("polynomials live in different rings")
-        out: dict[Exponents, Coefficient] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                e = tuple(a + b for a, b in zip(ea, eb))
-                acc = out.get(e, 0) + ca * cb
-                if acc == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = acc
-        return self._wrap(self.n, {e: _normalize_coeff(c) for e, c in out.items()})
-
-    def __rmul__(self, other: Coefficient) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -202,7 +119,7 @@ class Polynomial:
     __hash__ = None  # mutable dict inside; never hash
 
     @classmethod
-    def _wrap(cls, n: int, terms: dict[Exponents, Coefficient]) -> "Polynomial":
+    def _wrap(cls, n: int, terms: dict[Exponents, int]) -> "Polynomial":
         p = cls.__new__(cls)
         p.n = n
         p._terms = terms
@@ -238,6 +155,6 @@ def leading_monomial(f: Polynomial, order: VariableOrder) -> Exponents:
     return max(f._terms, key=itemgetter(*order.desc0))
 
 
-def leading_term(f: Polynomial, order: VariableOrder) -> tuple[Exponents, Coefficient]:
+def leading_term(f: Polynomial, order: VariableOrder) -> tuple[Exponents, int]:
     m = leading_monomial(f, order)
     return m, f.coefficient(m)

@@ -75,6 +75,8 @@ class MonomialIdeal:
             raise ValueError("exponents must be nonnegative")
         if not all(map(lt, gens, gens[1:])):
             raise ValueError("generators must be strictly sorted by exponent tuple")
+        if minimalize(gens).min_gens != gens:
+            raise ValueError("generators must be minimal: none may divide another")
         object.__setattr__(self, "min_gens", gens)
 
     @classmethod

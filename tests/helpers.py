@@ -59,19 +59,24 @@ def specht_expr(t: Tableau):
 
 
 def difference_product(t: Tableau) -> Polynomial:
-    """The column product of t multiplied out one Polynomial.difference factor at a time."""
-    f = Polynomial.one(t.n)
+    """The column product of t multiplied out one factor x_a - x_b at a time, on term maps."""
+    terms = {(0,) * t.n: 1}
     for col in t.columns():
         for a, b in combinations(col, 2):
-            f = f * Polynomial.difference(t.n, a, b)
-    return f
+            out: dict = {}
+            for exps, c in terms.items():
+                for i, sign in ((a - 1, 1), (b - 1, -1)):
+                    e = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+                    out[e] = out.get(e, 0) + sign * c
+            terms = {e: c for e, c in out.items() if c}
+    return Polynomial(t.n, terms)
 
 
 def poly_to_sympy(f: Polynomial):
     xs = sympy_vars(f.n)
     expr = sympy.Integer(0)
     for exps, c in f.items():
-        term = sympy.Rational(c) if isinstance(c, Fraction) else sympy.Integer(c)
+        term = sympy.Integer(c)
         for x, e in zip(xs, exps):
             if e:
                 term *= x**e

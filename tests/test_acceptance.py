@@ -165,8 +165,8 @@ def test_criterion_06_degree_monotonicity():
     lam = Partition((2, 2))
     for order in [VariableOrder.identity(4)] + sample_orders(4, 3, rng_for("anchor6")):
         values = degree_statistic(lam, order)
-        d2 = values[order.apply(2) - 1]
-        d3 = values[order.apply(3) - 1]
+        d2 = values[order.sigma[1] - 1]
+        d3 = values[order.sigma[2] - 1]
         if not (d2 == d3 == 1):
             anchor_ok = False
     ok = not failures and anchor_ok

@@ -292,12 +292,12 @@ class TestBraidRefinement:
 
     def test_a_tampered_basis_names_the_escaping_term(self, monkeypatch):
         real = spechtfan.polytope.lex_groebner_generators
-        x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
 
         def tampered(lam, order):
             (t, f), *rest = real(lam, order)
-            # x1*x3 still leads in lex, but x2^2 outweighs it wherever 2*w2 > w1 + w3
-            return ((t, f * x1 - x2 * x2), *rest)
+            # x1*f - x2^2: x1*x3 still leads in lex, but x2^2 outweighs it wherever 2*w2 > w1 + w3
+            g = Polynomial(3, {**{(e[0] + 1, *e[1:]): c for e, c in f.items()}, (0, 2, 0): -1})
+            return ((t, g), *rest)
 
         monkeypatch.setattr(spechtfan.polytope, "lex_groebner_generators", tampered)
         got = braid_refinement_check(Partition.parse("2,1"))
