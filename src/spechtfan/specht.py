@@ -107,8 +107,25 @@ def minimalize(gens) -> MonomialIdeal:
     input generates. Each exponent tuple is packed into one int (`_pack`) with
     w bits per variable, one more than the largest exponent needs; with G the top
     bit of every field, f divides e exactly when
-    ((pack(e) | G) - pack(f)) & G == G, and no field borrows. Monomials are
-    taken by degree, so every divisor is kept or dropped before its multiples.
+    ((pack(e) | G) - pack(f)) & G == G, and no field borrows.
+
+    Every generator kept so far sits in its own lane of n*w + 1 bits of one
+    int F (`packs`), the i-th kept at bit (n*w + 1)*i; T is the lane's top
+    bit. With R (`ones`) holding a 1 at the bottom of each lane,
+    (pack(e) | G | T) * R puts a copy in every lane, and subtracting F leaves
+    T + ((pack(e) | G) - pack(f_i)) in lane i. That lies in [T, 2T), so no
+    borrow crosses a lane, and V = ((pack(e) | G | T) * R - F) & G_all
+    (`guards`) has lane i's guards all set exactly when f_i divides e.
+    Adding T - G to each lane (`carries`) carries into T just there: that
+    sum is T_all - (V ^ G_all), the lane-wise zero test with the xor folded
+    in, and no lane carries out, so its T bits (`tops`) are nonzero exactly
+    when some kept generator divides e. Five big-int operations test e
+    against every kept generator at once.
+
+    Monomials are taken by degree, so every divisor is kept or dropped
+    before its multiples. Two distinct monomials of one degree never divide
+    each other, so the lanes grow once per degree, by that degree's
+    survivors in (degree, exponent) order.
     """
     gens = list(map(tuple, gens))
     # before the set: 1 == True, so a bool could hide behind an equal int
@@ -123,18 +140,30 @@ def minimalize(gens) -> MonomialIdeal:
         raise ValueError("exponents must be nonnegative")
     w = (max(map(max, pool)) if n else 0).bit_length() + 1
     guard = _guard_bits(n, w)
+    lane = n * w + 1
+    top = 1 << (lane - 1)
+    high, carry = guard | top, top - guard
     fields = range(n)
     kept: list[tuple[int, ...]] = []
-    packed: list[int] = []
+    fresh: list[int] = []
+    packs = ones = guards = carries = tops = 0
+    level = -1
     for e in sorted(pool, key=lambda e: (sum(e), e)):
+        degree = sum(e)
+        if degree != level and fresh:
+            # the last degree's survivors become lanes len(kept) - len(fresh) onward
+            block = 0
+            for p in reversed(fresh):
+                block = block << lane | p
+            packs |= block << (lane * (len(kept) - len(fresh)))
+            ones = ((1 << (lane * len(kept))) - 1) // ((1 << lane) - 1)
+            guards, carries, tops = guard * ones, carry * ones, ones << (lane - 1)
+            fresh = []
+        level = degree
         p = _pack(e, fields, w)
-        high = p | guard
-        for f in packed:
-            if (high - f) & guard == guard:
-                break
-        else:
+        if not ((((p | high) * ones - packs) & guards) + carries) & tops:
             kept.append(e)
-            packed.append(p)
+            fresh.append(p)
     kept.sort()
     return MonomialIdeal._wrap(n, tuple(kept))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from math import factorial
+from operator import le
 
 from .combinatorics import (
     Partition,
@@ -42,7 +43,6 @@ from .specht import (
     gap_condition_audit,
     initial_ideal,
     lex_groebner_generators,
-    minimalize,
     specht_polynomial,
     universal_groebner_generators,
 )
@@ -135,11 +135,27 @@ def _certify_failure(basis) -> str:
 
 
 def _oracle_lex_failure(lam: Partition, order: VariableOrder) -> str:
+    """Certify the lex basis, then match its marks with the closed-form ideal.
+
+    The match uses plain divisibility, not `minimalize`, which builds the
+    closed-form side: every generator is a mark, every mark lies in the
+    ideal, and no generator divides another. So the generators are the
+    minimal generating set of the marks' ideal.
+    """
     basis = marked_basis([f for _, f in lex_groebner_generators(lam, order)], order)
     failure = _certify_failure(basis)
-    if not failure and minimalize([m for _, m in basis.elements]) != initial_ideal(lam, order):
-        failure = f"marks disagree with closed form under {order}"
-    return failure
+    if failure:
+        return failure
+    marks = [m for _, m in basis.elements]
+    ideal = initial_ideal(lam, order)
+    gens = ideal.min_gens
+    if not (
+        set(gens) <= set(marks)
+        and all(map(ideal.contains, marks))
+        and all(sum(all(map(le, f, g)) for f in gens) == 1 for g in gens)
+    ):
+        return f"marks disagree with closed form under {order}"
+    return ""
 
 
 def _oracle_universal_failure(lam: Partition, order: VariableOrder) -> str:

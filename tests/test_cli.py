@@ -20,6 +20,7 @@ from spechtfan.cli import main
 from spechtfan.combinatorics import Partition, VariableOrder, enumerate_partitions
 from spechtfan.fan import enumerate_fan
 from spechtfan.reporting import json_text
+from spechtfan.specht import MonomialIdeal
 from spechtfan.verify import run_verification
 
 ORACLE_KEYS = [
@@ -442,6 +443,25 @@ class TestRunVerification:
             r"S-pair \(\d+,\d+\) left a \d+-term remainder; \d+ of \d+ reduced pairs failed under [1-4,]+",
             row.detail,
         )
+
+    @pytest.mark.parametrize(
+        "planted",
+        [(0, 0, 1, 2), (0, 0, 2, 2)],
+        ids=["a-non-minimal-mark", "a-multiple-that-is-no-mark"],
+    )
+    def test_a_non_minimal_closed_form_generator_fails_the_oracle_lex_row(self, monkeypatch, planted):
+        # (2,2) under the identity: <x3*x4, x2*x4, x2*x3^2>; both plants are multiples of x3*x4
+        real = spechtfan.verify.initial_ideal
+
+        def planted_ideal(lam, order):
+            ideal = real(lam, order)
+            return MonomialIdeal._wrap(ideal.n, tuple(sorted(ideal.min_gens + (planted,))))
+
+        monkeypatch.setattr(spechtfan.verify, "initial_ideal", planted_ideal)
+        lam, order = Partition.parse("2,2"), VariableOrder.identity(4)
+        assert spechtfan.verify._oracle_lex_failure(lam, order) == "marks disagree with closed form under 1,2,3,4"
+        monkeypatch.setattr(spechtfan.verify, "initial_ideal", real)
+        assert spechtfan.verify._oracle_lex_failure(lam, order) == ""
 
     def test_a_failing_monotonicity_row_carries_the_check_line(self, monkeypatch):
         # degrees that fall along every order fail each order's first pair

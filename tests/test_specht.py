@@ -1,5 +1,6 @@
 import random
 from itertools import islice, permutations
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +244,66 @@ class TestMonomialIdeal:
             gens.append((0,) * n)
         got = list(minimalize(gens).min_gens)
         assert got == sorted(naive_minimalize(gens))
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(3, 7), st.integers(100, 300), st.randoms(use_true_random=False))
+    def test_minimalize_matches_naive_on_hundreds_of_generators(self, n, size, rng):
+        # degrees within two of 3(n-1) keep most draws minimal, so the kept
+        # lanes run into the hundreds; a 2**20 widens every field to 22 bits
+        gens = []
+        for _ in range(size):
+            head = [rng.randint(0, 3) for _ in range(n - 1)]
+            tail = rng.choice((0, 1, 2, 2**20)) if rng.random() < 0.05 else rng.randint(0, 2)
+            gens.append((*head, 3 * (n - 1) - sum(head) + tail))
+        got = list(minimalize(gens).min_gens)
+        assert got == sorted(naive_minimalize(gens))
+
+    def test_minimalize_matches_naive_on_a_closed_form_candidate_set(self):
+        lam = Partition.parse("6,3,1")
+        sigma = list(range(1, 11))
+        random.Random("minimalize|6,3,1").shuffle(sigma)
+        order = VariableOrder(tuple(sigma))
+        candidates = [
+            closed_form_initial_monomial(t, order)
+            for mu in dominated_partitions(lam, same_first_part=True)
+            for t in standard_tableaux(mu, order)
+        ]
+        got = minimalize(candidates).min_gens
+        assert list(got) == sorted(naive_minimalize(candidates))
+        assert (len(candidates), len(got)) == (1016, 329)
+        # the kept generators span several degrees, so the lanes grow level by level
+        assert sorted(set(map(sum, got))) == [5, 6, 7, 10]
+
+    @pytest.mark.parametrize(
+        "divided,divisor",
+        [((0, 71, 1), (0, 70, 1)), ((71, 0, 1), (70, 0, 1))],
+        ids=["lane-0", "last-lane"],
+    )
+    def test_the_only_divisor_in_the_first_or_last_of_many_lanes(self, divided, divisor):
+        # 71 generators of degree 71 fill lanes 0..70 in exponent order, so
+        # (0,70,1) sits in lane 0 and (70,0,1) in lane 70
+        level = [(i, 70 - i, 1) for i in range(71)]
+        assert level[0] == (0, 70, 1) and level[-1] == (70, 0, 1)
+        assert [g for g in level if all(map(le, g, divided))] == [divisor]
+        free = [(0, 72, 0), (72, 0, 0)]  # one degree up, divided by no lane
+        got = minimalize(level + [divided] + free).min_gens
+        assert list(got) == sorted(level + free)
+
+    def test_a_full_field_just_below_the_lane_boundary(self):
+        # the largest exponent 7 gives w = 4, so 7 = 2**(w-1) - 1 fills every
+        # bit under its field's guard; the first variable's field is the top
+        # of its lane and the last variable's the bottom, right above the
+        # lane below it
+        gens = [(7, 0, 0), (0, 0, 7), (7, 1, 0), (1, 0, 7), (0, 1, 7), (6, 0, 2), (6, 2, 0), (0, 2, 6)]
+        got = list(minimalize(gens).min_gens)
+        assert got == sorted(naive_minimalize(gens))
+        assert got == [(0, 0, 7), (0, 2, 6), (6, 0, 2), (6, 2, 0), (7, 0, 0)]
+
+    def test_minimalize_in_zero_and_one_variables(self):
+        assert minimalize([()]).to_json() == {"n": 0, "min_gens": [[]]}
+        assert minimalize([(), ()]).min_gens == ((),)
+        assert minimalize([(0,)]).to_json() == {"n": 1, "min_gens": [[0]]}
+        assert minimalize([(5,), (0,), (9,)]).min_gens == ((0,),)
 
     def test_constructor_requires_sorted_gens(self):
         with pytest.raises(ValueError):
