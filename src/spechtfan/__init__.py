@@ -14,7 +14,6 @@ from .combinatorics import (
 from .errors import CapacityError, TheoremViolationError
 from .fan import (
     FanSummary,
-    degree_statistic,
     elimination_identity_check,
     enumerate_fan,
     monotonicity_check,
@@ -65,7 +64,6 @@ __all__ = [
     "enumerate_fan",
     "theorem_count",
     "order_class_predictor",
-    "degree_statistic",
     "monotonicity_check",
     "elimination_identity_check",
     "PointSet",

@@ -169,7 +169,6 @@ class Tableau:
     """A bijective filling of a Young diagram by 1..n, stored row by row."""
 
     rows: tuple[tuple[int, ...], ...]
-    _pos: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = tuple(map(tuple, self.rows))
@@ -179,40 +178,28 @@ class Tableau:
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"entries must be a bijective filling by 1..{n}")
-        self._fill(rows)
-
-    def _fill(self, rows: tuple[tuple[int, ...], ...]) -> None:
         object.__setattr__(self, "rows", rows)
-        pos = {e: (i, j) for i, row in enumerate(rows, 1) for j, e in enumerate(row, 1)}
-        object.__setattr__(self, "_pos", pos)
 
     @classmethod
     def _wrap(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
         """A tableau from int-tuple rows already known to fill a partition shape bijectively."""
         t = cls.__new__(cls)
-        t._fill(rows)
+        object.__setattr__(t, "rows", rows)
         return t
-
-    @property
-    def shape(self) -> Partition:
-        return Partition(tuple(len(r) for r in self.rows))
 
     @property
     def n(self) -> int:
         return sum(len(r) for r in self.rows)
 
     def row_of(self, entry: int) -> int:
-        return self._pos[entry][0]
+        return next(i for i, row in enumerate(self.rows, 1) if entry in row)
 
     def column_of(self, entry: int) -> int:
-        return self._pos[entry][1]
-
-    def column(self, c: int) -> tuple[int, ...]:
-        """Entries of column c (1-based), top to bottom."""
-        return tuple(row[c - 1] for row in self.rows if len(row) >= c)
+        return next(row.index(entry) + 1 for row in self.rows if entry in row)
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.column(c) for c in range(1, len(self.rows[0]) + 1))
+        """Entries of each column, left to right, each top to bottom."""
+        return tuple(tuple(r[c] for r in self.rows if len(r) > c) for c in range(len(self.rows[0])))
 
     def row_word(self) -> tuple[int, ...]:
         return tuple(chain.from_iterable(self.rows))

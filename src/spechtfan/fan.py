@@ -38,7 +38,6 @@ from .specht import MonomialIdeal, _row_exponents, initial_ideal
 __all__ = [
     "DEFAULT_ENUMERATION_LIMIT",
     "FanSummary",
-    "degree_statistic",
     "monotonicity_check",
     "theorem_count",
     "order_class_predictor",
@@ -54,13 +53,6 @@ def _degree_values(n: int, tabs) -> tuple[int, ...]:
     for t in tabs:
         values = tuple(map(add, values, _row_exponents(t.rows)))
     return values
-
-
-def degree_statistic(lam: Partition, order: VariableOrder) -> tuple[int, ...]:
-    """Sum of initial-monomial exponents of each variable over STab(lam)."""
-    if lam.n != order.n:
-        raise ValueError("partition and order must agree on n")
-    return _degree_values(lam.n, standard_tableaux(lam, order))
 
 
 def monotonicity_check(lam: Partition, order: VariableOrder) -> str:

@@ -60,9 +60,6 @@ class MarkedBasis:
             if f.coefficient(mark) not in (1, -1):
                 raise ValueError("leading coefficient must be +1 or -1")
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     @cached_property
     def division_table(self) -> tuple[int, tuple]:
         """(w, rows): `_division_rows` at a field width that holds every exponent

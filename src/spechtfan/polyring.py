@@ -18,9 +18,7 @@ from .combinatorics import VariableOrder, _check_ints
 
 __all__ = [
     "Polynomial",
-    "lex_key",
     "leading_monomial",
-    "leading_term",
 ]
 
 Exponents = tuple[int, ...]
@@ -53,11 +51,6 @@ def _pack(exps: Exponents, desc, w: int) -> int:
 def _guard_bits(fields: int, w: int) -> int:
     """The top bit of each of `fields` packed fields of width w."""
     return sum(1 << (w * j + w - 1) for j in range(fields))
-
-
-def lex_key(exps: Exponents, order: VariableOrder):
-    """Sort key realizing the lex order: exponents read from largest variable down."""
-    return tuple(exps[i] for i in order.desc0)
 
 
 class Polynomial:
@@ -93,9 +86,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -153,8 +143,3 @@ def leading_monomial(f: Polynomial, order: VariableOrder) -> Exponents:
         raise ValueError("polynomial and order must agree on the number of variables")
     # one index makes itemgetter return the exponent itself, which orders the same
     return max(f._terms, key=itemgetter(*order.desc0))
-
-
-def leading_term(f: Polynomial, order: VariableOrder) -> tuple[Exponents, int]:
-    m = leading_monomial(f, order)
-    return m, f.coefficient(m)

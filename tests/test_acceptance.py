@@ -21,7 +21,7 @@ from spechtfan.combinatorics import (
     standard_tableaux,
 )
 from spechtfan.fan import (
-    degree_statistic,
+    _degree_values,
     elimination_identity_check,
     enumerate_fan,
     monotonicity_check,
@@ -164,7 +164,7 @@ def test_criterion_06_degree_monotonicity():
     anchor_ok = True
     lam = Partition((2, 2))
     for order in [VariableOrder.identity(4)] + sample_orders(4, 3, rng_for("anchor6")):
-        values = degree_statistic(lam, order)
+        values = _degree_values(lam.n, standard_tableaux(lam, order))
         d2 = values[order.sigma[1] - 1]
         d3 = values[order.sigma[2] - 1]
         if not (d2 == d3 == 1):

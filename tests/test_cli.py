@@ -1,6 +1,8 @@
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 import random
 import re
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spechtfan
 import spechtfan.cli
 import spechtfan.fan
 import spechtfan.polytope
@@ -476,6 +479,14 @@ class TestRunVerification:
 
 
 class TestPlumbing:
+    def test_every_exported_name_resolves(self):
+        # perfbench/tracing.py reads every __all__ entry with getattr, so a stale one crashes it
+        names = [m.name for m in pkgutil.iter_modules(spechtfan.__path__) if m.name != "__main__"]
+        for name in ["spechtfan"] + [f"spechtfan.{m}" for m in names]:
+            module = importlib.import_module(name)
+            for attr in getattr(module, "__all__", ()):
+                assert hasattr(module, attr), (name, attr)
+
     def test_output_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "ideal.json"
         code, out, _ = run(

@@ -24,11 +24,10 @@ from spechtfan.polyring import Polynomial, leading_monomial
 from spechtfan.specht import (
     initial_ideal,
     lex_groebner_generators,
-    minimalize,
     universal_groebner_generators,
 )
 
-from helpers import sympy_is_groebner
+from helpers import naive_minimalize, sympy_is_groebner
 
 
 def lex_basis(parts, order=None):
@@ -45,7 +44,7 @@ def times_term(f, exps, c):
 class TestMarkedBasis:
     def test_builder_marks_leading_monomials(self):
         basis = lex_basis("2,1")
-        assert len(basis) == 2
+        assert len(basis.elements) == 2
         assert [m for _, m in basis.elements] == [(0, 0, 1), (0, 1, 0)]
 
     def test_rejects_empty(self):
@@ -237,8 +236,8 @@ class TestCertify:
                     [f for _, f in lex_groebner_generators(lam, order)], order
                 )
                 assert certify_groebner(basis).passed, (lam, order)
-                marks = minimalize([m for _, m in basis.elements])
-                assert marks == initial_ideal(lam, order)
+                marks = naive_minimalize([m for _, m in basis.elements])
+                assert marks == frozenset(initial_ideal(lam, order).min_gens)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_universal_bases_certify(self, n):

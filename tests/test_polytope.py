@@ -7,11 +7,11 @@ from operator import mul
 import pytest
 
 import spechtfan.polytope
-from helpers import in_hull_exact, in_hull_simplex
+from helpers import in_hull_exact, in_hull_simplex, naive_minimalize
 from spechtfan.combinatorics import Partition, VariableOrder
 from spechtfan.errors import CapacityError, TheoremViolationError
 from spechtfan.fan import enumerate_fan
-from spechtfan.polyring import Polynomial, leading_monomial, lex_key
+from spechtfan.polyring import Polynomial, leading_monomial
 from spechtfan.polytope import (
     PNK_COORDINATE_LIMIT,
     PNK_VERTEX_LIMIT,
@@ -22,7 +22,7 @@ from spechtfan.polytope import (
     vertex_for_order,
     vertex_ideal_bijection,
 )
-from spechtfan.specht import initial_ideal, lex_groebner_generators, minimalize
+from spechtfan.specht import initial_ideal, lex_groebner_generators
 
 
 class TestPointSet:
@@ -244,7 +244,7 @@ class TestWeightInitialIdeal:
                     by_weight.setdefault(sum(map(mul, w, m)), []).append(m)
                 (top,) = by_weight[max(by_weight)]
                 tops.append(top)
-            assert minimalize(tops) == initial_ideal(lam, order), (order, w)
+            assert naive_minimalize(tops) == frozenset(initial_ideal(lam, order).min_gens), (order, w)
 
 
 class TestBraidRefinement:
@@ -283,7 +283,7 @@ class TestBraidRefinement:
 
     def test_a_wrong_leading_term_names_the_first_order(self, monkeypatch):
         def last(f, order):
-            return min((m for m, _ in f.items()), key=lambda m: lex_key(m, order))
+            return min((m for m, _ in f.items()), key=lambda m: tuple(m[i] for i in order.desc0))
 
         monkeypatch.setattr(spechtfan.polytope, "leading_monomial", last)
         # the true lead x3 is then the term that escapes
