@@ -7,10 +7,12 @@ variable with x1 on top, so comparing lane ints compares exponent tuples and
 the sorted lanes key the class (see enumerate_fan). Divisibility between
 monomials is preserved by any coordinate permutation, so the permuted sets are
 again minimal. The direct route, specht.initial_ideal, moves each closed-form
-monomial before minimalizing, so both share the one sigma-action,
-`combinatorics._permuter`. `TestInitialIdealFastPath` checks that action
-against the tableaux standard_tableaux relabels on its own, for every sigma
-with n <= 5; `test_fan.py` compares enumerate_fan with `helpers.brute_fan`.
+monomial with the sigma-action `combinatorics._permuter` before minimalizing;
+the fan moves no tuple and shifts column a into the byte of x_sigma(a).
+`TestInitialIdealFastPath` checks `_permuter` against the tableaux
+standard_tableaux relabels on its own, for every sigma with n <= 5;
+`test_fan.py` compares enumerate_fan with `helpers.brute_fan` and, at full
+lane width, with the classes `_permuter` gives.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from struct import Struct
 from .combinatorics import (
     Partition,
     VariableOrder,
-    _permuter,
     embed_exponents,
     hat,
     min_gap_k,
@@ -144,8 +145,8 @@ def enumerate_fan(lam: Partition) -> FanSummary:
     Brute force over the symmetric group; refuses n beyond DEFAULT_ENUMERATION_LIMIT.
     The identity ideal's generators are packed once as n column ints, column
     a holding the exponent of x_(a+1) in generator i in the 64-bit lane i.
-    Each sigma moves those columns with `_permuter` and shifts column p into
-    byte n-1-p of every lane, so lane i becomes sigma·g_i packed as
+    Each sigma shifts column a into byte n-sigma(a) of every lane, the byte
+    of x_sigma(a), so lane i becomes sigma·g_i packed as
     `polyring._pack(sigma·g_i, range(n), 8)`: one byte per variable, x1 on top.
     With n <= 8 and every exponent at most 7, no field carries into the next,
     so comparing lane ints compares the exponent tuples, and the sorted lanes
@@ -158,13 +159,14 @@ def enumerate_fan(lam: Partition) -> FanSummary:
         raise CapacityError(f"n={n} exceeds the enumeration limit {DEFAULT_ENUMERATION_LIMIT}")
     base = initial_ideal(lam, VariableOrder.identity(n)).min_gens
     cols = tuple(sum(g[a] << 64 * i for i, g in enumerate(base)) for a in range(n))
-    shifts = [8 * (n - 1 - p) for p in range(n)]
     lanes = Struct(f"<{len(base)}Q")  # lane i is bits 64i to 64i+63 of a little-endian int
     unpack, size = lanes.unpack, lanes.size
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    # permutations yields the orders in lex order, so every class list is sorted
-    for sigma in permutations(range(1, n + 1)):
-        x = sum(map(lshift, _permuter(sigma)(cols), shifts))
+    # permutations yields the orders in lex order, so every class list is sorted; it
+    # walks the index permutations of both lists alike, so shift[a] == 8 * (n - sigma[a])
+    byte_of = [8 * (n - v) for v in range(1, n + 1)]  # where x_v's byte starts, x1 on top
+    for sigma, shift in zip(permutations(range(1, n + 1)), permutations(byte_of)):
+        x = sum(map(lshift, cols, shift))
         key = tuple(sorted(unpack(x.to_bytes(size, "little"))))
         groups.setdefault(key, []).append(sigma)
     # each lane value is decoded once, and the classes share the tuples

@@ -30,12 +30,14 @@ def json_text(obj) -> str:
 
     Accepts dicts with str keys, lists, tuples, str, int, bool and None, and
     raises TypeError on anything else, floats and Fractions included, so no
-    report carries a floating-point number. A list or tuple whose items are
-    all of type int (not bool) is rendered once per call for each indent and
-    reused; a fan repeats the same few exponent tuples in every class. The
-    pieces are joined once, at the end.
+    report carries a floating-point number. A list or tuple object whose items
+    are all of type int (not bool) is rendered once per call for each indent
+    and reused; a fan shares one tuple per distinct exponent tuple across all
+    its classes. The memo is keyed by the object's id: every object in the
+    document stays reachable from obj until the call returns, so no id is
+    reused for another object. The pieces are joined once, at the end.
     """
-    memo: dict[tuple[tuple[int, ...], str], str] = {}
+    memo: dict[tuple[int, str], str] = {}
     out: list[str] = []
     emit = out.append
 
@@ -47,12 +49,12 @@ def json_text(obj) -> str:
                 emit("[]")
                 return
             inner = indent + "  "
-            # the type test comes first: True == 1 and both hash alike
-            if set(map(type, o)) == {int}:
-                key = (tuple(o), indent)
-                text = memo.get(key)
-                if text is None:
-                    text = memo[key] = f"[\n{inner}" + f",\n{inner}".join(map(str, o)) + f"\n{indent}]"
+            key = (id(o), indent)
+            text = memo.get(key)
+            # keyed by object, [1, True] and an equal [1, 1] never share a text
+            if text is None and set(map(type, o)) == {int}:
+                text = memo[key] = f"[\n{inner}" + f",\n{inner}".join(map(str, o)) + f"\n{indent}]"
+            if text is not None:
                 emit(text)
                 return
             sep, comma = f"[\n{inner}", f",\n{inner}"

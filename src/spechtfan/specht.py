@@ -94,7 +94,7 @@ class MonomialIdeal:
         return any(all(map(le, g, exps)) for g in self.min_gens)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "min_gens": [list(g) for g in self.min_gens]}
+        return {"n": self.n, "min_gens": self.min_gens}
 
     def __str__(self) -> str:
         return "<" + ", ".join(map(_monomial_text, self.min_gens)) + ">"

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 from math import factorial
@@ -26,6 +27,7 @@ from spechtfan.fan import (
     order_class_predictor,
     theorem_count,
 )
+from spechtfan.reporting import json_text
 from spechtfan.specht import MonomialIdeal, initial_ideal
 
 FAN_SCHEMA = {
@@ -108,7 +110,7 @@ class TestEnumerateFan:
             assert len(summary.classes) == summary.distinct_count
             assert all(len(v) == factorial(k + 1) for v in summary.classes.values())
 
-    @pytest.mark.parametrize("parts", ["7,1", "6,2"])
+    @pytest.mark.parametrize("parts", ["7,1", "6,2", "5,3"])
     def test_full_lane_width_keeps_the_class_order(self, parts):
         # at n = 8 every 64-bit lane of the packed key holds eight one-byte fields
         lam = Partition.parse(parts)
@@ -155,7 +157,8 @@ class TestEnumerateFan:
             assert all(lookup[o] == ideal for o in orders)
 
     def test_json_shape(self):
-        doc = enumerate_fan(Partition.parse("3,1")).to_json()
+        # the report's bytes, as a reader parses them: to_json keeps the ideals' tuples
+        doc = json.loads(json_text(enumerate_fan(Partition.parse("3,1")).to_json()))
         jsonschema.validate(doc, FAN_SCHEMA)
         assert doc["lambda"] == [3, 1]
         assert doc["distinct_count"] == 4

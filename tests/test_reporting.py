@@ -39,6 +39,25 @@ def containers(children):
 DOCUMENTS = st.recursive(SCALARS, containers, max_leaves=40)
 
 
+@st.composite
+def shared_documents(draw):
+    """Documents that hold the same few objects at several positions and depths,
+    as a fan report holds one tuple per distinct generator in many classes."""
+    pool = draw(st.lists(st.one_of(SHORT, SHORT.map(tuple), st.tuples(ALIASES, st.integers(-3, 3)),
+                                   st.recursive(SCALARS, containers, max_leaves=6)),
+                         min_size=1, max_size=4))
+    # sampled_from draws the pooled objects themselves, not copies
+    return draw(st.recursive(st.one_of(st.sampled_from(pool), ALIASES), containers, max_leaves=30))
+
+
+# the memo is keyed by object: in the frozen cases each shared object below is rendered
+# at two indents, or sits next to a distinct object equal to it that must render otherwise
+PAIR = (1, 2)
+ROW = [3, 4]
+MIXED = [1, True]
+ONES = [1, 1]
+
+
 class TestJsonText:
     @settings(deadline=None, max_examples=200)
     @given(DOCUMENTS)
@@ -61,12 +80,25 @@ class TestJsonText:
             -(2**100),
             True,
             None,
+            [PAIR, [PAIR, {"a": PAIR}], PAIR],
+            {"a": ROW, "b": [ROW, [ROW]], "c": ROW},
+            [[PAIR], PAIR, (ROW, PAIR)],
+            [ONES, MIXED, ONES, MIXED],
+            [MIXED, ONES, [MIXED, [1, 1]], [1, True]],
+            {"classes": [{"ideal": {"min_gens": (PAIR, PAIR)}}, {"ideal": {"min_gens": (PAIR,)}}]},
         ],
         ids=["bool-int-aliases", "aliases-in-tuples", "same-list-at-three-depths", "empty-list",
              "empty-dict", "nested-empty-list", "nested-empty-dict", "mixed-empties", "empty-str",
-             "zero", "wide-int", "true", "null"],
+             "zero", "wide-int", "true", "null", "shared-tuple-at-three-depths",
+             "shared-list-at-three-depths", "shared-list-in-tuple", "shared-bool-next-to-int",
+             "shared-int-next-to-bool", "shared-fan-like"],
     )
     def test_frozen_cases(self, doc):
+        assert json_text(doc) == oracle(doc)
+
+    @settings(deadline=None, max_examples=200)
+    @given(shared_documents())
+    def test_shared_objects_match_json_dumps(self, doc):
         assert json_text(doc) == oracle(doc)
 
     @pytest.mark.parametrize(

@@ -226,8 +226,8 @@ class TestMonomialIdeal:
             MonomialIdeal(n, ((1,),))
 
     def test_minimalize_edge_cases(self):
-        assert minimalize([(3,), (1,), (2,)]).to_json() == {"n": 1, "min_gens": [[1]]}
-        assert minimalize([(0, 0), (1, 2), (0, 0)]).to_json() == {"n": 2, "min_gens": [[0, 0]]}
+        assert minimalize([(3,), (1,), (2,)]).to_json() == {"n": 1, "min_gens": ((1,),)}
+        assert minimalize([(0, 0), (1, 2), (0, 0)]).to_json() == {"n": 2, "min_gens": ((0, 0),)}
         # 2**20 sets the highest bit below its field's guard bit
         big = 2**20
         out = minimalize([(1, 0), (0, big), (1, big), (0, big - 1)])
@@ -300,9 +300,9 @@ class TestMonomialIdeal:
         assert got == [(0, 0, 7), (0, 2, 6), (6, 0, 2), (6, 2, 0), (7, 0, 0)]
 
     def test_minimalize_in_zero_and_one_variables(self):
-        assert minimalize([()]).to_json() == {"n": 0, "min_gens": [[]]}
+        assert minimalize([()]).to_json() == {"n": 0, "min_gens": ((),)}
         assert minimalize([(), ()]).min_gens == ((),)
-        assert minimalize([(0,)]).to_json() == {"n": 1, "min_gens": [[0]]}
+        assert minimalize([(0,)]).to_json() == {"n": 1, "min_gens": ((0,),)}
         assert minimalize([(5,), (0,), (9,)]).min_gens == ((0,),)
 
     def test_constructor_requires_sorted_gens(self):
@@ -331,7 +331,7 @@ class TestMonomialIdeal:
         assert str(ideal) == "<x2, x1^2>"
         readme = initial_ideal(Partition.parse("2,2"), VariableOrder.identity(4))
         assert str(readme) == "<x3*x4, x2*x4, x2*x3^2>"
-        assert ideal.to_json() == {"n": 2, "min_gens": [[0, 1], [2, 0]]}
+        assert ideal.to_json() == {"n": 2, "min_gens": ((0, 1), (2, 0))}
 
 
 class TestGeneratingSystems:
@@ -388,11 +388,11 @@ class TestInitialIdeal:
         lam = Partition.parse("2,1")
         assert initial_ideal(lam, VariableOrder.identity(3)).to_json() == {
             "n": 3,
-            "min_gens": [[0, 0, 1], [0, 1, 0]],
+            "min_gens": ((0, 0, 1), (0, 1, 0)),
         }
         assert initial_ideal(lam, VariableOrder.parse("3,2,1")).to_json() == {
             "n": 3,
-            "min_gens": [[0, 1, 0], [1, 0, 0]],
+            "min_gens": ((0, 1, 0), (1, 0, 0)),
         }
 
     def test_two_two_identity(self):
