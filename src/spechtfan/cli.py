@@ -7,15 +7,17 @@ identity failed on concrete data.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
+from contextlib import nullcontext
 
 from .combinatorics import Partition, VariableOrder, enumerate_partitions, min_gap_k
 from .errors import CapacityError, TheoremViolationError
 from .fan import enumerate_fan, theorem_count
 from .oracle import DEFAULT_ORACLE_LIMIT, certify_groebner, marked_basis
 from .polytope import pnk_vertices
-from .reporting import csv_text, json_text
+from .reporting import csv_text, write_json
 from .specht import INITIAL_IDEAL_N_LIMIT, initial_ideal, lex_groebner_generators
 from .verify import run_verification
 
@@ -37,21 +39,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {_short(message)}\n")
 
 
-# A report is written in slices of this many characters, so that its encoded
-# bytes are never held next to the whole text.
-_SLICE = 1 << 20
-
-
-def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write(report, path: str | None) -> None:
+    """A CSV text as it is, a JSON document by write_json; an OSError is one error line."""
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            for i in range(0, len(text), _SLICE):
-                f.write(text[i : i + _SLICE])
+        with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as f:
+            if isinstance(report, str):
+                f.write(report)
+            else:
+                write_json(report, f)
+            f.flush()
     except OSError as exc:
-        raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+        if path is None:  # what stdout still buffers would fail again as Python exits
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = "to stdout" if path is None else repr(path)
+        raise ValueError(f"cannot write {where}: {exc.strerror or exc}") from exc
 
 
 def _add_output(p) -> None:
@@ -131,19 +132,15 @@ def cmd_count(args) -> int:
             agree = brute == want
         except CapacityError as exc:
             print(f"warning: {exc}; brute-force count skipped", file=sys.stderr)
-            brute = None
-            agree = None
-        if agree is False:
-            violation = True
+            brute = agree = None
+        violation |= agree is False
         records.append((lam.n, lam, min_gap_k(lam), want, brute, agree))
     header = ["n", "lambda", "k", "theorem_count", "brute_force_count", "agree"]
     if args.format == "json":
-        text = json_text(
-            [dict(zip(header, (n, list(lam.parts), *rest))) for n, lam, *rest in records]
-        )
+        report = [dict(zip(header, (n, list(lam.parts), *rest))) for n, lam, *rest in records]
     else:
-        text = csv_text(header, records)
-    _write(text, args.output)
+        report = csv_text(header, records)
+    _write(report, args.output)
     return 2 if violation else 0
 
 
@@ -151,14 +148,14 @@ def cmd_initial_ideal(args) -> int:
     lam = Partition.parse(args.lam)
     order = VariableOrder.parse(args.sigma)
     ideal = initial_ideal(lam, order)
-    _write(json_text(ideal.to_json()), args.output)
+    _write(ideal.to_json(), args.output)
     return 0
 
 
 def cmd_fan(args) -> int:
     lam = Partition.parse(args.lam)
     fan = enumerate_fan(lam)
-    _write(json_text(fan.to_json()), args.output)
+    _write(fan.to_json(), args.output)
     return 0
 
 
@@ -166,18 +163,18 @@ def cmd_polytope(args) -> int:
     lam = Partition.parse(args.lam)
     k = min_gap_k(lam)
     ps = pnk_vertices(lam.n, k)
-    _write(json_text({"n": lam.n, "k": k, "vertices": ps.to_json()}), args.output)
+    _write({"n": lam.n, "k": k, "vertices": ps.to_json()}, args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
     rows = run_verification(args.n_max, seed=args.seed)
     if args.format == "json":
-        text = json_text([r.to_dict() for r in rows])
+        report = [r.to_dict() for r in rows]
     else:
         cells = [(r.check, r.instance, r.passed) for r in rows]
-        text = csv_text(["check", "instance", "pass"], cells)
-    _write(text, args.output)
+        report = csv_text(["check", "instance", "pass"], cells)
+    _write(report, args.output)
     return 0 if all(r.passed for r in rows) else 2
 
 
@@ -190,7 +187,7 @@ def cmd_oracle(args) -> int:
     cert = certify_groebner(basis)
     obj = {"check": "certify-groebner", "lambda": list(lam.parts), "sigma": list(order.sigma)}
     obj.update(cert.to_json())
-    _write(json_text(obj), args.output)
+    _write(obj, args.output)
     return 0 if cert.passed else 2
 
 

@@ -3,14 +3,14 @@
 The fan of a shape is enumerated by computing the identity-order minimal
 generators once, packing them as n column ints, and permuting those columns
 for every sigma. Each generator then sits in a 64-bit lane, one byte per
-variable with x1 on top, so comparing lane ints compares exponent tuples and
-the sorted lanes key the class (see enumerate_fan). Divisibility between
-monomials is preserved by any coordinate permutation, so the permuted sets are
-again minimal. The direct route, specht.initial_ideal, moves each closed-form
-monomial with the sigma-action `combinatorics._permuter` before minimalizing;
-the fan moves no tuple and shifts column a into the byte of x_sigma(a).
-`TestInitialIdealFastPath` checks `_permuter` against the tableaux
-standard_tableaux relabels on its own, for every sigma with n <= 5;
+variable with x1 on top, so lane ints compare as exponent tuples, and the
+sorted lanes packed big-endian as bytes key the class (see enumerate_fan).
+Divisibility between monomials is preserved by any coordinate permutation, so
+the permuted sets are again minimal. The direct route, specht.initial_ideal,
+moves each closed-form monomial with the sigma-action `combinatorics._permuter`
+before minimalizing; the fan moves no tuple and shifts column a into the byte
+of x_sigma(a). `TestInitialIdealFastPath` checks `_permuter` against the
+tableaux standard_tableaux relabels on its own, for every sigma with n <= 5;
 `test_fan.py` compares enumerate_fan with `helpers.brute_fan` and, at full
 lane width, with the classes `_permuter` gives.
 """
@@ -18,6 +18,7 @@ lane width, with the classes `_permuter` gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from math import factorial
 from operator import add, lshift
@@ -149,8 +150,9 @@ def enumerate_fan(lam: Partition) -> FanSummary:
     of x_sigma(a), so lane i becomes sigma·g_i packed as
     `polyring._pack(sigma·g_i, range(n), 8)`: one byte per variable, x1 on top.
     With n <= 8 and every exponent at most 7, no field carries into the next,
-    so comparing lane ints compares the exponent tuples, and the sorted lanes
-    key the class in the order the sorted tuples would.
+    so lane ints compare as the exponent tuples, and the class key, the sorted
+    lanes packed big-endian as bytes, sorts as the sorted tuples would. After
+    the loop each distinct lane is decoded once; the classes share its tuple.
     """
     n = lam.n
     if lam.m < 2:
@@ -160,20 +162,20 @@ def enumerate_fan(lam: Partition) -> FanSummary:
     base = initial_ideal(lam, VariableOrder.identity(n)).min_gens
     cols = tuple(sum(g[a] << 64 * i for i, g in enumerate(base)) for a in range(n))
     lanes = Struct(f"<{len(base)}Q")  # lane i is bits 64i to 64i+63 of a little-endian int
-    unpack, size = lanes.unpack, lanes.size
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    keys = Struct(f">{len(base)}Q")  # big-endian, so bytes order is lane-tuple order
+    unpack, size, pack = lanes.unpack, lanes.size, keys.pack
+    groups: dict[bytes, list[tuple[int, ...]]] = {}
     # permutations yields the orders in lex order, so every class list is sorted; it
     # walks the index permutations of both lists alike, so shift[a] == 8 * (n - sigma[a])
     byte_of = [8 * (n - v) for v in range(1, n + 1)]  # where x_v's byte starts, x1 on top
     for sigma, shift in zip(permutations(range(1, n + 1)), permutations(byte_of)):
         x = sum(map(lshift, cols, shift))
-        key = tuple(sorted(unpack(x.to_bytes(size, "little"))))
+        key = pack(*sorted(unpack(x.to_bytes(size, "little"))))
         groups.setdefault(key, []).append(sigma)
-    # each lane value is decoded once, and the classes share the tuples
-    decoded = {v: tuple(v.to_bytes(n, "big")) for v in set().union(*groups)}
+    decode = cache(lambda v: tuple(v.to_bytes(n, "big")))
     # each key permutes the checked generators of base, so it is minimal and sorted
     classes = {
-        MonomialIdeal._wrap(n, tuple(map(decoded.__getitem__, key))): tuple(groups[key])
+        MonomialIdeal._wrap(n, tuple(map(decode, keys.unpack(key)))): tuple(groups[key])
         for key in sorted(groups)
     }
     return FanSummary(lam, min_gap_k(lam), classes)

@@ -7,7 +7,9 @@ import io
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-__all__ = ["CheckRow", "json_text", "csv_text"]
+__all__ = ["CheckRow", "write_json", "json_text", "csv_text"]
+
+_FLUSH = 1 << 14  # pieces per write_json write: about 1 MiB of a fan report
 
 
 @dataclass(frozen=True)
@@ -25,8 +27,8 @@ class CheckRow:
         return out
 
 
-def json_text(obj) -> str:
-    """The text of json.dumps(obj, indent=2) followed by a newline, byte for byte.
+def write_json(obj, sink) -> None:
+    """Write the text of json.dumps(obj, indent=2) and a newline to sink, byte for byte.
 
     Accepts dicts with str keys, lists, tuples, str, int, bool and None, and
     raises TypeError on anything else, floats and Fractions included, so no
@@ -35,7 +37,7 @@ def json_text(obj) -> str:
     and reused; a fan shares one tuple per distinct exponent tuple across all
     its classes. The memo is keyed by the object's id: every object in the
     document stays reachable from obj until the call returns, so no id is
-    reused for another object. The pieces are joined once, at the end.
+    reused for another object. After a list item, more than _FLUSH pending pieces go to sink.write.
     """
     memo: dict[tuple[int, str], str] = {}
     out: list[str] = []
@@ -62,6 +64,9 @@ def json_text(obj) -> str:
                 emit(sep)
                 write(item, inner)
                 sep = comma
+                if len(out) > _FLUSH:
+                    sink.write("".join(out))
+                    out.clear()
             emit(f"\n{indent}]")
         elif isinstance(o, dict):
             if not o:
@@ -89,7 +94,13 @@ def json_text(obj) -> str:
 
     write(obj, "")
     emit("\n")
-    return "".join(out)
+    sink.write("".join(out))
+
+
+def json_text(obj) -> str:
+    """The text write_json(obj, sink) writes, as one str."""
+    write_json(obj, buf := io.StringIO())
+    return buf.getvalue()
 
 
 def csv_text(header, rows) -> str:

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import pkgutil
 import random
 import re
@@ -18,11 +19,11 @@ import spechtfan
 import spechtfan.cli
 import spechtfan.fan
 import spechtfan.polytope
+import spechtfan.reporting
 import spechtfan.verify
 from spechtfan.cli import main
 from spechtfan.combinatorics import Partition, VariableOrder, enumerate_partitions
 from spechtfan.fan import enumerate_fan
-from spechtfan.reporting import json_text
 from spechtfan.specht import MonomialIdeal
 from spechtfan.verify import run_verification
 
@@ -509,13 +510,51 @@ class TestPlumbing:
         }
 
     def test_a_report_of_many_slices_is_written_whole(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(spechtfan.cli, "_SLICE", 7)
+        monkeypatch.setattr(spechtfan.reporting, "_FLUSH", 7)
         target = tmp_path / "fan.json"
         code, out, _ = run(["fan", "--lambda", "2,2", "--output", str(target)], capsys)
         assert code == 0
         assert out == ""
-        want = json_text(enumerate_fan(Partition.parse("2,2")).to_json())
+        want = json.dumps(enumerate_fan(Partition.parse("2,2")).to_json(), indent=2) + "\n"
         assert target.read_text(encoding="utf-8") == want
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_output_file_mid_stream_is_one_error_line(self, capsys, monkeypatch):
+        # a small flush threshold makes the first failing write come before the report ends
+        monkeypatch.setattr(spechtfan.reporting, "_FLUSH", 64)
+        code, out, err = run(["fan", "--lambda", "3,3", "--output", "/dev/full"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: cannot write '/dev/full': No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv", [["count", "--lambda", "3,2"], ["fan", "--lambda", "4,3"]], ids=["csv", "json"]
+    )
+    def test_a_full_stdout_is_one_error_line(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "spechtfan", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write to stdout: No space left on device\n"
+
+    def test_a_closed_pipe_is_one_error_line(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spechtfan", "fan", "--lambda", "3,3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()  # no reader is left before the child writes anything
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == "error: cannot write to stdout: Broken pipe\n"
 
     def test_unwritable_output_is_one_error_line(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "x.json"

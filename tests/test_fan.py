@@ -110,9 +110,10 @@ class TestEnumerateFan:
             assert len(summary.classes) == summary.distinct_count
             assert all(len(v) == factorial(k + 1) for v in summary.classes.values())
 
-    @pytest.mark.parametrize("parts", ["7,1", "6,2", "5,3"])
+    @pytest.mark.parametrize("parts", ["7,1", "6,2", "5,3", "4,4"])
     def test_full_lane_width_keeps_the_class_order(self, parts):
-        # at n = 8 every 64-bit lane of the packed key holds eight one-byte fields
+        # at n = 8 every 64-bit lane of the packed key holds eight one-byte fields;
+        # (4,4) has k = 0, so all 40,320 classes must come out in key order
         lam = Partition.parse(parts)
         base = initial_ideal(lam, VariableOrder.identity(lam.n)).min_gens
         groups = {}

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import spechtfan.cli
 from spechtfan.cli import main
-from spechtfan.reporting import json_text
+from spechtfan.combinatorics import Partition
+from spechtfan.fan import enumerate_fan
+from spechtfan.reporting import _FLUSH, json_text, write_json
 
 
 def oracle(obj) -> str:
@@ -58,6 +60,25 @@ MIXED = [1, True]
 ONES = [1, 1]
 
 
+class RecordingSink:
+    """A text sink that checks each write against the text expected at its offset
+    and keeps only the write sizes, so a repeated piece fails at once, in little memory."""
+
+    def __init__(self, want):
+        self.want, self.pos, self.sizes = want, 0, []
+
+    def write(self, text):
+        same = text == self.want[self.pos : self.pos + len(text)]
+        assert same, f"write {len(self.sizes)} at offset {self.pos} is not the expected text"
+        self.pos += len(text)
+        self.sizes.append(len(text))
+
+    def check_whole(self):
+        """The joined writes are the whole expected text, in more than one write."""
+        assert self.pos == len(self.want)
+        assert len(self.sizes) > 1
+
+
 class TestJsonText:
     @settings(deadline=None, max_examples=200)
     @given(DOCUMENTS)
@@ -101,6 +122,14 @@ class TestJsonText:
     def test_shared_objects_match_json_dumps(self, doc):
         assert json_text(doc) == oracle(doc)
 
+    def test_a_list_past_the_flush_threshold_shares_objects_across_writes(self):
+        # every item holds the same PAIR and ROW objects, so memo texts cross each flush
+        doc = [[PAIR, {"row": ROW}, i, [ROW, PAIR]] for i in range(2 * _FLUSH)]
+        sink = RecordingSink(oracle(doc))
+        write_json(doc, sink)
+        sink.check_whole()
+        assert json_text(doc) == sink.want
+
     @pytest.mark.parametrize(
         "doc",
         [1.5, Fraction(1, 2), {1: 2}, [1, 0.5], {"a": [Fraction(1)]}, {(1,): 0}, {True: 1}, [1, {2}]],
@@ -131,11 +160,11 @@ class TestReports:
     def test_report_matches_json_dumps(self, argv, capsys, monkeypatch):
         seen = []
 
-        def capture(obj):
+        def capture(obj, sink):
             seen.append(obj)
-            return json_text(obj)
+            write_json(obj, sink)
 
-        monkeypatch.setattr(spechtfan.cli, "json_text", capture)
+        monkeypatch.setattr(spechtfan.cli, "write_json", capture)
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert len(seen) == 1
@@ -145,3 +174,11 @@ class TestReports:
         assert main(["count", "--lambda", "5,4", "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert '"brute_force_count": null' in out and '"agree": null' in out
+
+    def test_a_fan_report_is_written_in_bounded_pieces(self):
+        # the (4,3) report is 7.7 MB of text
+        doc = enumerate_fan(Partition.parse("4,3")).to_json()
+        sink = RecordingSink(oracle(doc))
+        write_json(doc, sink)
+        sink.check_whole()
+        assert max(sink.sizes) <= 2 << 20
