@@ -22,7 +22,7 @@ from .fan import (
 )
 from .oracle import certify_groebner, elimination_polynomial_check, marked_basis, reduce, s_polynomial
 from .polyring import Polynomial, leading_monomial
-from .polytope import PointSet, braid_refinement_check, pnk_vertices, vertex_ideal_bijection
+from .polytope import braid_refinement_check, pnk_vertices, vertex_ideal_bijection
 from .specht import (
     MonomialIdeal,
     closed_form_initial_monomial,
@@ -66,7 +66,6 @@ __all__ = [
     "order_class_predictor",
     "monotonicity_check",
     "elimination_identity_check",
-    "PointSet",
     "pnk_vertices",
     "vertex_ideal_bijection",
     "braid_refinement_check",

@@ -162,8 +162,7 @@ def cmd_fan(args) -> int:
 def cmd_polytope(args) -> int:
     lam = Partition.parse(args.lam)
     k = min_gap_k(lam)
-    ps = pnk_vertices(lam.n, k)
-    _write({"n": lam.n, "k": k, "vertices": ps.to_json()}, args.output)
+    _write({"n": lam.n, "k": k, "vertices": pnk_vertices(lam.n, k)}, args.output)
     return 0
 
 

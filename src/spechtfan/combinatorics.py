@@ -192,10 +192,13 @@ class Tableau:
         return sum(len(r) for r in self.rows)
 
     def row_of(self, entry: int) -> int:
-        return next(i for i, row in enumerate(self.rows, 1) if entry in row)
+        for i, row in enumerate(self.rows, 1):
+            if entry in row:
+                return i
+        raise ValueError(f"{entry} is not an entry of the tableau {self}")
 
     def column_of(self, entry: int) -> int:
-        return next(row.index(entry) + 1 for row in self.rows if entry in row)
+        return self.rows[self.row_of(entry) - 1].index(entry) + 1
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Entries of each column, left to right, each top to bottom."""

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate, chain, permutations
-from math import factorial
+from itertools import accumulate, permutations
+from math import factorial, gcd
 from operator import itemgetter, sub
 
 from .combinatorics import Partition, VariableOrder, _check_ints, _permuter
@@ -17,9 +15,7 @@ from .specht import MonomialIdeal, lex_groebner_generators
 __all__ = [
     "PNK_VERTEX_LIMIT",
     "PNK_COORDINATE_LIMIT",
-    "PointSet",
     "pnk_vertices",
-    "vertex_for_order",
     "vertex_ideal_bijection",
     "braid_refinement_check",
 ]
@@ -30,68 +26,6 @@ PNK_VERTEX_LIMIT = factorial(9)
 PNK_COORDINATE_LIMIT = 9 * PNK_VERTEX_LIMIT
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Finite set of integer points sharing one coordinate sum.
-
-    Points are deduplicated and kept sorted, so two PointSets compare equal
-    iff they contain the same points.
-    """
-
-    points: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        pts = [tuple(p) for p in self.points]
-        _check_ints(chain.from_iterable(pts), "coordinates")
-        pts = sorted(set(pts))
-        if not pts:
-            raise ValueError("a point set needs at least one point")
-        n = len(pts[0])
-        if any(len(p) != n for p in pts):
-            raise ValueError("points must have equal length")
-        s = sum(pts[0])
-        if any(sum(p) != s for p in pts):
-            raise ValueError("points must share one coordinate sum")
-        object.__setattr__(self, "points", tuple(pts))
-
-    @property
-    def n(self) -> int:
-        return len(self.points[0])
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def coordinate_sum(self) -> int:
-        return sum(self.points[0])
-
-    def affine_dimension(self) -> int:
-        """Rank of the difference vectors, by exact fraction elimination."""
-        pts = self.points
-        if len(pts) == 1:
-            return 0
-        base = pts[0]
-        cap = self.n - 1
-        rows: list[list[Fraction]] = []
-        pivots: list[int] = []
-        for q in pts[1:]:
-            vec = [Fraction(a - b) for a, b in zip(q, base)]
-            for row, col in zip(rows, pivots):
-                if vec[col]:
-                    f = vec[col] / row[col]
-                    vec = [x - f * y for x, y in zip(vec, row)]
-            piv = next((i for i, x in enumerate(vec) if x), None)
-            if piv is None:
-                continue
-            rows.append(vec)
-            pivots.append(piv)
-            if len(rows) == cap:
-                break
-        return len(rows)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(p) for p in self.points]
-
-
 def _check_nk(n: int, k: int) -> None:
     _check_ints((n, k), "n and k")
     if n < 1:
@@ -100,8 +34,8 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError("k must satisfy 0 <= k <= n-2")
 
 
-def pnk_vertices(n: int, k: int) -> PointSet:
-    """All distinct coordinate permutations of (1,...,n-k-1, n-k,...,n-k).
+def pnk_vertices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All distinct coordinate permutations of (1,...,n-k-1, n-k,...,n-k), sorted.
 
     A point is fixed by the positions of the distinct values 1..n-k-1, so the
     n!/(k+1)! placements are walked instead of all n! permutations. More than
@@ -124,21 +58,28 @@ def pnk_vertices(n: int, k: int) -> PointSet:
         for value, i in enumerate(places, start=1):
             p[i] = value
         points.append(tuple(p))
-    return PointSet(tuple(points))
+    return tuple(sorted(points))
 
 
-def vertex_for_order(n: int, k: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """Vertex whose normal cone contains the chain cone of the order sigma.
+def _affine_rank(points) -> int:
+    """Rank of the differences q - points[0], by fraction-free integer elimination.
 
-    Position sigma(j) receives the j-th coordinate of the base point
-    (1,...,n-k-1, n-k,...,n-k), so larger values sit on later order positions.
-    sigma must be a permutation of 1..n and k must suit pnk_vertices(n, k).
+    Each stored row has a pivot column that every later row is cleared in
+    by cross-multiplication, and is divided by the gcd of its entries.
     """
-    _check_nk(n, k)
-    if len(sigma) != n:
-        raise ValueError("order length must be n")
-    sigma = VariableOrder(sigma).sigma  # raises unless sigma permutes 1..n
-    return _permuter(sigma)(tuple(range(1, n - k)) + (n - k,) * (k + 1))
+    base, *rest = points
+    rows: list[tuple[int, list[int]]] = []
+    for q in rest:
+        vec = list(map(sub, q, base))
+        for col, row in rows:
+            if vec[col]:
+                a, b = vec[col], row[col]
+                vec = [b * x - a * y for x, y in zip(vec, row)]
+        col = next((i for i, x in enumerate(vec) if x), None)
+        if col is not None:
+            g = gcd(*vec)
+            rows.append((col, [x // g for x in vec]))
+    return len(rows)
 
 
 def vertex_ideal_bijection(fan: FanSummary) -> dict[tuple[int, ...], MonomialIdeal]:
@@ -150,9 +91,11 @@ def vertex_ideal_bijection(fan: FanSummary) -> dict[tuple[int, ...], MonomialIde
     """
     n = fan.partition.n
     k = fan.k
+    # position sigma(j) receives the j-th coordinate, so larger values sit on later order positions
+    base = tuple(range(1, n - k)) + (n - k,) * (k + 1)
     mapping: dict[tuple[int, ...], MonomialIdeal] = {}
     for ideal, orders in fan.classes.items():
-        verts = {vertex_for_order(n, k, o) for o in orders}
+        verts = {_permuter(o)(base) for o in orders}
         if len(verts) != 1:
             raise TheoremViolationError(
                 f"orders sharing the ideal {ideal} produced {len(verts)} vertices"
@@ -161,8 +104,7 @@ def vertex_ideal_bijection(fan: FanSummary) -> dict[tuple[int, ...], MonomialIde
         if v in mapping:
             raise TheoremViolationError(f"two distinct ideals landed on vertex {v}")
         mapping[v] = ideal
-    expected = pnk_vertices(n, k)
-    if set(mapping) != set(expected.points):
+    if set(mapping) != set(pnk_vertices(n, k)):
         raise TheoremViolationError(
             "vertex set from ideal classes does not match the predicted polytope"
         )

@@ -31,7 +31,7 @@ def write_json(obj, sink) -> None:
     """Write the text of json.dumps(obj, indent=2) and a newline to sink, byte for byte.
 
     Accepts dicts with str keys, lists, tuples, str, int, bool and None, and
-    raises TypeError on anything else, floats and Fractions included, so no
+    raises TypeError on anything else, floats included, so no
     report carries a floating-point number. A list or tuple object whose items
     are all of type int (not bool) is rendered once per call for each indent
     and reused; a fan shares one tuple per distinct exponent tuple across all

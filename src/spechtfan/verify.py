@@ -36,7 +36,7 @@ from .oracle import (
     marked_basis,
 )
 from .polyring import leading_monomial
-from .polytope import braid_refinement_check, pnk_vertices, vertex_ideal_bijection
+from .polytope import _affine_rank, braid_refinement_check, pnk_vertices, vertex_ideal_bijection
 from .reporting import CheckRow
 from .specht import (
     closed_form_initial_monomial,
@@ -255,11 +255,12 @@ def _per_n_polytope_rows(n: int, seed: int) -> list[CheckRow]:
         ps = pnk_vertices(n, k)
         want = factorial(n) // factorial(k + 1)
         want_sum = (n - k - 1) * (n - k) // 2 + (k + 1) * (n - k)
-        total, dim = ps.coordinate_sum(), ps.affine_dimension()
-        ok = len(ps) == want and total == want_sum and dim == n - 1
-        rows.append(CheckRow("pnk", f"n={n} k={k}", ok, f"points={len(ps)} sum={total} dim={dim}"))
+        distinct, sums, rank = len(set(ps)), sorted({sum(p) for p in ps}), _affine_rank(ps)
+        ok = len(ps) == distinct == want and sums == [want_sum] and rank == n - 1
+        detail = f"points={len(ps)} distinct={distinct} want={want} sums={sums} rank={rank}"
+        rows.append(CheckRow("pnk", f"n={n} k={k}", ok, detail))
     # the loop ends on k = n-2, the simplex
-    ok = len(ps) == n and dim == n - 1
+    ok = len(ps) == n and rank == n - 1
     rows.append(CheckRow("simplex", f"n={n}", ok, f"points={len(ps)}"))
     if n <= CONE_N:
         rows.append(_coverage_row(n, seed))

@@ -290,6 +290,35 @@ class TestVerify:
         jsonschema.validate(rows, VERIFY_ROW_SCHEMA)
         assert all(r["pass"] for r in rows)
 
+    @pytest.mark.parametrize(
+        "points, detail",
+        [
+            # one coordinate shifted by 1: a foreign sum, which also lifts the rank
+            (
+                ((1, 2, 4), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)),
+                "points=6 distinct=6 want=6 sums=[6, 7] rank=3",
+            ),
+            # (1,2,3) in place of (1,3,2)
+            (
+                ((1, 2, 3), (1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)),
+                "points=6 distinct=5 want=6 sums=[6] rank=2",
+            ),
+            # six points of sum 6 on one line
+            (tuple((1 + t, 2, 3 - t) for t in range(6)), "points=6 distinct=6 want=6 sums=[6] rank=1"),
+        ],
+        ids=["foreign-sum", "repeated-point", "collinear"],
+    )
+    def test_a_bad_point_set_fails_its_pnk_row(self, monkeypatch, capsys, points, detail):
+        real = spechtfan.verify.pnk_vertices
+        monkeypatch.setattr(
+            spechtfan.verify, "pnk_vertices", lambda n, k: points if (n, k) == (3, 0) else real(n, k)
+        )
+        code, out, _ = run(["verify", "--n-max", "3", "--format", "json"], capsys)
+        assert code == 2
+        failed = [r for r in json.loads(out) if not r["pass"]]
+        assert failed == [{"check": "pnk", "instance": "n=3 k=0", "pass": False, "detail": detail}]
+        assert run(["verify", "--n-max", "3"], capsys)[0] == 2
+
     def test_runs_are_byte_identical(self, capsys):
         _, first, _ = run(["verify", "--n-max", "4"], capsys)
         _, second, _ = run(["verify", "--n-max", "4"], capsys)
@@ -570,6 +599,20 @@ class TestPlumbing:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_the_cli_imports_no_rational_arithmetic(self):
+        # fractions pulls in decimal; every number in the package is an int
+        src = os.path.dirname(os.path.dirname(spechtfan.__file__))
+        code = "import sys, spechtfan.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_no_subcommand(self, capsys):
         code, _, err = run([], capsys)

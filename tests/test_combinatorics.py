@@ -230,6 +230,13 @@ class TestTableau:
         assert t.columns() == ((1, 3), (2,))
         assert str(t) == "1,2/3"
 
+    @pytest.mark.parametrize("lookup", ["row_of", "column_of"])
+    def test_a_missing_entry_is_named(self, lookup):
+        # a bare StopIteration would surface as RuntimeError inside a generator
+        t = Tableau(((1, 2), (3,)))
+        with pytest.raises(ValueError, match="^9 is not an entry of the tableau 1,2/3$"):
+            list(getattr(t, lookup)(e) for e in (1, 9))
+
     def test_rejects_bad_fillings(self):
         with pytest.raises(ValueError):
             Tableau(((1, 2), (2,)))

@@ -5,6 +5,9 @@ from math import factorial
 from operator import mul
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spechtfan.polytope
 from helpers import in_hull_exact, in_hull_simplex, naive_minimalize
@@ -15,78 +18,81 @@ from spechtfan.polyring import Polynomial, leading_monomial
 from spechtfan.polytope import (
     PNK_COORDINATE_LIMIT,
     PNK_VERTEX_LIMIT,
-    PointSet,
+    _affine_rank,
     _chamber_escape,
     braid_refinement_check,
     pnk_vertices,
-    vertex_for_order,
     vertex_ideal_bijection,
 )
 from spechtfan.specht import initial_ideal, lex_groebner_generators
 
 
+@st.composite
+def point_lists(draw):
+    """1-9 points of 1-6 coordinates in -60..60, some repeated and some dependent.
+
+    A dependent point is an offset plus a combination of at most six small
+    directions, so its entries stay within -60..60.
+    """
+    dim = draw(st.integers(1, 6))
+    small = st.tuples(*[st.integers(-3, 3)] * dim)
+    offset = draw(st.tuples(*[st.integers(-6, 6)] * dim))
+    dirs = draw(st.lists(small, min_size=1, max_size=6))
+
+    def spanned(coefs):
+        return tuple(o + sum(c * d[i] for c, d in zip(coefs, dirs)) for i, o in enumerate(offset))
+
+    free = st.tuples(*[st.integers(-60, 60)] * dim)
+    combos = st.tuples(*[st.integers(-3, 3)] * len(dirs)).map(spanned)
+    pts = draw(st.lists(st.one_of(free, combos), min_size=1, max_size=9))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=9 - len(pts)))
+    return draw(st.permutations(pts))
+
+
 class TestPointSet:
-    def test_normalizes_sorted_and_deduped(self):
-        ps = PointSet(((2, 1), (1, 2), (2, 1)))
-        assert ps.points == ((1, 2), (2, 1))
-        assert len(ps) == 2
-        assert (2, 1) in ps.points
-        assert (3, 0) not in ps.points
-        assert ps.n == 2
-        assert ps.coordinate_sum() == 3
-        assert ps.to_json() == [[1, 2], [2, 1]]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PointSet(())
-        with pytest.raises(ValueError):
-            PointSet(((1, 2), (1, 2, 0)))
-        with pytest.raises(ValueError):
-            PointSet(((1, 2), (2, 2)))
-
-    @pytest.mark.parametrize(
-        "points,kind",
-        [(((1.5, 2.9), (2.2, 1.0)), "float"), (((True, 2), (2, 1)), "bool")],
-        ids=["float", "bool"],
-    )
-    def test_coordinates_must_be_ints(self, points, kind):
-        # int() would read the floats as (1, 2) and (2, 1), and True as 1
-        with pytest.raises(TypeError, match=f"coordinates must be int, got {kind}"):
-            PointSet(points)
+    """A point set is a tuple of integer points; its affine dimension is _affine_rank."""
 
     def test_affine_dimension(self):
-        assert PointSet(((1, 2, 3),)).affine_dimension() == 0
-        assert PointSet(((1, 2), (2, 1))).affine_dimension() == 1
-        square = PointSet(((0, 0, 2), (0, 2, 0), (2, 0, 0), (1, 1, 0), (0, 1, 1)))
-        assert square.affine_dimension() == 2
+        assert _affine_rank(((1, 2, 3),)) == 0
+        assert _affine_rank(((1, 2), (2, 1))) == 1
+        square = ((0, 0, 2), (0, 2, 0), (2, 0, 0), (1, 1, 0), (0, 1, 1))
+        assert _affine_rank(square) == 2
+
+    @settings(deadline=None, max_examples=200)
+    @given(point_lists())
+    def test_affine_dimension_matches_sympy(self, pts):
+        p0 = pts[0]
+        want = sympy.Matrix([[a - b for a, b in zip(q, p0)] for q in pts]).rank()
+        assert _affine_rank(pts) == want
 
 
 class TestPnkVertices:
     def test_three_one(self):
-        assert pnk_vertices(3, 1).points == ((1, 2, 2), (2, 1, 2), (2, 2, 1))
+        assert pnk_vertices(3, 1) == ((1, 2, 2), (2, 1, 2), (2, 2, 1))
 
     def test_full_permutohedron(self):
         ps = pnk_vertices(4, 0)
         assert len(ps) == 24
-        assert (1, 2, 3, 4) in ps.points and (4, 3, 2, 1) in ps.points
+        assert (1, 2, 3, 4) in ps and (4, 3, 2, 1) in ps
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_top_k_is_a_simplex(self, n):
         ps = pnk_vertices(n, n - 2)
         assert len(ps) == n
-        assert ps.affine_dimension() == n - 1
+        assert _affine_rank(ps) == n - 1
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_counts_and_sums(self, n):
         for k in range(0, n - 1):
             ps = pnk_vertices(n, k)
-            assert len(ps) == factorial(n) // factorial(k + 1)
-            assert ps.coordinate_sum() == (n - k - 1) * (n - k) // 2 + (k + 1) * (n - k)
+            assert len(ps) == len(set(ps)) == factorial(n) // factorial(k + 1)
+            assert sum(ps[0]) == (n - k - 1) * (n - k) // 2 + (k + 1) * (n - k)
+            assert len({sum(p) for p in ps}) == 1
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_affine_dimension_is_n_minus_one(self, n):
         for k in range(0, n - 1):
-            assert pnk_vertices(n, k).affine_dimension() == n - 1
+            assert _affine_rank(pnk_vertices(n, k)) == n - 1
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
@@ -103,7 +109,7 @@ class TestPnkVertices:
     def test_matches_all_coordinate_permutations(self, n):
         for k in range(0, n - 1):
             u = tuple(range(1, n - k)) + (n - k,) * (k + 1)
-            assert set(pnk_vertices(n, k).points) == set(permutations(u))
+            assert set(pnk_vertices(n, k)) == set(permutations(u))
 
     def test_vertex_limit_is_checked_first(self):
         assert len(pnk_vertices(9, 0)) == PNK_VERTEX_LIMIT
@@ -131,29 +137,13 @@ class TestPnkVertices:
 
 class TestVertexCorrespondence:
     def test_vertex_for_order_anchor(self):
-        assert vertex_for_order(3, 1, VariableOrder.identity(3).sigma) == (1, 2, 2)
-        assert vertex_for_order(3, 1, VariableOrder.parse("2,1,3").sigma) == (2, 1, 2)
-        assert vertex_for_order(4, 0, VariableOrder.parse("4,3,2,1").sigma) == (4, 3, 2, 1)
-        with pytest.raises(ValueError):
-            vertex_for_order(4, 0, VariableOrder.identity(3).sigma)
-
-    @pytest.mark.parametrize(
-        "n, k, sigma, error",
-        [
-            (3, 0, (1, 1, 3), ValueError),
-            (3, 0, (0, 1, 2), ValueError),
-            (3, 0, (1, 2, 3.0), TypeError),
-            (3, 0, (True, 2, 3), TypeError),
-            (3, 5, (1, 2, 3), ValueError),
-            (3, 2, (1, 2, 3), ValueError),
-            (3, -1, (1, 2, 3), ValueError),
-            (3, True, (1, 2, 3), TypeError),
-            (3, False, (1, 2, 3), TypeError),
-        ],
-    )
-    def test_vertex_for_order_rejects_bad_input(self, n, k, sigma, error):
-        with pytest.raises(error):
-            vertex_for_order(n, k, sigma)
+        # the vertex of the class that holds the order
+        anchors = [("2,1", "1,2,3", (1, 2, 2)), ("2,1", "2,1,3", (2, 1, 2)), ("2,2", "4,3,2,1", (4, 3, 2, 1))]
+        for parts, sigma, vertex in anchors:
+            fan = enumerate_fan(Partition.parse(parts))
+            order = VariableOrder.parse(sigma).sigma
+            (ideal,) = [i for i, orders in fan.classes.items() if order in orders]
+            assert vertex_ideal_bijection(fan)[vertex] == ideal
 
     def test_two_one_bijection(self):
         got = vertex_ideal_bijection(enumerate_fan(Partition.parse("2,1")))
@@ -168,7 +158,7 @@ class TestVertexCorrespondence:
     def test_two_two_bijection_count(self):
         got = vertex_ideal_bijection(enumerate_fan(Partition.parse("2,2")))
         assert len(got) == 24
-        assert set(got) == set(pnk_vertices(4, 0).points)
+        assert set(got) == set(pnk_vertices(4, 0))
         ideals = list(got.values())
         assert len({i.min_gens for i in ideals}) == 24
 
@@ -190,14 +180,14 @@ class TestVertexCorrespondence:
 class TestExtremality:
     @pytest.mark.parametrize("n,k", [(2, 0), (3, 0), (3, 1)])
     def test_hull_oracle_agrees_small(self, n, k):
-        pts = pnk_vertices(n, k).points
+        pts = pnk_vertices(n, k)
         for v in pts:
             others = [q for q in pts if q != v]
             assert not in_hull_exact(v, others)
             assert not in_hull_simplex(v, others)
 
     def test_hull_oracle_positive_cases(self):
-        pts = pnk_vertices(3, 0).points
+        pts = pnk_vertices(3, 0)
         for in_hull in (in_hull_exact, in_hull_simplex):
             assert in_hull((2, 2, 2), pts)  # barycenter
             assert in_hull((Fraction(3, 2), Fraction(5, 2), 2), pts)  # edge midpoint
@@ -220,7 +210,7 @@ class TestExtremality:
 
     def test_hull_oracle_n4(self):
         for k in (0, 1, 2):
-            pts = pnk_vertices(4, k).points
+            pts = pnk_vertices(4, k)
             for v in pts:
                 assert not in_hull_simplex(v, [q for q in pts if q != v])
 
