@@ -20,7 +20,7 @@ from .fan import (
     order_class_predictor,
     theorem_count,
 )
-from .oracle import certify_groebner, elimination_polynomial_check, marked_basis, reduce, s_polynomial
+from .oracle import certify_groebner, elimination_polynomial_check, marked_basis, reduce
 from .polyring import Polynomial, leading_monomial
 from .polytope import braid_refinement_check, pnk_vertices, vertex_ideal_bijection
 from .specht import (
@@ -71,7 +71,6 @@ __all__ = [
     "braid_refinement_check",
     "marked_basis",
     "reduce",
-    "s_polynomial",
     "certify_groebner",
     "elimination_polynomial_check",
     "run_verification",

@@ -5,7 +5,9 @@ never from the closed-form initial monomials, so agreement between the two
 routes is meaningful evidence. Every Specht generator is a product of
 linear forms x_a - x_b, so its leading coefficient is +-1 under every
 order; the division layer relies on that, stays in the integers, and
-refuses a basis or an S-pair whose leading coefficient is anything else.
+refuses a basis whose leading coefficient is anything else. Division and
+S-pairs work on monomials packed into ints (`polyring._pack`), one field
+per variable, from the packed rows of `MarkedBasis.division_table`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from operator import add, itemgetter, sub
+from operator import itemgetter
+from typing import NamedTuple
 
 from .combinatorics import (
     Partition,
@@ -32,13 +35,23 @@ __all__ = [
     "MarkedBasis",
     "marked_basis",
     "reduce",
-    "s_polynomial",
     "GroebnerCertificate",
     "certify_groebner",
     "elimination_polynomial_check",
 ]
 
 DEFAULT_ORACLE_LIMIT = 6
+
+
+class _DivisionTable(NamedTuple):
+    """A marked basis packed at field width w (`_pack`), with `guard` the top bit of each field."""
+
+    w: int
+    guard: int
+    # (packed mark, tail) per element, in basis order
+    rows: tuple
+    # the same row tuples, sorted by mark with basis position breaking ties
+    by_mark: tuple
 
 
 @dataclass(frozen=True)
@@ -61,12 +74,12 @@ class MarkedBasis:
                 raise ValueError("leading coefficient must be +1 or -1")
 
     @cached_property
-    def division_table(self) -> tuple[int, tuple]:
-        """(w, rows): `_division_rows` at a field width that holds every exponent
-        of the basis with room to spare, computed once per basis."""
+    def division_table(self) -> _DivisionTable:
+        """`_division_table` at a width whose fields hold twice every exponent of
+        the basis, so an S-pair built from the rows always fits; computed once
+        per basis."""
         top = max(max(e) for f, _ in self.elements for e, _ in f.items())
-        w = max(16, top.bit_length() + 2)
-        return w, _division_rows(self, w)
+        return _division_table(self, max(16, top.bit_length() + 2))
 
 
 def marked_basis(polys, order: VariableOrder) -> MarkedBasis:
@@ -83,8 +96,12 @@ def _unpack(p: int, desc: tuple[int, ...], w: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def _division_rows(basis: MarkedBasis, w: int):
-    """(mark, tail) per element, packed at width w and sorted by (mark, position).
+def _unpack_terms(terms: dict[int, int], desc: tuple[int, ...], w: int) -> Polynomial:
+    return Polynomial._wrap(len(desc), {_unpack(p, desc, w): c for p, c in terms.items()})
+
+
+def _division_table(basis: MarkedBasis, w: int) -> _DivisionTable:
+    """Pack each element once, as (mark, tail), at width w.
 
     The tail lists every other term as (exponents, -c/lc), so one division
     step adds (current coefficient) * (tail coefficient) at each shifted
@@ -98,19 +115,23 @@ def _division_rows(basis: MarkedBasis, w: int):
         tail = tuple((_pack(e, desc, w), -c * lc) for e, c in f.items() if e != mark)
         rows.append((_pack(mark, desc, w), tail))
     # a stable sort on the mark alone keeps basis position as the tie break
-    return tuple(sorted(rows, key=itemgetter(0)))
+    by_mark = tuple(sorted(rows, key=itemgetter(0)))
+    return _DivisionTable(w, _guard_bits(len(desc), w), tuple(rows), by_mark)
 
 
-def _divide(f: Polynomial, rows, desc: tuple[int, ...], w: int) -> Polynomial | None:
-    """Remainder of f by the packed rows, or None if an exponent outgrows w - 1 bits."""
-    guard = _guard_bits(len(desc), w)
-    work = dict(f.items())
-    if max(map(max, work)) >> (w - 1):
-        return None
-    work = {_pack(e, desc, w): c for e, c in work.items()}
+def _divide(work: dict[int, int], table: _DivisionTable) -> dict[int, int] | None:
+    """Remainder of the packed term map `work` by the table's rows, as a packed
+    term map, or None if an exponent outgrows w - 1 bits. Consumes `work`.
+
+    Terms are consumed largest first via a heap with stale entries skipped.
+    When several marks divide the current term the one with the lex-smallest
+    mark wins, ties broken by basis position, so remainders are deterministic.
+    """
+    guard = table.guard
+    rows = table.by_mark
     heap = [-p for p in work]
     heapq.heapify(heap)
-    remainder: dict[tuple[int, ...], int] = {}
+    remainder: dict[int, int] = {}
     while heap:
         p = -heapq.heappop(heap)
         coeff = work.pop(p, 0)
@@ -122,7 +143,7 @@ def _divide(f: Polynomial, rows, desc: tuple[int, ...], w: int) -> Polynomial | 
             if (high - mark) & guard == guard:
                 break
         else:
-            remainder[_unpack(p, desc, w)] = coeff
+            remainder[p] = coeff
             continue
         shift = p - mark
         for e2, c2 in tail:
@@ -137,59 +158,67 @@ def _divide(f: Polynomial, rows, desc: tuple[int, ...], w: int) -> Polynomial | 
                     heapq.heappush(heap, -target)
             else:
                 del work[target]
-    return Polynomial._wrap(f.n, remainder)
+    return remainder
+
+
+def _remainder(basis: MarkedBasis, packed) -> tuple[dict[int, int], _DivisionTable]:
+    """The remainder of packed(table) by the basis, and the table it was taken at.
+
+    packed(table) builds the dividend as a packed term map at the table's
+    width, or returns None if it does not fit; then, or when `_divide`
+    overflows, both start again at twice the width.
+    """
+    table = basis.division_table
+    while (work := packed(table)) is None or (r := _divide(work, table)) is None:
+        table = _division_table(basis, 2 * table.w)
+    return r, table
 
 
 def reduce(f: Polynomial, basis: MarkedBasis) -> Polynomial:
-    """Remainder of f on division by the basis.
+    """Remainder of f on division by the basis, by `_divide`.
 
-    Terms are consumed largest first via a heap with stale entries skipped.
-    When several marks divide the current term the one with the lex-smallest
-    mark wins, ties broken by basis position, so remainders are deterministic.
     Every lead coefficient of the basis is +-1, so the division runs in the
-    integers and needs no fraction.
-    Exponents are packed into ints (`_pack`); if one outgrows its field the
-    division restarts at twice the width.
+    integers and needs no fraction. f is packed at this boundary, and the
+    remainder unpacked.
     """
     if f.n != basis.order.n:
         raise ValueError("polynomial must live in the basis ring")
     if f.is_zero():
         return f
     desc = basis.order.desc0
-    w, rows = basis.division_table
-    while (remainder := _divide(f, rows, desc, w)) is None:
-        w *= 2
-        rows = _division_rows(basis, w)
-    return remainder
+    top = max(map(max, f._terms))
+
+    def packed(table):
+        if top >> (table.w - 1):
+            return None
+        return {_pack(e, desc, table.w): c for e, c in f.items()}
+
+    r, table = _remainder(basis, packed)
+    return _unpack_terms(r, desc, table.w)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: VariableOrder) -> Polynomial:
-    """lcm-cofactor difference with both leading coefficients normalized out.
+def _s_pair(rows, i: int, j: int, lcm: int) -> dict[int, int]:
+    """The S-polynomial of elements i and j as a packed term map, from their
+    division rows and their packed lcm L.
 
-    Both leading coefficients must be +-1, each its own inverse, so the
-    result has int coefficients; any other leading coefficient raises
-    ValueError.
+    With q = L - mark for each side, it is lc_i (L / mark_i) f_i - lc_j
+    (L / mark_j) f_j: the marks cancel, and as lc * lc = 1 a tail term
+    (e, t = -c * lc) contributes -t at e + q_i on side i and +t at e + q_j
+    on side j.
     """
-    if f.is_zero() or g.is_zero():
-        raise ValueError("S-polynomial needs nonzero inputs")
-    mf = leading_monomial(f, order)
-    mg = leading_monomial(g, order)
-    lcm = tuple(map(max, mf, mg))
-    qf = tuple(map(sub, lcm, mf))
-    qg = tuple(map(sub, lcm, mg))
-    cf = f.coefficient(mf)
-    cg = -g.coefficient(mg)
-    if cf not in (1, -1) or cg not in (1, -1):
-        raise ValueError("S-polynomial needs leading coefficients +1 or -1")
-    out = {tuple(map(add, e, qf)): c * cf for e, c in f.items()}
-    for e, c in g.items():
-        e = tuple(map(add, e, qg))
-        new = out.get(e, 0) + c * cg
+    mark_i, tail_i = rows[i]
+    mark_j, tail_j = rows[j]
+    qi = lcm - mark_i
+    qj = lcm - mark_j
+    out = {e + qi: -t for e, t in tail_i}
+    for e, t in tail_j:
+        e += qj
+        new = out.get(e, 0) + t
         if new:
             out[e] = new
         else:
             del out[e]
-    return Polynomial._wrap(f.n, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -248,15 +277,19 @@ def certify_groebner(basis: MarkedBasis) -> GroebnerCertificate:
     Sec. 10), so a run with no failure certifies the basis; a nonzero
     remainder is an ideal member whose leading monomial no mark divides, so
     one failure refutes it. `failures` lists every reduced pair with a
-    nonzero remainder. Divisibility of the lcm is tested on marks packed
-    with guard bits, as in `reduce`.
+    nonzero remainder.
+
+    Everything runs on the packed division rows: the chain test checks
+    divisibility of the packed lcm by packed marks with guard bits, and
+    each reduced S-pair is built from the rows (`_s_pair`) and handed to
+    `_divide`, restarting at twice the width on overflow as `reduce` does.
+    A remainder is unpacked into a `Polynomial` only when it is nonzero.
     """
     elements = basis.elements
     desc = basis.order.desc0
-    w, _ = basis.division_table
-    guard = _guard_bits(len(desc), w)
+    w, guard, rows, _ = basis.division_table
     marks = [mark for _, mark in elements]
-    packed = [_pack(m, desc, w) for m in marks]
+    packed = [mark for mark, _ in rows]
     # bit k of settled[i] is set once the pair {i, k} is settled
     settled = [0] * len(elements)
     total = coprime = chain = reduced = 0
@@ -273,9 +306,10 @@ def certify_groebner(basis: MarkedBasis) -> GroebnerCertificate:
             chain += 1
         else:
             reduced += 1
-            r = reduce(s_polynomial(elements[i][0], elements[j][0], basis.order), basis)
-            if not r.is_zero():
-                failures.append((i, j, r))
+            lcm = tuple(map(max, mi, mj))
+            r, wide = _remainder(basis, lambda t: _s_pair(t.rows, i, j, _pack(lcm, desc, t.w)))
+            if r:
+                failures.append((i, j, _unpack_terms(r, desc, wide.w)))
                 continue
         settled[i] |= 1 << j
         settled[j] |= 1 << i

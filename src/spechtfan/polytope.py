@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from itertools import accumulate, permutations
+from itertools import permutations
 from math import factorial, gcd
-from operator import itemgetter, sub
+from operator import mul, sub
 
 from .combinatorics import Partition, VariableOrder, _check_ints, _permuter
 from .errors import CapacityError, TheoremViolationError
 from .fan import FanSummary
-from .polyring import Exponents, Polynomial, _monomial_text, leading_monomial
+from .polyring import Exponents, Polynomial, _guard_bits, _monomial_text, leading_monomial
 from .specht import MonomialIdeal, lex_groebner_generators
 
 __all__ = [
@@ -111,24 +111,46 @@ def vertex_ideal_bijection(fan: FanSummary) -> dict[tuple[int, ...], MonomialIde
     return dict(sorted(mapping.items()))
 
 
-def _chamber_escape(f: Polynomial, lead: Exponents, chamber: tuple[int, ...]) -> Exponents | None:
+def _chamber_weights(chamber: tuple[int, ...], degree: int) -> tuple[tuple[int, ...], int]:
+    """(weights, guard): one packed int per variable, so that sum(m_a * weights[a])
+    holds in field j the sum of m over the first j+1 variables of the chamber.
+
+    The chamber lists 0-based variable indices from the largest weight down,
+    and weights[a] has a one in each field rank(a)..n-1. A field is w bits
+    wide, with 2**(w-1) > degree, so partial sums of a monomial of that
+    degree fit below the field's top bit; guard holds those top bits.
+    """
+    n = len(chamber)
+    w = degree.bit_length() + 1
+    weights = [0] * n
+    ones = 0
+    for rank in reversed(range(n)):
+        ones |= 1 << (rank * w)
+        weights[chamber[rank]] = ones
+    return tuple(weights), _guard_bits(n, w)
+
+
+def _chamber_escape(f: Polynomial, lead: Exponents, weights: tuple[int, ...], guard: int) -> Exponents | None:
     """The first term m of f, other than lead, that some w in the open
     chamber ranks at least as high as lead; None if there is none.
 
-    The chamber lists 0-based variable indices from the largest weight
-    down. With v = lead - m read in that order, v.w > 0 on the whole open
-    chamber iff every partial sum is >= 0, given that the full sum is 0.
-    Raises ValueError on a term whose degree differs from the lead's.
+    weights and guard come from `_chamber_weights` for the chamber, at a
+    degree no less than the lead's. With v = lead - m read from the largest
+    variable down, v.w > 0 on the whole open chamber iff every partial sum
+    is >= 0, given that the full sum is 0. The packed prefix sums P test all
+    of them in one subtraction: m escapes iff some field of
+    (P(lead) | guard) - P(m) loses its top bit. A term whose degree differs
+    from the lead's raises ValueError before its packed test, so every
+    field stays in range and none borrows from the next.
     """
-    get = itemgetter(*chamber)
-    top = get(lead)
+    degree = sum(lead)
+    high = sum(map(mul, lead, weights)) | guard
     for m, _ in f.items():
         if m == lead:
             continue
-        sums = tuple(accumulate(map(sub, top, get(m))))
-        if sums[-1]:
+        if sum(m) != degree:
             raise ValueError(f"{f} is not homogeneous")
-        if min(sums) < 0:
+        if (high - sum(map(mul, m, weights))) & guard != guard:
             return m
     return None
 
@@ -139,19 +161,22 @@ def braid_refinement_check(lam: Partition) -> str:
     For each order sigma, every generator of the lex system under sigma
     has to keep its leading term strictly above each other term for every
     weight w with w_sigma(1) < ... < w_sigma(n), proved with integer
-    partial sums, not sampled weights. Since the lex system is a Groebner
-    basis under sigma (the oracle rows certify that), a pass puts the whole
-    chamber inside the Groebner cone of in_sigma(I). Refuses n beyond 6.
-    Returns "" on a pass, else a line naming the first failing order,
-    tableau and term.
+    partial sums, not sampled weights: `_chamber_escape`, on weights built
+    once per order at the largest lead degree of its system. Since the lex
+    system is a Groebner basis under sigma (the oracle rows certify that),
+    a pass puts the whole chamber inside the Groebner cone of in_sigma(I).
+    Refuses n beyond 6. Returns "" on a pass, else a line naming the first
+    failing order, tableau and term.
     """
     n = lam.n
     if n > 6:
         raise ValueError(f"n={n} exceeds the refinement check limit 6")
     for sigma in permutations(range(1, n + 1)):
         order = VariableOrder(sigma)
-        for t, f in lex_groebner_generators(lam, order):
-            m = _chamber_escape(f, leading_monomial(f, order), order.desc0)
+        system = [(t, f, leading_monomial(f, order)) for t, f in lex_groebner_generators(lam, order)]
+        weights, guard = _chamber_weights(order.desc0, max(sum(lead) for _, _, lead in system))
+        for t, f, lead in system:
+            m = _chamber_escape(f, lead, weights, guard)
             if m is not None:
                 return f"order={order} tableau={t} term={_monomial_text(m)}"
     return ""

@@ -5,12 +5,14 @@ test for the quantity it cross-checks.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from operator import add, itemgetter, sub
 
 import sympy
 
 from spechtfan.combinatorics import Partition, Tableau, VariableOrder
-from spechtfan.polyring import Polynomial
+from spechtfan.oracle import GroebnerCertificate, reduce
+from spechtfan.polyring import Polynomial, leading_monomial
 from spechtfan.specht import initial_ideal
 
 
@@ -122,6 +124,87 @@ def sympy_is_groebner(basis) -> bool:
         if not any(all(a >= b for a, b in zip(lead, m)) for m in marks):
             return False
     return True
+
+
+def s_polynomial(f: Polynomial, g: Polynomial, order: VariableOrder) -> Polynomial:
+    """lcm-cofactor difference with both leading coefficients normalized out,
+    on exponent tuples.
+
+    Both leading coefficients must be +-1, each its own inverse, so the
+    result has int coefficients; any other leading coefficient raises
+    ValueError.
+    """
+    if f.is_zero() or g.is_zero():
+        raise ValueError("S-polynomial needs nonzero inputs")
+    mf = leading_monomial(f, order)
+    mg = leading_monomial(g, order)
+    lcm = tuple(map(max, mf, mg))
+    qf = tuple(map(sub, lcm, mf))
+    qg = tuple(map(sub, lcm, mg))
+    cf = f.coefficient(mf)
+    cg = -g.coefficient(mg)
+    if cf not in (1, -1) or cg not in (1, -1):
+        raise ValueError("S-polynomial needs leading coefficients +1 or -1")
+    out = {tuple(map(add, e, qf)): c * cf for e, c in f.items()}
+    for e, c in g.items():
+        e = tuple(map(add, e, qg))
+        new = out.get(e, 0) + c * cg
+        if new:
+            out[e] = new
+        else:
+            del out[e]
+    return Polynomial._wrap(f.n, out)
+
+
+def reference_certify(basis) -> GroebnerCertificate:
+    """`certify_groebner`'s pair walk with tuple S-polynomials: each pair no
+    criterion settles goes through `reduce(s_polynomial(...))`.
+
+    The coprime and chain criteria are read on exponent tuples, so neither
+    the S-pair nor the lcm test touches the packed rows.
+    """
+    marks = [mark for _, mark in basis.elements]
+    settled = [set() for _ in marks]
+    total = coprime = chain = reduced = 0
+    failures = []
+    for i, j in combinations(range(len(marks)), 2):
+        total += 1
+        lcm = tuple(map(max, marks[i], marks[j]))
+        if all(a == 0 or b == 0 for a, b in zip(marks[i], marks[j])):
+            coprime += 1
+        elif any(all(map(int.__le__, marks[k], lcm)) for k in settled[i] & settled[j]):
+            chain += 1
+        else:
+            reduced += 1
+            r = reduce(s_polynomial(basis.elements[i][0], basis.elements[j][0], basis.order), basis)
+            if not r.is_zero():
+                failures.append((i, j, r))
+                continue
+        settled[i].add(j)
+        settled[j].add(i)
+    return GroebnerCertificate(total, coprime, chain, reduced, tuple(failures))
+
+
+def chamber_escape(f: Polynomial, lead, chamber):
+    """The first term m of f, other than lead, that some w in the open
+    chamber ranks at least as high as lead; None if there is none.
+
+    The chamber lists 0-based variable indices from the largest weight
+    down. With v = lead - m read in that order, v.w > 0 on the whole open
+    chamber iff every partial sum is >= 0, given that the full sum is 0.
+    Raises ValueError on a term whose degree differs from the lead's.
+    """
+    get = itemgetter(*chamber)
+    top = get(lead)
+    for m, _ in f.items():
+        if m == lead:
+            continue
+        sums = tuple(accumulate(map(sub, top, get(m))))
+        if sums[-1]:
+            raise ValueError(f"{f} is not homogeneous")
+        if min(sums) < 0:
+            return m
+    return None
 
 
 def naive_minimalize(exps_list) -> frozenset:

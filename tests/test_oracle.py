@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,18 +17,19 @@ from spechtfan.oracle import (
     MarkedBasis,
     certify_groebner,
     elimination_polynomial_check,
+    _s_pair,
+    _unpack_terms,
     marked_basis,
     reduce,
-    s_polynomial,
 )
-from spechtfan.polyring import Polynomial, leading_monomial
+from spechtfan.polyring import Polynomial, _pack, leading_monomial
 from spechtfan.specht import (
     initial_ideal,
     lex_groebner_generators,
     universal_groebner_generators,
 )
 
-from helpers import naive_minimalize, sympy_is_groebner
+from helpers import naive_minimalize, reference_certify, s_polynomial, sympy_is_groebner
 
 
 def lex_basis(parts, order=None):
@@ -169,6 +171,30 @@ class TestSPolynomial:
             assert leading_monomial(s, ido) != lcm
 
 
+class TestPackedSPair:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_the_tuple_s_polynomial(self, n):
+        # every pair of the lex and universal bases, unpacked, against the helper
+        rng = random.Random(f"s-pair|{n}")
+        orders = [VariableOrder.identity(n)] + sample_orders(n, 2, rng)
+        pairs = 0
+        for lam in enumerate_partitions(n):
+            if lam.m < 2:
+                continue
+            for source in (lex_groebner_generators, universal_groebner_generators):
+                for order in orders:
+                    basis = marked_basis([f for _, f in source(lam, order)], order)
+                    table = basis.division_table
+                    desc = order.desc0
+                    for i, j in combinations(range(len(basis.elements)), 2):
+                        (f, mf), (g, mg) = basis.elements[i], basis.elements[j]
+                        lcm = _pack(tuple(map(max, mf, mg)), desc, table.w)
+                        got = _unpack_terms(_s_pair(table.rows, i, j, lcm), desc, table.w)
+                        assert got == s_polynomial(f, g, order), (lam, order, i, j)
+                        pairs += 1
+        assert pairs > 0
+
+
 class TestCertify:
     def test_two_one_skips_its_single_coprime_pair(self):
         cert = certify_groebner(lex_basis("2,1"))
@@ -283,6 +309,12 @@ class TestVerdictAgainstSympy:
     def test_certificate_verdict_matches_sympy(self, basis):
         assert certify_groebner(basis).passed == sympy_is_groebner(basis)
 
+    @settings(deadline=None, max_examples=300)
+    @given(specht_bases())
+    def test_certificate_matches_the_tuple_route(self, basis):
+        # counts and every (i, j, remainder) failure, against reduce(s_polynomial(...))
+        assert certify_groebner(basis) == reference_certify(basis)
+
     def test_both_verdicts_occur(self):
         ido = VariableOrder.identity(4)
         polys = [f for _, f in lex_groebner_generators(Partition.parse("2,2"), ido)]
@@ -325,8 +357,8 @@ class TestIntegerAndFractionPaths:
         polys = [f for _, f in universal_groebner_generators(lam, order)]
         unit = marked_basis(polys, order)
         assert certify_groebner(unit).passed
-        _, rows = unit.division_table
-        assert all(type(c) is int for _, tail in rows for _, c in tail)
+        table = unit.division_table
+        assert all(type(c) is int for rows in (table.rows, table.by_mark) for _, tail in rows for _, c in tail)
         doubled = [Polynomial(f.n, {e: 2 * c for e, c in f.items()}) for f in polys]
         with pytest.raises(ValueError, match="leading coefficient"):
             marked_basis(doubled, order)
@@ -354,20 +386,48 @@ class TestIntegerAndFractionPaths:
 
     def test_division_table_is_built_once(self):
         basis = lex_basis("2,2")
-        assert basis.division_table is basis.division_table
-        marks = [mark for mark, _ in basis.division_table[1]]
+        table = basis.division_table
+        assert table is basis.division_table
+        marks = [mark for mark, _ in table.by_mark]
         assert marks == sorted(marks)
+        # one packing per element, in basis order; the sorted view holds the same row objects
+        desc = basis.order.desc0
+        assert [mark for mark, _ in table.rows] == [_pack(m, desc, table.w) for _, m in basis.elements]
+        assert sorted(map(id, table.by_mark)) == sorted(map(id, table.rows))
 
     def test_exponents_beyond_the_packed_field_restart_wider(self):
         # x2 -> x1^(2^14) turns 3*x2^8 into 3*x1^(2^17), past a 17-bit field
         ido = VariableOrder.identity(2)
         basis = marked_basis([Polynomial(2, {(0, 1): 1, (2**14, 0): -1})], ido)
-        assert basis.division_table[0] == 17
+        assert basis.division_table.w == 17
         f = Polynomial(2, {(0, 8): 3, (0, 3): 1, (1, 0): 1})
         want = Polynomial(2, {(2**17, 0): 3, (3 * 2**14, 0): 1, (1, 0): 1})
         assert reduce(f, basis) == want
         huge = Polynomial(2, {(2**40, 0): 1, (0, 1): 1})
         assert reduce(huge, basis) == Polynomial(2, {(2**40, 0): 1, (2**14, 0): 1})
+
+    def test_certificate_division_restarts_wider(self, monkeypatch):
+        # the S-pair of x2 - x1^(2^14) and x2^8 + x1 is -x2^7*x1^(2^14) - x1, which
+        # divides down to -x1^(2^17) - x1, past a 17-bit field
+        ido = VariableOrder.identity(2)
+        basis = marked_basis(
+            [Polynomial(2, {(0, 1): 1, (2**14, 0): -1}), Polynomial(2, {(0, 8): 1, (1, 0): 1})], ido
+        )
+        assert basis.division_table.w == 17
+        widths = []
+        real = spechtfan.oracle._division_table
+
+        def recorded(basis, w):
+            widths.append(w)
+            return real(basis, w)
+
+        monkeypatch.setattr(spechtfan.oracle, "_division_table", recorded)
+        cert = certify_groebner(basis)
+        assert widths == [34]
+        assert cert == reference_certify(basis)
+        assert not cert.passed
+        assert (cert.pairs_total, cert.pairs_reduced) == (1, 1)
+        assert cert.failures == ((0, 1, Polynomial(2, {(2**17, 0): -1, (1, 0): -1})),)
 
     def test_one_variable(self):
         order = VariableOrder.identity(1)
@@ -401,7 +461,8 @@ class TestEliminationPolynomial:
     @pytest.mark.parametrize(
         "name,fake,line",
         [
-            ("reduce", lambda f, basis: Polynomial(f.n, {(0,) * f.n: 1}), "basis of 2,2 failed certification"),
+            # a remainder of 1, the packed constant monomial 0, for every division
+            ("_divide", lambda work, table: {0: 1}, "basis of 2,2 failed certification"),
             (
                 "specht_polynomial",
                 lambda t: Polynomial(t.n, {(1,) + (0,) * (t.n - 1): 1}),

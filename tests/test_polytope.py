@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spechtfan.polytope
-from helpers import in_hull_exact, in_hull_simplex, naive_minimalize
+from helpers import chamber_escape, in_hull_exact, in_hull_simplex, naive_minimalize
 from spechtfan.combinatorics import Partition, VariableOrder
 from spechtfan.errors import CapacityError, TheoremViolationError
 from spechtfan.fan import enumerate_fan
@@ -20,6 +20,7 @@ from spechtfan.polytope import (
     PNK_VERTEX_LIMIT,
     _affine_rank,
     _chamber_escape,
+    _chamber_weights,
     braid_refinement_check,
     pnk_vertices,
     vertex_ideal_bijection,
@@ -237,6 +238,58 @@ class TestWeightInitialIdeal:
             assert naive_minimalize(tops) == frozenset(initial_ideal(lam, order).min_gens), (order, w)
 
 
+def packed_escape(f, lead, chamber):
+    """`_chamber_escape` on weights packed at the lead's degree."""
+    return _chamber_escape(f, lead, *_chamber_weights(chamber, sum(lead)))
+
+
+@st.composite
+def chamber_cases(draw):
+    """A polynomial of 2-6 variables, homogeneous of degree 0-40 but for an
+    optional stray term of another degree, one of its terms as lead, a
+    drawn chamber, and a packing degree no less than the lead's, as when
+    another generator of the same order has a larger one."""
+    n = draw(st.integers(2, 6))
+    degree = draw(st.integers(0, 40))
+    cuts = st.lists(st.integers(0, degree), min_size=n - 1, max_size=n - 1).map(sorted)
+    exps = st.builds(lambda c: tuple(b - a for a, b in zip([0, *c], [*c, degree])), cuts)
+    terms = draw(st.lists(st.tuples(exps, st.integers(-3, 3).filter(bool)), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        stray = draw(st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) != degree))
+        terms.insert(draw(st.integers(0, len(terms))), (stray, 1))
+    f = Polynomial(n, dict(terms))
+    lead = draw(st.sampled_from([e for e, _ in f.items() if sum(e) == degree]))
+    chamber = tuple(draw(st.permutations(range(n))))
+    return f, lead, chamber, degree + draw(st.sampled_from([0, 0, 1, 30]))
+
+
+def escape_or_refusal(escape, f, lead, chamber):
+    try:
+        return escape(f, lead, chamber)
+    except ValueError as err:
+        return str(err)
+
+
+class TestPackedChamberEscape:
+    @settings(deadline=None, max_examples=400)
+    @given(chamber_cases())
+    def test_matches_the_partial_sums(self, case):
+        # the same first escaping term, None, or the same refusal
+        f, lead, chamber, at = case
+
+        def packed(f, lead, chamber):
+            return _chamber_escape(f, lead, *_chamber_weights(chamber, at))
+
+        assert escape_or_refusal(packed, f, lead, chamber) == escape_or_refusal(chamber_escape, f, lead, chamber)
+
+    def test_weights_hold_the_prefix_sums(self):
+        # chamber x3 > x1 > x2 at degree 5: three-bit value fields under a guard bit
+        weights, guard = _chamber_weights((2, 0, 1), 5)
+        packed = sum(map(mul, (1, 2, 2), weights))
+        assert [(packed >> (4 * j)) & 15 for j in range(3)] == [2, 3, 5]
+        assert guard == 0b100010001000
+
+
 class TestBraidRefinement:
     def test_two_one(self, count_calls):
         # 3! orders, each with two lex generators whose leads are taken once
@@ -257,16 +310,16 @@ class TestBraidRefinement:
             order = VariableOrder(sigma)
             first, second, *rest = order.desc0
             for _, f in lex_groebner_generators(lam, order):
-                seen.append(_chamber_escape(f, leading_monomial(f, order), (second, first, *rest)))
+                seen.append(packed_escape(f, leading_monomial(f, order), (second, first, *rest)))
         assert (len(seen) - seen.count(None), len(seen)) == (failing, pairs)
 
     def test_a_swapped_chamber_names_the_first_order(self, monkeypatch):
-        real = spechtfan.polytope._chamber_escape
+        real = spechtfan.polytope._chamber_weights
 
-        def swapped(f, lead, chamber):
-            return real(f, lead, (chamber[1], chamber[0], *chamber[2:]))
+        def swapped(chamber, degree):
+            return real((chamber[1], chamber[0], *chamber[2:]), degree)
 
-        monkeypatch.setattr(spechtfan.polytope, "_chamber_escape", swapped)
+        monkeypatch.setattr(spechtfan.polytope, "_chamber_weights", swapped)
         # under 1,2,3,4 the lead x2*x4 of (x1 - x2)(x3 - x4) loses to x1*x3 once w3 > w4
         got = braid_refinement_check(Partition.parse("2,2"))
         assert got == "order=1,2,3,4 tableau=1,3/2,4 term=x1*x3"
@@ -297,7 +350,7 @@ class TestBraidRefinement:
         # x3 leads, and x3 - x1^2 has partial sums 1, 1, -1 read from x3 down
         f = Polynomial(3, {(0, 0, 1): 1, (2, 0, 0): -1})
         with pytest.raises(ValueError, match="not homogeneous"):
-            _chamber_escape(f, (0, 0, 1), VariableOrder.identity(3).desc0)
+            packed_escape(f, (0, 0, 1), VariableOrder.identity(3).desc0)
 
     def test_limit(self, monkeypatch):
         def refuse(*args):
