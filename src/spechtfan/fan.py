@@ -2,17 +2,20 @@
 
 The fan of a shape is enumerated by computing the identity-order minimal
 generators once, packing them as n column ints, and permuting those columns
-for every sigma. Each generator then sits in a 64-bit lane, one byte per
+for every sigma. Each generator then sits in a 32-bit lane, 3 bits per
 variable with x1 on top, so lane ints compare as exponent tuples, and the
 sorted lanes packed big-endian as bytes key the class (see enumerate_fan).
+Sigma is taken as a head, its first n-4 images, and a tail, an order of the
+4 values left, whose shifted column sums are computed once per value set.
 Divisibility between monomials is preserved by any coordinate permutation, so
 the permuted sets are again minimal. The direct route, specht.initial_ideal,
 moves each closed-form monomial with the sigma-action `combinatorics._permuter`
-before minimalizing; the fan moves no tuple and shifts column a into the byte
-of x_sigma(a). `TestInitialIdealFastPath` checks `_permuter` against the
-tableaux standard_tableaux relabels on its own, for every sigma with n <= 5;
-`test_fan.py` compares enumerate_fan with `helpers.brute_fan` and, at full
-lane width, with the classes `_permuter` gives.
+before minimalizing; the fan moves no tuple and shifts column a into the field
+of x_sigma(a). `count` takes only the number of keys (`_order_groups`).
+`TestInitialIdealFastPath` checks `_permuter` against the tableaux
+standard_tableaux relabels on its own, for every sigma with n <= 5;
+`test_fan.py` compares enumerate_fan with `helpers.brute_fan` and, at every
+head length and at full lane width, with the classes `_permuter` gives.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 from math import factorial
-from operator import add, lshift
+from operator import add
 from struct import Struct
 
 from .combinatorics import (
@@ -48,6 +51,8 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_LIMIT = 8
+_FIELD = 3  # bits per variable in a fan key lane: exponents up to 7, n <= 8 in 24 bits
+_TAIL = 4  # the last images of sigma, whose shifted column sums are shared
 
 
 def _degree_values(n: int, tabs) -> tuple[int, ...]:
@@ -140,19 +145,12 @@ class FanSummary:
         }
 
 
-def enumerate_fan(lam: Partition) -> FanSummary:
-    """Group all n! variable orders by their initial ideal.
+def _order_groups(lam: Partition) -> dict[bytes, list[tuple[int, ...]]]:
+    """All n! orders of lam, in lex order, grouped by the key of their initial ideal.
 
-    Brute force over the symmetric group; refuses n beyond DEFAULT_ENUMERATION_LIMIT.
-    The identity ideal's generators are packed once as n column ints, column
-    a holding the exponent of x_(a+1) in generator i in the 64-bit lane i.
-    Each sigma shifts column a into byte n-sigma(a) of every lane, the byte
-    of x_sigma(a), so lane i becomes sigma·g_i packed as
-    `polyring._pack(sigma·g_i, range(n), 8)`: one byte per variable, x1 on top.
-    With n <= 8 and every exponent at most 7, no field carries into the next,
-    so lane ints compare as the exponent tuples, and the class key, the sorted
-    lanes packed big-endian as bytes, sorts as the sorted tuples would. After
-    the loop each distinct lane is decoded once; the classes share its tuple.
+    The key loop of enumerate_fan, which decodes the keys; `count` reads only
+    how many there are. Lane i of a key is the big-endian 32-bit word
+    `polyring._pack(sigma·g_i, range(n), 3)`, and the lanes are sorted.
     """
     n = lam.n
     if lam.m < 2:
@@ -160,19 +158,57 @@ def enumerate_fan(lam: Partition) -> FanSummary:
     if n > DEFAULT_ENUMERATION_LIMIT:
         raise CapacityError(f"n={n} exceeds the enumeration limit {DEFAULT_ENUMERATION_LIMIT}")
     base = initial_ideal(lam, VariableOrder.identity(n)).min_gens
-    cols = tuple(sum(g[a] << 64 * i for i, g in enumerate(base)) for a in range(n))
-    lanes = Struct(f"<{len(base)}Q")  # lane i is bits 64i to 64i+63 of a little-endian int
-    keys = Struct(f">{len(base)}Q")  # big-endian, so bytes order is lane-tuple order
+    top = max(map(max, base))
+    if top >> _FIELD:
+        raise CapacityError(f"exponent {top} does not fit the {_FIELD}-bit field of a fan key")
+    cols = tuple(sum(g[a] << 32 * i for i, g in enumerate(base)) for a in range(n))
+    lanes = Struct(f"<{len(base)}I")  # lane i is bits 32i to 32i+31 of a little-endian int
+    keys = Struct(f">{len(base)}I")  # big-endian, so bytes order is lane-tuple order
     unpack, size, pack = lanes.unpack, lanes.size, keys.pack
+    h = max(0, n - _TAIL)
+
+    @cache
+    def tails(rest: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+        # each order of the values left, columns h.. shifted into their fields, x1 on top
+        return [
+            (tail, sum(cols[h + j] << _FIELD * (n - v) for j, v in enumerate(tail)))
+            for tail in permutations(rest)
+        ]
+
     groups: dict[bytes, list[tuple[int, ...]]] = {}
-    # permutations yields the orders in lex order, so every class list is sorted; it
-    # walks the index permutations of both lists alike, so shift[a] == 8 * (n - sigma[a])
-    byte_of = [8 * (n - v) for v in range(1, n + 1)]  # where x_v's byte starts, x1 on top
-    for sigma, shift in zip(permutations(range(1, n + 1)), permutations(byte_of)):
-        x = sum(map(lshift, cols, shift))
-        key = pack(*sorted(unpack(x.to_bytes(size, "little"))))
-        groups.setdefault(key, []).append(sigma)
-    decode = cache(lambda v: tuple(v.to_bytes(n, "big")))
+    # the heads come in lex order and each one's tails too, so head + tail is sigma
+    # in lex order, and every class list is sorted
+    for head in permutations(range(1, n + 1), h):
+        x = sum(cols[a] << _FIELD * (n - v) for a, v in enumerate(head))
+        rest = tuple(v for v in range(1, n + 1) if v not in head)
+        for tail, y in tails(rest):
+            key = pack(*sorted(unpack((x + y).to_bytes(size, "little"))))
+            groups.setdefault(key, []).append(head + tail)
+    return groups
+
+
+def enumerate_fan(lam: Partition) -> FanSummary:
+    """Group all n! variable orders by their initial ideal.
+
+    Brute force over the symmetric group; refuses n beyond DEFAULT_ENUMERATION_LIMIT.
+    The identity ideal's generators are packed once as n column ints, column
+    a holding the exponent of x_(a+1) in generator i in the 32-bit lane i.
+    Each sigma shifts column a into the 3-bit field n-sigma(a) of every lane,
+    the field of x_sigma(a), so lane i becomes sigma·g_i packed with x1 on top.
+    With n <= 8 the fields fill at most 24 bits of a lane, and with every
+    exponent at most 7 (checked before the loop) no field carries into the
+    next, so lane ints compare as the exponent tuples, and the class key, the
+    sorted lanes packed big-endian as bytes, sorts as the sorted tuples would.
+    Sigma is split into a head, its first max(0, n-4) images, and a tail, an
+    order of the values left; each value set's tails and the sum of their
+    shifted columns are computed once, so one order costs one big-int add.
+    After the loop each distinct lane is decoded once; the classes share its tuple.
+    """
+    groups = _order_groups(lam)
+    n = lam.n
+    keys = Struct(f">{len(next(iter(groups))) // 4}I")
+    shifts = range(_FIELD * (n - 1), -1, -_FIELD)
+    decode = cache(lambda v: tuple(v >> s & 7 for s in shifts))
     # each key permutes the checked generators of base, so it is minimal and sorted
     classes = {
         MonomialIdeal._wrap(n, tuple(map(decode, keys.unpack(key)))): tuple(groups[key])

@@ -9,7 +9,7 @@ from json.encoder import encode_basestring_ascii
 
 __all__ = ["CheckRow", "write_json", "json_text", "csv_text"]
 
-_FLUSH = 1 << 14  # pieces per write_json write: about 1 MiB of a fan report
+_FLUSH = 1 << 12  # pieces per write_json write: about 256 KiB of a fan report
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,15 @@ class TestCount:
         assert ' 10,"9,1",8,10,,'.strip() in out
         assert "warning:" in err and "skipped" in err
 
+    def test_skipped_shapes_share_one_warning_line(self, capsys, monkeypatch):
+        # with the limit at 4, the six n = 5 shapes with two or more rows are skipped
+        monkeypatch.setattr(spechtfan.cli, "DEFAULT_ENUMERATION_LIMIT", 4)
+        code, out, err = run(["count", "--n-max", "5"], capsys)
+        assert code == 0
+        assert err == "warning: brute-force count skipped for 6 shapes beyond the enumeration limit n=4\n"
+        rows = out.strip().split("\n")[1:]
+        assert [r.endswith(",,") for r in rows] == [False] * 7 + [True] * 6
+
     def test_needs_a_target(self, capsys):
         code, _, err = run(["count"], capsys)
         assert code == 1

@@ -21,6 +21,7 @@ from spechtfan.errors import CapacityError
 from spechtfan.fan import (
     DEFAULT_ENUMERATION_LIMIT,
     _degree_values,
+    _order_groups,
     elimination_identity_check,
     enumerate_fan,
     monotonicity_check,
@@ -72,6 +73,20 @@ def shapes(n):
     return [lam for lam in enumerate_partitions(n) if lam.m >= 2]
 
 
+def permuter_classes(lam):
+    """The fan's classes as (generators, orders) in key order, each order
+    acting on the identity ideal's generators through the sigma-action."""
+    base = initial_ideal(lam, VariableOrder.identity(lam.n)).min_gens
+    groups = {}
+    for s in permutations(range(1, lam.n + 1)):
+        groups.setdefault(tuple(sorted(map(_permuter(s), base))), []).append(s)
+    return [(gens, tuple(groups[gens])) for gens in sorted(groups)]
+
+
+def fan_classes(lam):
+    return [(ideal.min_gens, orders) for ideal, orders in enumerate_fan(lam).classes.items()]
+
+
 class TestTheoremCount:
     @pytest.mark.parametrize(
         "parts,count",
@@ -110,22 +125,41 @@ class TestEnumerateFan:
             assert len(summary.classes) == summary.distinct_count
             assert all(len(v) == factorial(k + 1) for v in summary.classes.values())
 
-    @pytest.mark.parametrize("parts", ["7,1", "6,2", "5,3", "4,4"])
+    @pytest.mark.parametrize("parts", ["7,1", "6,2", "5,3", "4,4", "1,1,1,1,1,1,1,1"])
     def test_full_lane_width_keeps_the_class_order(self, parts):
-        # at n = 8 every 64-bit lane of the packed key holds eight one-byte fields;
-        # (4,4) has k = 0, so all 40,320 classes must come out in key order
+        # at n = 8 every 32-bit lane of the packed key holds eight 3-bit fields;
+        # (4,4) has k = 0, so all 40,320 classes must come out in key order, and
+        # (1^8) puts the exponent 7, a field with all three bits set, in a decode
         lam = Partition.parse(parts)
-        base = initial_ideal(lam, VariableOrder.identity(lam.n)).min_gens
-        groups = {}
-        for s in permutations(range(1, lam.n + 1)):
-            groups.setdefault(tuple(sorted(map(_permuter(s), base))), []).append(s)
-        want = [(gens, tuple(groups[gens])) for gens in sorted(groups)]
-        got = [(ideal.min_gens, orders) for ideal, orders in enumerate_fan(lam).classes.items()]
-        assert got == want
+        assert fan_classes(lam) == permuter_classes(lam)
+
+    @pytest.mark.parametrize("parts", ["1,1", "2,1", "2,2", "3,1,1", "3,2,1", "4,2,1"])
+    def test_every_head_length_keeps_the_class_order(self, parts):
+        # n = 2..7 splits sigma into a head of 0, 0, 0, 1, 2 and 3 images before its tail
+        lam = Partition.parse(parts)
+        assert fan_classes(lam) == permuter_classes(lam)
+
+    def test_an_exponent_wider_than_a_field_is_refused(self, monkeypatch):
+        # 8 = 0b1000 would carry into the field of the next variable
+        wide = MonomialIdeal(3, ((0, 1, 0), (8, 0, 0)))
+        monkeypatch.setattr(spechtfan.fan, "initial_ideal", lambda lam, order: wide)
+        with pytest.raises(CapacityError, match="exponent 8 does not fit the 3-bit field"):
+            enumerate_fan(Partition.parse("2,1"))
 
     def test_enumeration_limit_fits_one_lane(self):
-        # the packed key gives each variable one byte of a 64-bit lane
-        assert DEFAULT_ENUMERATION_LIMIT <= 8, "n > 8 one-byte fields overflow a 64-bit lane"
+        # every shape the fan enumerates has exponents up to 7 in n <= 8 fields of 3 bits,
+        # so each generator fills at most 24 bits of its 32-bit lane
+        assert 3 * DEFAULT_ENUMERATION_LIMIT <= 32
+        for n in range(2, DEFAULT_ENUMERATION_LIMIT + 1):
+            for lam in shapes(n):
+                gens = initial_ideal(lam, VariableOrder.identity(n)).min_gens
+                assert max(map(max, gens)) <= 7, lam
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_order_groups_count_the_classes(self, n):
+        # `count` reads the number of groups and builds no ideal
+        for lam in shapes(n):
+            assert len(_order_groups(lam)) == enumerate_fan(lam).distinct_count, lam
 
     def test_two_one_classes_exactly(self):
         summary = enumerate_fan(Partition.parse("2,1"))
