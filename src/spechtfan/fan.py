@@ -1,31 +1,48 @@
 """Initial ideals across all variable orders: counting, classes, and checks.
 
-The fan of a shape is enumerated by computing the identity-order minimal
-generators once, packing them as n column ints, and permuting those columns
-for every sigma. Each generator then sits in a 32-bit lane, 3 bits per
-variable with x1 on top, so lane ints compare as exponent tuples, and the
-sorted lanes packed big-endian as bytes key the class (see enumerate_fan).
-Sigma is taken as a head, its first n-4 images, and a tail, an order of the
-4 values left, whose shifted column sums are computed once per value set.
-Divisibility between monomials is preserved by any coordinate permutation, so
-the permuted sets are again minimal. The direct route, specht.initial_ideal,
-moves each closed-form monomial with the sigma-action `combinatorics._permuter`
-before minimalizing; the fan moves no tuple and shifts column a into the field
-of x_sigma(a). `count` takes only the number of keys (`_order_groups`).
+The fan of a shape is enumerated from the identity-order minimal generators,
+computed once. An order sigma sends a generator g to the exponent tuple whose
+entry j is g[tau(j)], with tau = sigma^-1; any coordinate permutation keeps
+divisibility, so the permuted set is again minimal, and its sorted tuple is
+the initial ideal of sigma. The key loop, `_order_groups`, walks tau in lex
+order as a head, its first h = n - 4 entries, and a placement of the columns
+left. The head fixes the top h exponents of every permuted generator, its
+head part, so the generators fall into blocks of equal head part. Which
+generators share a block depends only on the head's column set, so the split
+is made once per set. Each block's rows on the remaining columns, placed in
+each of their 4! = 24 orders and packed 3 bits an exponent with the first on
+top, are sorted and interned once per distinct row set. The key of an order
+is one tail-set index per block, blocks in head-part order, and the packed
+head parts as bytes; the 24 keys of a head come from one zip, with no sort
+per order.
+
+The key is a function of the permuted set S: S fixes its distinct head
+parts, so the bytes, and for each head part the set of tail rows beside it,
+so the indices. It is also injective: it lists every head part with its tail
+rows, which is S again. So two orders share a key exactly when they share an
+initial ideal, no merge pass is needed, and a key decodes straight to the
+sorted generators of its class, head parts ascending and each block's tail
+rows ascending (see enumerate_fan). Packing keeps order and equality only
+while no exponent carries into the next field, so exponents above 7 are
+refused before the loop. `count` takes only the number of keys.
+
+The direct route, specht.initial_ideal, moves each closed-form monomial with
+the sigma-action `combinatorics._permuter` before minimalizing.
 `TestInitialIdealFastPath` checks `_permuter` against the tableaux
 standard_tableaux relabels on its own, for every sigma with n <= 5;
-`test_fan.py` compares enumerate_fan with `helpers.brute_fan` and, at every
-head length and at full lane width, with the classes `_permuter` gives.
+`test_fan.py` compares enumerate_fan with `helpers.brute_fan` and with the
+classes `_permuter` gives, at every head length, on every n = 6 shape, and at
+n = 8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from itertools import chain, combinations, permutations, repeat
 from math import factorial
-from operator import add
-from struct import Struct
+from operator import add, itemgetter, lshift
+from struct import Struct, unpack
 
 from .combinatorics import (
     Partition,
@@ -51,8 +68,8 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_LIMIT = 8
-_FIELD = 3  # bits per variable in a fan key lane: exponents up to 7, n <= 8 in 24 bits
-_TAIL = 4  # the last images of sigma, whose shifted column sums are shared
+_FIELD = 3  # bits per packed exponent: up to 7
+_TAIL = 4  # the last entries of tau, placed in each of their 24 orders per head
 
 
 def _degree_values(n: int, tabs) -> tuple[int, ...]:
@@ -145,12 +162,19 @@ class FanSummary:
         }
 
 
-def _order_groups(lam: Partition) -> dict[bytes, list[tuple[int, ...]]]:
-    """All n! orders of lam, in lex order, grouped by the key of their initial ideal.
+def _order_groups(
+    lam: Partition, orders: bool = True
+) -> tuple[dict[tuple, list[tuple[int, ...]] | None], list[tuple[int, ...]]]:
+    """All n! orders of lam grouped by the key of their initial ideal, and the
+    tail sets the keys index, each a sorted tuple of packed tail rows.
 
-    The key loop of enumerate_fan, which decodes the keys; `count` reads only
-    how many there are. Lane i of a key is the big-endian 32-bit word
-    `polyring._pack(sigma·g_i, range(n), 3)`, and the lanes are sorted.
+    The key loop of enumerate_fan (see the module docstring). A key is
+    (i_1, ..., i_B, parts): parts packs block b's head part, shifted left by
+    the bit length of the number of tail sets, in 64-bit lane b, and i_b
+    indexes block b's tail set, so lane b plus i_b is block b's code. With
+    orders=True each group lists its orders sigma in one-line notation,
+    unsorted. `count` reads only how many groups there are and passes
+    orders=False: no order is built or kept, and every group holds None.
     """
     n = lam.n
     if lam.m < 2:
@@ -161,59 +185,87 @@ def _order_groups(lam: Partition) -> dict[bytes, list[tuple[int, ...]]]:
     top = max(map(max, base))
     if top >> _FIELD:
         raise CapacityError(f"exponent {top} does not fit the {_FIELD}-bit field of a fan key")
-    cols = tuple(sum(g[a] << 32 * i for i, g in enumerate(base)) for a in range(n))
-    lanes = Struct(f"<{len(base)}I")  # lane i is bits 32i to 32i+31 of a little-endian int
-    keys = Struct(f">{len(base)}I")  # big-endian, so bytes order is lane-tuple order
-    unpack, size, pack = lanes.unpack, lanes.size, keys.pack
-    h = max(0, n - _TAIL)
+    t = min(_TAIL, n)
+    h = n - t
+    placements = list(permutations(range(t)))
+    tail_shifts = range(_FIELD * (t - 1), -1, -_FIELD)
+    tails: dict[tuple[int, ...], int] = {}  # sorted packed tail rows -> index
+    placed: dict[tuple[tuple[int, ...], ...], list[int]] = {}  # sorted rest rows -> tail set per placement
+    splits = []
+    for head_cols in combinations(range(n), h):
+        rest = tuple(c for c in range(n) if c not in head_cols)
+        blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # head part -> rows on rest
+        for g in base:
+            blocks.setdefault(tuple(g[c] for c in head_cols), []).append(tuple(g[c] for c in rest))
+        ids = []
+        for rows in map(tuple, map(sorted, blocks.values())):
+            if rows not in placed:
+                placed[rows] = [
+                    tails.setdefault(
+                        tuple(sorted(sum(r[i] << s for i, s in zip(p, tail_shifts)) for r in rows)),
+                        len(tails),
+                    )
+                    for p in placements
+                ]
+            ids.append(placed[rows])
+        splits.append((head_cols, rest, list(blocks), ids))
+    # the tail-set index fills the low bits of a code, so codes hash apart
+    bits = len(tails).bit_length()
+    head_shifts = range(bits + _FIELD * (h - 1), bits - 1, -_FIELD)
+    layout = {}
+    for head_cols, rest, parts, ids in splits:
+        # head column c holds each block's exponent of x_(c+1), block b in lane b
+        cols = {c: sum(part[j] << 64 * b for b, part in enumerate(parts)) for j, c in enumerate(head_cols)}
+        layout[frozenset(head_cols)] = (rest, cols, Struct(f"<{len(parts)}Q"), ids)
+    # sigma = tau^-1 takes tau's head entry j to j + 1 and its tail entry p_j to h + 1 + j
+    arrs = [tuple(range(1, h + 1)) + tuple(h + 1 + p.index(i) for i in range(t)) for p in placements]
 
-    @cache
-    def tails(rest: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-        # each order of the values left, columns h.. shifted into their fields, x1 on top
-        return [
-            (tail, sum(cols[h + j] << _FIELD * (n - v) for j, v in enumerate(tail)))
-            for tail in permutations(rest)
-        ]
-
-    groups: dict[bytes, list[tuple[int, ...]]] = {}
-    # the heads come in lex order and each one's tails too, so head + tail is sigma
-    # in lex order, and every class list is sorted
-    for head in permutations(range(1, n + 1), h):
-        x = sum(cols[a] << _FIELD * (n - v) for a, v in enumerate(head))
-        rest = tuple(v for v in range(1, n + 1) if v not in head)
-        for tail, y in tails(rest):
-            key = pack(*sorted(unpack((x + y).to_bytes(size, "little"))))
-            groups.setdefault(key, []).append(head + tail)
-    return groups
+    groups: dict[tuple, list[tuple[int, ...]] | None] = {}
+    for head in permutations(range(n), h):
+        rest, cols, lanes, ids = layout[frozenset(head)]
+        x = sum(map(lshift, map(cols.__getitem__, head), head_shifts))
+        # the blocks in head-part order; the parts are distinct, so no id list is compared
+        parts, lists = zip(*sorted(zip(lanes.unpack(x.to_bytes(lanes.size, "little")), ids)))
+        keys = zip(*lists, repeat(lanes.pack(*parts)))
+        if not orders:
+            groups.update(zip(keys, repeat(None)))
+            continue
+        get = itemgetter(*sorted(range(n), key=(head + rest).__getitem__))
+        for key, sigma in zip(keys, map(get, arrs)):
+            groups.setdefault(key, []).append(sigma)
+    return groups, list(tails)
 
 
 def enumerate_fan(lam: Partition) -> FanSummary:
     """Group all n! variable orders by their initial ideal.
 
     Brute force over the symmetric group; refuses n beyond DEFAULT_ENUMERATION_LIMIT.
-    The identity ideal's generators are packed once as n column ints, column
-    a holding the exponent of x_(a+1) in generator i in the 32-bit lane i.
-    Each sigma shifts column a into the 3-bit field n-sigma(a) of every lane,
-    the field of x_sigma(a), so lane i becomes sigma·g_i packed with x1 on top.
-    With n <= 8 the fields fill at most 24 bits of a lane, and with every
-    exponent at most 7 (checked before the loop) no field carries into the
-    next, so lane ints compare as the exponent tuples, and the class key, the
-    sorted lanes packed big-endian as bytes, sorts as the sorted tuples would.
-    Sigma is split into a head, its first max(0, n-4) images, and a tail, an
-    order of the values left; each value set's tails and the sum of their
-    shifted columns are computed once, so one order costs one big-int add.
-    After the loop each distinct lane is decoded once; the classes share its tuple.
+    Each key of _order_groups decodes straight to the sorted generators of
+    its class: block by block, the head part above each of the block's tail
+    rows. A block is decoded once per code and a generator once per packed
+    form, so the classes share one tuple per distinct generator, which the
+    JSON writer's memo relies on. The classes come out sorted by their
+    generators, and each class's orders sorted.
     """
-    groups = _order_groups(lam)
+    groups, tails = _order_groups(lam)
     n = lam.n
-    keys = Struct(f">{len(next(iter(groups))) // 4}I")
+    tail_bits = _FIELD * min(_TAIL, n)
     shifts = range(_FIELD * (n - 1), -1, -_FIELD)
-    decode = cache(lambda v: tuple(v >> s & 7 for s in shifts))
+    gen = cache(lambda v: tuple(v >> s & 7 for s in shifts))
+    bits = len(tails).bit_length()
+    index = (1 << bits) - 1
+
+    @cache
+    def block(code: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(gen, map(add, repeat(code >> bits << tail_bits), tails[code & index])))
+
+    def gens(key: tuple) -> tuple[tuple[int, ...], ...]:
+        parts = unpack(f"<{len(key) - 1}Q", key[-1])
+        return tuple(chain.from_iterable(map(block, map(add, parts, key))))
+
     # each key permutes the checked generators of base, so it is minimal and sorted
-    classes = {
-        MonomialIdeal._wrap(n, tuple(map(decode, keys.unpack(key)))): tuple(groups[key])
-        for key in sorted(groups)
-    }
+    decoded = sorted(zip(map(gens, groups), groups.values()), key=itemgetter(0))
+    classes = {MonomialIdeal._wrap(n, g): tuple(sorted(orders)) for g, orders in decoded}
     return FanSummary(lam, min_gap_k(lam), classes)
 
 

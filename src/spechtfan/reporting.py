@@ -5,11 +5,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 __all__ = ["CheckRow", "write_json", "json_text", "csv_text"]
 
-_FLUSH = 1 << 12  # pieces per write_json write: about 256 KiB of a fan report
+_FLUSH = 1 << 9  # pending pieces before a write_json write: about 215 KB of a fan report
+_ROWS = 1 << 10  # rows per joined slice of a list of int lists
 
 
 @dataclass(frozen=True)
@@ -27,19 +29,42 @@ class CheckRow:
         return out
 
 
+def _int_list_text(o, indent: str) -> str:
+    """The text of a non-empty list of ints at indent."""
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(map(str, o)) + f"\n{indent}]"
+
+
+def _rows_known(o, indent: str, texts: dict[int, str]) -> bool:
+    """Whether every item of o is a row, a list or tuple of ints (not bools) or
+    empty; each row's text at indent is added to texts, keyed by the row's id."""
+    if all(map(texts.__contains__, map(id, o))):
+        return True
+    for row in o:
+        if id(row) not in texts:
+            # keyed by object, [1, True] and an equal [1, 1] never share a text
+            if not isinstance(row, (list, tuple)) or not set(map(type, row)) <= {int}:
+                return False
+            texts[id(row)] = _int_list_text(row, indent) if row else "[]"
+    return True
+
+
 def write_json(obj, sink) -> None:
     """Write the text of json.dumps(obj, indent=2) and a newline to sink, byte for byte.
 
     Accepts dicts with str keys, lists, tuples, str, int, bool and None, and
-    raises TypeError on anything else, floats included, so no
-    report carries a floating-point number. A list or tuple object whose items
-    are all of type int (not bool) is rendered once per call for each indent
-    and reused; a fan shares one tuple per distinct exponent tuple across all
-    its classes. The memo is keyed by the object's id: every object in the
-    document stays reachable from obj until the call returns, so no id is
-    reused for another object. After a list item, more than _FLUSH pending pieces go to sink.write.
+    raises TypeError on anything else, floats included, so no report carries
+    a floating-point number. A list whose items are all rows, lists or
+    tuples of type-int items (not bools) or empty, is one join over the rows'
+    texts, _ROWS rows a slice, and each row object is rendered once per call
+    for each indent and reused: a fan shares one tuple per distinct exponent
+    tuple across all its classes. The memo is keyed by the object's id: every
+    object in the document stays reachable from obj until the call returns,
+    so no id is reused for another object. More than _FLUSH pending pieces go
+    to sink.write after a list item or a slice, and each slice of a list
+    longer than _ROWS goes at once.
     """
-    memo: dict[tuple[int, str], str] = {}
+    memo: dict[str, dict[int, str]] = {}  # indent -> id of a row -> its text there
     out: list[str] = []
     emit = out.append
 
@@ -50,16 +75,22 @@ def write_json(obj, sink) -> None:
             if not o:
                 emit("[]")
                 return
-            inner = indent + "  "
-            key = (id(o), indent)
-            text = memo.get(key)
-            # keyed by object, [1, True] and an equal [1, 1] never share a text
-            if text is None and set(map(type, o)) == {int}:
-                text = memo[key] = f"[\n{inner}" + f",\n{inner}".join(map(str, o)) + f"\n{indent}]"
-            if text is not None:
-                emit(text)
+            if set(map(type, o)) == {int}:
+                emit(_int_list_text(o, indent))
                 return
+            inner = indent + "  "
             sep, comma = f"[\n{inner}", f",\n{inner}"
+            texts = memo.setdefault(inner, {})
+            if _rows_known(o, inner, texts):
+                lines = map(texts.__getitem__, map(id, o))
+                for _ in range(0, len(o), _ROWS):
+                    emit(sep + comma.join(islice(lines, _ROWS)))
+                    sep = comma
+                    if len(out) > _FLUSH or len(o) > _ROWS:
+                        sink.write("".join(out))
+                        out.clear()
+                emit(f"\n{indent}]")
+                return
             for item in o:
                 emit(sep)
                 write(item, inner)
@@ -92,7 +123,12 @@ def write_json(obj, sink) -> None:
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    write(obj, "")
+    try:
+        write(obj, "")
+    finally:
+        # write reaches itself through its closure cell: empty the cell, so the
+        # memo and the pieces go now and not at the next cyclic collection
+        del write
     emit("\n")
     sink.write("".join(out))
 

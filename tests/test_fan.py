@@ -19,6 +19,8 @@ from spechtfan.combinatorics import (
 )
 from spechtfan.errors import CapacityError
 from spechtfan.fan import (
+    _FIELD,
+    _TAIL,
     DEFAULT_ENUMERATION_LIMIT,
     _degree_values,
     _order_groups,
@@ -127,17 +129,30 @@ class TestEnumerateFan:
 
     @pytest.mark.parametrize("parts", ["7,1", "6,2", "5,3", "4,4", "1,1,1,1,1,1,1,1"])
     def test_full_lane_width_keeps_the_class_order(self, parts):
-        # at n = 8 every 32-bit lane of the packed key holds eight 3-bit fields;
-        # (4,4) has k = 0, so all 40,320 classes must come out in key order, and
-        # (1^8) puts the exponent 7, a field with all three bits set, in a decode
+        # at n = 8 a head part fills four 3-bit fields and a tail row four more;
+        # (4,4) has k = 0, so all 40,320 classes must come out sorted by their
+        # generators, and (1^8) puts the exponent 7, all three bits set, in a decode
         lam = Partition.parse(parts)
         assert fan_classes(lam) == permuter_classes(lam)
 
     @pytest.mark.parametrize("parts", ["1,1", "2,1", "2,2", "3,1,1", "3,2,1", "4,2,1"])
     def test_every_head_length_keeps_the_class_order(self, parts):
-        # n = 2..7 splits sigma into a head of 0, 0, 0, 1, 2 and 3 images before its tail
+        # n = 2..7 walks tau as a head of 0, 0, 0, 1, 2 and 3 entries before its
+        # placed tail; with no head, every generator is in one block
         lam = Partition.parse(parts)
         assert fan_classes(lam) == permuter_classes(lam)
+
+    @pytest.mark.parametrize("lam", shapes(6), ids=str)
+    def test_every_n6_shape_keeps_the_class_order(self, lam):
+        # a head of 2 entries: blocks of one generator and of several, for every k
+        assert fan_classes(lam) == permuter_classes(lam)
+
+    @pytest.mark.parametrize("parts", ["3,3", "4,3", "5,3"])
+    def test_classes_share_one_tuple_per_generator(self, parts):
+        # the JSON writer renders each distinct generator once because it is one object
+        ideals = enumerate_fan(Partition.parse(parts)).classes
+        gens = [g for ideal in ideals for g in ideal.min_gens]
+        assert len({id(g) for g in gens}) == len(set(gens)) < len(gens)
 
     def test_an_exponent_wider_than_a_field_is_refused(self, monkeypatch):
         # 8 = 0b1000 would carry into the field of the next variable
@@ -147,19 +162,26 @@ class TestEnumerateFan:
             enumerate_fan(Partition.parse("2,1"))
 
     def test_enumeration_limit_fits_one_lane(self):
-        # every shape the fan enumerates has exponents up to 7 in n <= 8 fields of 3 bits,
-        # so each generator fills at most 24 bits of its 32-bit lane
-        assert 3 * DEFAULT_ENUMERATION_LIMIT <= 32
+        # every shape the fan enumerates has exponents up to 7, so no 3-bit field
+        # carries; a decoded generator fills n <= 8 fields, 24 bits, and a head part
+        # its n - 4 <= 4 fields above the tail-set index in a 64-bit lane
+        assert _FIELD * DEFAULT_ENUMERATION_LIMIT <= 24
         for n in range(2, DEFAULT_ENUMERATION_LIMIT + 1):
             for lam in shapes(n):
                 gens = initial_ideal(lam, VariableOrder.identity(n)).min_gens
                 assert max(map(max, gens)) <= 7, lam
+        for parts in ["5,3", "3,3,2"]:
+            _, tails = _order_groups(Partition.parse(parts), orders=False)
+            assert len(tails).bit_length() + _FIELD * (DEFAULT_ENUMERATION_LIMIT - _TAIL) <= 64
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_order_groups_count_the_classes(self, n):
-        # `count` reads the number of groups and builds no ideal
+        # `count` reads the number of groups and builds no ideal and no order
         for lam in shapes(n):
-            assert len(_order_groups(lam)) == enumerate_fan(lam).distinct_count, lam
+            groups, _ = _order_groups(lam, orders=False)
+            assert set(groups.values()) == {None}, lam
+            assert groups.keys() == _order_groups(lam)[0].keys()
+            assert len(groups) == enumerate_fan(lam).distinct_count, lam
 
     def test_two_one_classes_exactly(self):
         summary = enumerate_fan(Partition.parse("2,1"))

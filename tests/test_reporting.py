@@ -1,5 +1,7 @@
 """The JSON writer against json.dumps(indent=2), its oracle."""
 
+import gc
+import io
 import json
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import spechtfan.cli
 from spechtfan.cli import main
 from spechtfan.combinatorics import Partition
 from spechtfan.fan import enumerate_fan
-from spechtfan.reporting import _FLUSH, json_text, write_json
+from spechtfan.reporting import _FLUSH, _ROWS, json_text, write_json
 
 
 def oracle(obj) -> str:
@@ -26,6 +28,10 @@ TEXT = st.text(st.one_of(TRICKY_CHARS, st.characters()), max_size=8)
 ALIASES = st.sampled_from([0, 1, True, False])
 SHORT = st.lists(ALIASES, min_size=1, max_size=2)
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), WIDE, TEXT, ALIASES)
+# Lists of rows take the one-join path when every row is an int list or empty,
+# and fall back item by item when a row holds a bool or anything else.
+ROW_ITEMS = st.one_of(SHORT, st.just([]), st.just(()), st.lists(st.integers(-3, 3), max_size=3))
+ROWS = st.lists(ROW_ITEMS, min_size=1, max_size=6)
 
 
 def containers(children):
@@ -33,6 +39,8 @@ def containers(children):
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.lists(SHORT, min_size=2, max_size=6),
+        ROWS,
+        ROWS.map(tuple),
         SHORT,
         st.dictionaries(TEXT, children, max_size=5),
     )
@@ -46,7 +54,7 @@ def shared_documents(draw):
     """Documents that hold the same few objects at several positions and depths,
     as a fan report holds one tuple per distinct generator in many classes."""
     pool = draw(st.lists(st.one_of(SHORT, SHORT.map(tuple), st.tuples(ALIASES, st.integers(-3, 3)),
-                                   st.recursive(SCALARS, containers, max_leaves=6)),
+                                   ROW_ITEMS, st.recursive(SCALARS, containers, max_leaves=6)),
                          min_size=1, max_size=4))
     # sampled_from draws the pooled objects themselves, not copies
     return draw(st.recursive(st.one_of(st.sampled_from(pool), ALIASES), containers, max_leaves=30))
@@ -58,6 +66,7 @@ PAIR = (1, 2)
 ROW = [3, 4]
 MIXED = [1, True]
 ONES = [1, 1]
+EMPTY = []
 
 
 class RecordingSink:
@@ -107,12 +116,22 @@ class TestJsonText:
             [ONES, MIXED, ONES, MIXED],
             [MIXED, ONES, [MIXED, [1, 1]], [1, True]],
             {"classes": [{"ideal": {"min_gens": (PAIR, PAIR)}}, {"ideal": {"min_gens": (PAIR,)}}]},
+            [[], [1], (), [2, 3]],
+            [EMPTY, ROW, EMPTY, [EMPTY, ROW]],
+            [[1, 2], [True, 2], [1, 2]],
+            [ONES, ROW, MIXED, ONES],
+            [ROW, PAIR, ROW, {"a": ROW}],
+            {"a": [ROW, PAIR], "b": [[ROW, PAIR], ROW], "c": ROW},
+            [(PAIR, ROW), (PAIR,), [ROW, PAIR]],
+            [ROW, [ROW, [ROW, ROW]]],
         ],
         ids=["bool-int-aliases", "aliases-in-tuples", "same-list-at-three-depths", "empty-list",
              "empty-dict", "nested-empty-list", "nested-empty-dict", "mixed-empties", "empty-str",
              "zero", "wide-int", "true", "null", "shared-tuple-at-three-depths",
              "shared-list-at-three-depths", "shared-list-in-tuple", "shared-bool-next-to-int",
-             "shared-int-next-to-bool", "shared-fan-like"],
+             "shared-int-next-to-bool", "shared-fan-like", "empty-rows", "shared-empty-rows",
+             "bool-row", "bool-row-shared", "dict-after-rows", "shared-rows-at-two-depths",
+             "rows-of-rows", "row-list-and-row-at-one-depth"],
     )
     def test_frozen_cases(self, doc):
         assert json_text(doc) == oracle(doc)
@@ -121,6 +140,32 @@ class TestJsonText:
     @given(shared_documents())
     def test_shared_objects_match_json_dumps(self, doc):
         assert json_text(doc) == oracle(doc)
+
+    def test_a_long_row_list_is_written_in_slices(self):
+        # shared rows, an empty one and a bool row past the first slice
+        rows = [row for i in range(_ROWS) for row in (ROW, PAIR, EMPTY, [i, -i])]
+        doc = {"rows": rows + [[True, 1]], "more": [ROW, PAIR]}
+        sink = RecordingSink(oracle(doc))
+        write_json(doc, sink)
+        sink.check_whole()
+        doc["rows"].pop()
+        sink = RecordingSink(oracle(doc))
+        write_json(doc, sink)
+        sink.check_whole()
+        assert len(sink.sizes) > 4
+
+    def test_leaves_no_garbage_for_the_cyclic_collector(self):
+        # the memo and the pending pieces go when the call returns, not at the next collection
+        doc = enumerate_fan(Partition.parse("4,3")).to_json()
+        gc.collect()
+        gc.disable()
+        try:
+            write_json(doc, io.StringIO())
+            with pytest.raises(TypeError):
+                write_json([ROW, {"a": 0.5}], io.StringIO())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_a_list_past_the_flush_threshold_shares_objects_across_writes(self):
         # every item holds the same PAIR and ROW objects, so memo texts cross each flush
@@ -174,6 +219,18 @@ class TestReports:
         assert main(["count", "--lambda", "5,4", "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert '"brute_force_count": null' in out and '"agree": null' in out
+
+    def test_a_polytope_report_is_written_in_bounded_pieces(self, monkeypatch):
+        # (4,4) is P(8,0): one list of 40,320 rows, joined slice by slice
+        seen = []
+        monkeypatch.setattr(spechtfan.cli, "write_json", lambda obj, sink: seen.append(obj))
+        assert main(["polytope", "--lambda", "4,4"]) == 0
+        (doc,) = seen
+        assert len(doc["vertices"]) == 40320
+        sink = RecordingSink(oracle(doc))
+        write_json(doc, sink)
+        sink.check_whole()
+        assert max(sink.sizes) <= 2 << 20
 
     def test_a_fan_report_is_written_in_bounded_pieces(self):
         # the (4,3) report is 7.7 MB of text
