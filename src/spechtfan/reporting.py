@@ -5,13 +5,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 __all__ = ["CheckRow", "write_json", "json_text", "csv_text"]
 
-_FLUSH = 1 << 9  # pending pieces before a write_json write: about 215 KB of a fan report
-_ROWS = 1 << 10  # rows per joined slice of a list of int lists
+_FLUSH = 1 << 9  # pending pieces before a write_json write
 
 
 @dataclass(frozen=True)
@@ -54,19 +53,23 @@ def write_json(obj, sink) -> None:
 
     Accepts dicts with str keys, lists, tuples, str, int, bool and None, and
     raises TypeError on anything else, floats included, so no report carries
-    a floating-point number. A list whose items are all rows, lists or
-    tuples of type-int items (not bools) or empty, is one join over the rows'
-    texts, _ROWS rows a slice, and each row object is rendered once per call
-    for each indent and reused: a fan shares one tuple per distinct exponent
-    tuple across all its classes. The memo is keyed by the object's id: every
+    a floating-point number. In a list whose items are all rows, lists or
+    tuples of type-int items (not bools) or empty, each row object is
+    rendered once per call for each indent, and the list goes out as those
+    texts between commas, _FLUSH pieces at a time, with no loop over its
+    items in Python: a fan shares one tuple per distinct exponent tuple
+    across all its classes. The memo is keyed by the object's id: every
     object in the document stays reachable from obj until the call returns,
-    so no id is reused for another object. More than _FLUSH pending pieces go
-    to sink.write after a list item or a slice, and each slice of a list
-    longer than _ROWS goes at once.
+    so no id is reused for another object. More than _FLUSH pending pieces
+    go to sink.write after a list item or a slice of rows.
     """
     memo: dict[str, dict[int, str]] = {}  # indent -> id of a row -> its text there
     out: list[str] = []
     emit = out.append
+
+    def flush() -> None:
+        sink.write("".join(out))
+        out.clear()
 
     def write(o, indent: str) -> None:
         if isinstance(o, str):
@@ -82,13 +85,14 @@ def write_json(obj, sink) -> None:
             sep, comma = f"[\n{inner}", f",\n{inner}"
             texts = memo.setdefault(inner, {})
             if _rows_known(o, inner, texts):
-                lines = map(texts.__getitem__, map(id, o))
-                for _ in range(0, len(o), _ROWS):
-                    emit(sep + comma.join(islice(lines, _ROWS)))
-                    sep = comma
-                    if len(out) > _FLUSH or len(o) > _ROWS:
-                        sink.write("".join(out))
-                        out.clear()
+                # each row's memo text after a comma, the first comma dropped
+                pieces = chain.from_iterable(zip(repeat(comma), map(texts.__getitem__, map(id, o))))
+                next(pieces)
+                emit(sep)
+                for _ in range(0, 2 * len(o) - 1, _FLUSH):
+                    out.extend(islice(pieces, _FLUSH))
+                    if len(out) > _FLUSH:
+                        flush()
                 emit(f"\n{indent}]")
                 return
             for item in o:
@@ -96,8 +100,7 @@ def write_json(obj, sink) -> None:
                 write(item, inner)
                 sep = comma
                 if len(out) > _FLUSH:
-                    sink.write("".join(out))
-                    out.clear()
+                    flush()
             emit(f"\n{indent}]")
         elif isinstance(o, dict):
             if not o:
@@ -130,7 +133,7 @@ def write_json(obj, sink) -> None:
         # memo and the pieces go now and not at the next cyclic collection
         del write
     emit("\n")
-    sink.write("".join(out))
+    flush()
 
 
 def json_text(obj) -> str:

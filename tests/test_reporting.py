@@ -13,7 +13,7 @@ import spechtfan.cli
 from spechtfan.cli import main
 from spechtfan.combinatorics import Partition
 from spechtfan.fan import enumerate_fan
-from spechtfan.reporting import _FLUSH, _ROWS, json_text, write_json
+from spechtfan.reporting import _FLUSH, json_text, write_json
 
 
 def oracle(obj) -> str:
@@ -143,7 +143,7 @@ class TestJsonText:
 
     def test_a_long_row_list_is_written_in_slices(self):
         # shared rows, an empty one and a bool row past the first slice
-        rows = [row for i in range(_ROWS) for row in (ROW, PAIR, EMPTY, [i, -i])]
+        rows = [row for i in range(_FLUSH) for row in (ROW, PAIR, EMPTY, [i, -i])]
         doc = {"rows": rows + [[True, 1]], "more": [ROW, PAIR]}
         sink = RecordingSink(oracle(doc))
         write_json(doc, sink)
