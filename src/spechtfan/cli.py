@@ -15,10 +15,10 @@ from contextlib import nullcontext
 from .combinatorics import Partition, VariableOrder, enumerate_partitions, min_gap_k
 from .errors import CapacityError, TheoremViolationError
 from .fan import DEFAULT_ENUMERATION_LIMIT, _order_groups, enumerate_fan, theorem_count
-from .oracle import DEFAULT_ORACLE_LIMIT, certify_groebner, marked_basis
+from .oracle import DEFAULT_ORACLE_LIMIT, _specht_basis, certify_groebner
 from .polytope import pnk_vertices
 from .reporting import csv_text, write_json
-from .specht import INITIAL_IDEAL_N_LIMIT, initial_ideal, lex_groebner_generators
+from .specht import INITIAL_IDEAL_N_LIMIT, initial_ideal
 from .verify import run_verification
 
 __all__ = ["main", "build_parser"]
@@ -188,7 +188,7 @@ def cmd_oracle(args) -> int:
     if lam.n > DEFAULT_ORACLE_LIMIT:
         raise ValueError(f"n={lam.n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
     order = VariableOrder.identity(lam.n) if args.sigma is None else VariableOrder.parse(args.sigma)
-    basis = marked_basis([f for _, f in lex_groebner_generators(lam, order)], order)
+    basis = _specht_basis(lam, order, True)
     cert = certify_groebner(basis)
     obj = {"check": "certify-groebner", "lambda": list(lam.parts), "sigma": list(order.sigma)}
     obj.update(cert.to_json())

@@ -8,6 +8,13 @@ order; the division layer relies on that, stays in the integers, and
 refuses a basis whose leading coefficient is anything else. Division and
 S-pairs work on monomials packed into ints (`polyring._pack`), one field
 per variable, from the packed rows of `MarkedBasis.division_table`.
+
+The Specht systems that verify and `spechtfan oracle` certify are packed
+straight from the expansion: `specht._term_lanes` holds each shape's T0
+expansion once, term i's exponent of x_j in 64-bit lane i of column j, and
+`_specht_basis` packs all of a tableau's terms under the order at once, at
+8-bit fields. The polynomials are decoded from the lanes only if a
+division outgrows those fields and starts again wider.
 """
 
 from __future__ import annotations
@@ -21,14 +28,22 @@ from typing import NamedTuple
 
 from .combinatorics import (
     Partition,
+    Tableau,
     VariableOrder,
-    embed_exponents,
+    dominated_partitions,
     hat,
     prefix_standardization,
     standard_tableaux,
 )
-from .polyring import Polynomial, _guard_bits, _pack, leading_monomial
-from .specht import lex_groebner_generators, specht_polynomial
+from .polyring import Polynomial, _field_scale, _guard_bits, _pack, leading_monomial
+from .specht import (
+    _check_shape,
+    _lane_list,
+    _lane_ones,
+    _lane_pack,
+    _lane_polynomial,
+    _term_lanes,
+)
 
 __all__ = [
     "DEFAULT_ORACLE_LIMIT",
@@ -41,6 +56,8 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_LIMIT = 6
+# bits per exponent field of a basis packed from lanes (`_specht_basis`)
+_LANE_W = 8
 
 
 class _DivisionTable(NamedTuple):
@@ -74,6 +91,11 @@ class MarkedBasis:
                 raise ValueError("leading coefficient must be +1 or -1")
 
     @cached_property
+    def marks(self) -> tuple[tuple[int, ...], ...]:
+        """The marked monomials, in basis order."""
+        return tuple(mark for _, mark in self.elements)
+
+    @cached_property
     def division_table(self) -> _DivisionTable:
         """`_division_table` at a width whose fields hold twice every exponent of
         the basis, so an S-pair built from the rows always fits; computed once
@@ -85,6 +107,67 @@ class MarkedBasis:
 def marked_basis(polys, order: VariableOrder) -> MarkedBasis:
     elems = tuple((f, leading_monomial(f, order)) for f in polys)
     return MarkedBasis(elems, order)
+
+
+class _LaneBasis(MarkedBasis):
+    """A marked basis from `_specht_basis`, which sets its order, tableaux, marks
+    and division table; `elements` decodes the polynomials from the lanes
+    when first read, which on a certificate's path only a restart does."""
+
+    @cached_property
+    def elements(self) -> tuple[tuple[Polynomial, tuple[int, ...]], ...]:
+        return tuple(zip(map(_lane_polynomial, self.tableaux), self.marks))
+
+
+def _specht_basis(lam: Partition, order: VariableOrder, same_first_part: bool) -> MarkedBasis:
+    """The lex (same_first_part) or universal Specht system of lam under order,
+    in `marked_basis` order, packed from lanes with no per-term Python.
+
+    Each tableau's terms are packed at _LANE_W-bit fields (`_lane_pack`);
+    the largest is the mark, the others zip with their coefficients times
+    -lc into the tail. Refuses, before any work, an n whose fields overflow
+    a 64-bit lane, and then a shape with an exponent of 2**(_LANE_W - 2) or
+    more: as with `MarkedBasis.division_table`, the fields must hold twice
+    every exponent, so that each S-pair built from the rows fits. A
+    division that outgrows them starts again at 16 bits.
+    """
+    n = lam.n
+    if n * _LANE_W > 64:
+        raise ValueError(f"n={n} does not fit {_LANE_W}-bit fields in a 64-bit lane")
+    _check_shape(lam, order)
+    desc = order.desc0
+    scale = _field_scale(desc, _LANE_W)
+    spill = (1 << 64) - (1 << (_LANE_W - 2))
+    tableaux, marks, rows = [], [], []
+    for mu in dominated_partitions(lam, same_first_part=same_first_part):
+        cols, coeffs = _term_lanes(mu.parts)
+        count = len(coeffs)
+        spills = spill * _lane_ones(count)
+        if any(col & spills for col in cols):
+            raise ValueError(f"an exponent of shape {mu} does not fit {_LANE_W - 2} bits")
+        negated = tuple(-c for c in coeffs)
+        for t in standard_tableaux(mu, order):
+            terms = _lane_list(_lane_pack(cols, t.row_word(), scale), count)
+            mark = max(terms)
+            i = terms.index(mark)
+            lc = coeffs[i]
+            if lc not in (1, -1):
+                raise ValueError(f"leading coefficient of {t} must be +1 or -1, not {lc}")
+            # -c * lc: the coefficients negated when lc is 1, as they are when it is -1
+            tail = list(zip(terms, negated if lc == 1 else coeffs))
+            del tail[i]
+            rows.append((mark, tuple(tail)))
+            marks.append(_unpack(mark, desc, _LANE_W))
+            tableaux.append(t)
+    basis = _LaneBasis.__new__(_LaneBasis)
+    table = _DivisionTable(
+        _LANE_W, _guard_bits(n, _LANE_W), tuple(rows), tuple(sorted(rows, key=itemgetter(0)))
+    )
+    # the fields are frozen; cached properties read __dict__ first
+    basis.__dict__.update(
+        order=order, tableaux=tuple(tableaux), marks=tuple(marks), division_table=table
+    )
+    return basis
 
 
 def _unpack(p: int, desc: tuple[int, ...], w: int) -> tuple[int, ...]:
@@ -285,16 +368,15 @@ def certify_groebner(basis: MarkedBasis) -> GroebnerCertificate:
     `_divide`, restarting at twice the width on overflow as `reduce` does.
     A remainder is unpacked into a `Polynomial` only when it is nonzero.
     """
-    elements = basis.elements
+    marks = basis.marks
     desc = basis.order.desc0
     w, guard, rows, _ = basis.division_table
-    marks = [mark for _, mark in elements]
     packed = [mark for mark, _ in rows]
     # bit k of settled[i] is set once the pair {i, k} is settled
-    settled = [0] * len(elements)
+    settled = [0] * len(marks)
     total = coprime = chain = reduced = 0
     failures = []
-    for i, j in combinations(range(len(elements)), 2):
+    for i, j in combinations(range(len(marks)), 2):
         total += 1
         mi = marks[i]
         mj = marks[j]
@@ -316,12 +398,20 @@ def certify_groebner(basis: MarkedBasis) -> GroebnerCertificate:
     return GroebnerCertificate(total, coprime, chain, reduced, tuple(failures))
 
 
-def _project(f: Polynomial, asc: tuple[int, ...]) -> Polynomial:
-    """Drop the removed variable; caller guarantees it is absent from f."""
-    terms = {}
-    for exps, c in f.items():
-        terms[tuple(exps[v - 1] for v in asc)] = c
-    return Polynomial._wrap(len(asc), terms)
+def _dividend(t: Tableau, order: VariableOrder):
+    """t's Specht polynomial under order: its terms packed from the lanes at
+    _LANE_W-bit fields, and the packed(table) `_remainder` takes, which
+    packs the polynomial afresh once a restart widens the table."""
+    cols, coeffs = _term_lanes(tuple(map(len, t.rows)))
+    scale = _field_scale(order.desc0, _LANE_W)
+    terms = _lane_list(_lane_pack(cols, t.row_word(), scale), len(coeffs))
+
+    def packed(table):
+        if table.w == _LANE_W:
+            return dict(zip(terms, coeffs))
+        return {_pack(e, order.desc0, table.w): c for e, c in _lane_polynomial(t).items()}
+
+    return terms, packed
 
 
 def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
@@ -334,6 +424,12 @@ def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
     projection reduces to zero against the certified basis of the small
     ideal. Refuses n beyond DEFAULT_ORACLE_LIMIT. Returns "" on a pass, else
     a line naming the first basis or side that failed and the order.
+
+    Both bases come from `_specht_basis`, each side's generators from
+    `_dividend`. The removed variable is the largest, in a packed term's top
+    field, and the inner order keeps the others in order: a term packed
+    under the inner order is its embedding packed under the order, and a
+    term with an empty top field is, packed, its own projection.
     """
     n = lam.n
     if n > DEFAULT_ORACLE_LIMIT:
@@ -343,25 +439,22 @@ def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
     lhat = hat(lam)
     if lhat.m < 2:
         raise ValueError("shrunken shape has fewer than two rows")
-    inner, removed, asc = prefix_standardization(order)
-    system = lex_groebner_generators(lam, order)
-    base = marked_basis([f for _, f in system], order)
-    small = marked_basis([f for _, f in lex_groebner_generators(lhat, inner)], inner)
+    inner, removed, _ = prefix_standardization(order)
+    base = _specht_basis(lam, order, True)
+    small = _specht_basis(lhat, inner, True)
     if not certify_groebner(base).passed:
         return f"basis of {lam} failed certification under {order}"
     if not certify_groebner(small).passed:
         return f"basis of hat={lhat} failed certification under {inner}, from {order}"
     for t in standard_tableaux(lhat, inner):
-        g = Polynomial._wrap(
-            n, {embed_exponents(e, n, asc): c for e, c in specht_polynomial(t).items()}
-        )
-        if not reduce(g, base).is_zero():
+        if _remainder(base, _dividend(t, inner)[1])[0]:
             return f"subset: generator of {lhat} from {t} left a remainder under {order}"
-    for t, f in system:
-        if leading_monomial(f, order)[removed - 1] != 0:
+    for t, mark in zip(base.tableaux, base.marks):
+        if mark[removed - 1]:
             continue
-        if any(exps[removed - 1] != 0 for exps, _ in f.items()):
+        terms, packed = _dividend(t, order)
+        if max(terms) >> (_LANE_W * (n - 1)):
             return f"superset: {t} has a free leading monomial but uses x{removed} under {order}"
-        if not reduce(_project(f, asc), small).is_zero():
+        if _remainder(small, packed)[0]:
             return f"superset: projection of {t} left a remainder under {order}"
     return ""

@@ -48,6 +48,15 @@ def _pack(exps: Exponents, desc, w: int) -> int:
     return p
 
 
+def _field_scale(desc, w: int) -> tuple[int, ...]:
+    """At index v, the weight 2**(w*j) of the field `_pack` gives x_v, j counted up
+    from the bottom, so that sum(e_v * scale[v]) == _pack(e, desc, w); index 0 is unused."""
+    scale = [0] * (len(desc) + 1)
+    for j, i in enumerate(reversed(desc)):
+        scale[i + 1] = 1 << (w * j)
+    return tuple(scale)
+
+
 def _guard_bits(fields: int, w: int) -> int:
     """The top bit of each of `fields` packed fields of width w."""
     return sum(1 << (w * j + w - 1) for j in range(fields))

@@ -4,13 +4,27 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import factorial, gcd
-from operator import mul, sub
+from operator import sub
 
-from .combinatorics import Partition, VariableOrder, _check_ints, _permuter
+from .combinatorics import (
+    Partition,
+    VariableOrder,
+    _check_ints,
+    _permuter,
+    dominated_partitions,
+    standard_tableaux,
+)
 from .errors import CapacityError, TheoremViolationError
 from .fan import FanSummary
-from .polyring import Exponents, Polynomial, _guard_bits, _monomial_text, leading_monomial
-from .specht import MonomialIdeal, lex_groebner_generators
+from .polyring import _field_scale, _guard_bits, _monomial_text
+from .specht import (
+    MonomialIdeal,
+    _check_shape,
+    _lane_list,
+    _lane_ones,
+    _lane_pack,
+    _term_lanes,
+)
 
 __all__ = [
     "PNK_VERTEX_LIMIT",
@@ -24,6 +38,7 @@ __all__ = [
 PNK_VERTEX_LIMIT = factorial(9)
 # Few vertices can still be many coordinates: P(n,n-2) has n points of n entries.
 PNK_COORDINATE_LIMIT = 9 * PNK_VERTEX_LIMIT
+_LANE_MAX = (1 << 64) - 1
 
 
 def _check_nk(n: int, k: int) -> None:
@@ -130,53 +145,69 @@ def _chamber_weights(chamber: tuple[int, ...], degree: int) -> tuple[tuple[int, 
     return tuple(weights), _guard_bits(n, w)
 
 
-def _chamber_escape(f: Polynomial, lead: Exponents, weights: tuple[int, ...], guard: int) -> Exponents | None:
-    """The first term m of f, other than lead, that some w in the open
-    chamber ranks at least as high as lead; None if there is none.
-
-    weights and guard come from `_chamber_weights` for the chamber, at a
-    degree no less than the lead's. With v = lead - m read from the largest
-    variable down, v.w > 0 on the whole open chamber iff every partial sum
-    is >= 0, given that the full sum is 0. The packed prefix sums P test all
-    of them in one subtraction: m escapes iff some field of
-    (P(lead) | guard) - P(m) loses its top bit. A term whose degree differs
-    from the lead's raises ValueError before its packed test, so every
-    field stays in range and none borrows from the next.
-    """
-    degree = sum(lead)
-    high = sum(map(mul, lead, weights)) | guard
-    for m, _ in f.items():
-        if m == lead:
-            continue
-        if sum(m) != degree:
-            raise ValueError(f"{f} is not homogeneous")
-        if (high - sum(map(mul, m, weights))) & guard != guard:
-            return m
-    return None
-
-
 def braid_refinement_check(lam: Partition) -> str:
     """Every open braid chamber must lie in the Groebner cone of its lex ideal.
 
     For each order sigma, every generator of the lex system under sigma
     has to keep its leading term strictly above each other term for every
     weight w with w_sigma(1) < ... < w_sigma(n), proved with integer
-    partial sums, not sampled weights: `_chamber_escape`, on weights built
-    once per order at the largest lead degree of its system. Since the lex
-    system is a Groebner basis under sigma (the oracle rows certify that),
-    a pass puts the whole chamber inside the Groebner cone of in_sigma(I).
-    Refuses n beyond 6. Returns "" on a pass, else a line naming the first
-    failing order, tableau and term.
+    partial sums, not sampled weights. Since the lex system is a Groebner
+    basis under sigma (the oracle rows certify that), a pass puts the whole
+    chamber inside the Groebner cone of in_sigma(I). Refuses n beyond 6.
+    Returns "" on a pass, else a line naming the first failing order,
+    tableau and term.
+
+    Each generator is packed from its shape's lanes (`specht._term_lanes`),
+    one term per 64-bit lane, with no per-term Python:
+    - under the lex scale of sigma (`_field_scale`), whose largest lane is
+      the leading term, the expansion's own, not the closed form;
+    - under the chamber weights (`_chamber_weights`), whose lane i holds the
+      packed partial sums P(m) of term m read from the largest variable
+      down. With v = lead - m, v.w > 0 on the whole open chamber iff every
+      partial sum of v is >= 0, given that the full sum is 0.
+    Copying (P(lead) | guard) into every lane and subtracting the packed
+    sums tests all n partial sums of every term at once: m escapes iff a
+    field of its lane loses its top bit. The columns' sum holds each term's
+    degree in its lane, so a shape whose terms differ in degree is refused
+    with ValueError before any order, and so are fields too wide for a
+    lane; then every field stays in range, and no field or lane borrows
+    from the next.
     """
     n = lam.n
     if n > 6:
         raise ValueError(f"n={n} exceeds the refinement check limit 6")
+    _check_shape(lam, VariableOrder.identity(n))
+    shapes = []
+    degree = 0
+    for mu in dominated_partitions(lam, same_first_part=True):
+        cols, coeffs = _term_lanes(mu.parts)
+        ones = _lane_ones(len(coeffs))
+        total = sum(cols)
+        if total != (total & _LANE_MAX) * ones:
+            raise ValueError(f"the expansion of shape {mu} is not homogeneous")
+        degree = max(degree, total & _LANE_MAX)
+        shapes.append((mu, cols, len(coeffs), ones))
+    # the field width of `_chamber_weights`; no exponent exceeds the degree, so lex fits it too
+    w = degree.bit_length() + 1
+    if n * w > 64:
+        raise ValueError(f"{n} fields of {w} bits do not fit a 64-bit lane")
     for sigma in permutations(range(1, n + 1)):
         order = VariableOrder(sigma)
-        system = [(t, f, leading_monomial(f, order)) for t, f in lex_groebner_generators(lam, order)]
-        weights, guard = _chamber_weights(order.desc0, max(sum(lead) for _, _, lead in system))
-        for t, f, lead in system:
-            m = _chamber_escape(f, lead, weights, guard)
-            if m is not None:
-                return f"order={order} tableau={t} term={_monomial_text(m)}"
+        lex = _field_scale(order.desc0, w)
+        weights, guard = _chamber_weights(order.desc0, degree)
+        prefix = (0, *weights)
+        for mu, cols, count, ones in shapes:
+            guards = guard * ones
+            for t in standard_tableaux(mu, order):
+                word = t.row_word()
+                terms = _lane_list(_lane_pack(cols, word, lex), count)
+                sums = _lane_pack(cols, word, prefix)
+                top = (sums >> (64 * terms.index(max(terms))) & _LANE_MAX) | guard
+                lost = guards & ~(top * ones - sums)
+                if lost:
+                    shift = ((lost & -lost).bit_length() - 1) & -64
+                    m = [0] * n
+                    for col, v in zip(cols, word):
+                        m[v - 1] = col >> shift & _LANE_MAX
+                    return f"order={order} tableau={t} term={_monomial_text(m)}"
     return ""

@@ -10,14 +10,21 @@ generating systems handed to the division-algorithm layer.
 `initial_ideal` reads the closed form off the identity-standard fillings
 and moves each exponent tuple by sigma; the public
 `closed_form_initial_monomial` keeps its column-standardness check.
+
+The expansion is made once per shape, for T0, and every tableau's is T0's
+with its variables renamed. `specht_polynomial` renames term by term; the
+braid row and the oracle's bases read the same expansion as lanes
+(`_term_lanes`) and pack all of a tableau's terms at once (`_lane_pack`).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice
-from operator import le, lt
+from operator import itemgetter, le, lt, mul
 
 from .combinatorics import (
     Partition,
@@ -185,6 +192,58 @@ def _shape_terms(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
                 out[up] = out.get(up, 0) - c
             terms = {e: c for e, c in out.items() if c}
     return terms
+
+
+def _lanes_of(terms: dict[tuple[int, ...], int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A term map as n column ints and its coefficients, both in the map's term order:
+    term i's exponent of x_{j+1} sits in 64-bit lane i of column j."""
+    cols = tuple(
+        int.from_bytes(array("Q", map(itemgetter(j), terms)).tobytes(), sys.byteorder)
+        for j in range(n)
+    )
+    return cols, tuple(terms.values())
+
+
+@lru_cache(maxsize=None)
+def _term_lanes(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`_shape_terms(parts)` as lanes (`_lanes_of`), built once per shape.
+
+    Every tableau of the shape relabels T0's terms, so one multiply-add per
+    column packs all of a tableau's terms at once (`_lane_pack`).
+    """
+    return _lanes_of(_shape_terms(parts), sum(parts))
+
+
+def _lane_pack(cols: tuple[int, ...], word: tuple[int, ...], scale) -> int:
+    """Every term of a relabelled T0 packed at once: lane i holds sum_v e_v * scale[v]
+    for term i, e_v its exponent of x_v.
+
+    T0's x_c is renamed x_v, v = word[c-1] (a tableau's row word), so column
+    c of `_term_lanes` is weighted by scale[v]. The caller keeps each lane's
+    sum below 2**64, so no lane carries into the next.
+    """
+    return sum(map(mul, cols, map(scale.__getitem__, word)))
+
+
+def _lane_ones(count: int) -> int:
+    """A one at the bottom of each of `count` 64-bit lanes, so that v * ones
+    copies v < 2**64 into every lane."""
+    return ((1 << (64 * count)) - 1) // ((1 << 64) - 1)
+
+
+def _lane_list(p: int, count: int) -> list[int]:
+    """The `count` 64-bit lanes of p, lowest first."""
+    return memoryview(p.to_bytes(8 * count, sys.byteorder)).cast("Q").tolist()
+
+
+def _lane_polynomial(t: Tableau) -> Polynomial:
+    """specht_polynomial(t) read back from `_term_lanes`: each column's lanes go to
+    the variable it is renamed to, and zip into the exponent tuples."""
+    cols, coeffs = _term_lanes(tuple(map(len, t.rows)))
+    by_var = [()] * t.n
+    for col, v in zip(cols, t.row_word()):
+        by_var[v - 1] = _lane_list(col, len(coeffs))
+    return Polynomial._wrap(t.n, dict(zip(zip(*by_var), coeffs)))
 
 
 def specht_polynomial(t: Tableau) -> Polynomial:

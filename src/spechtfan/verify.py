@@ -31,9 +31,9 @@ from .fan import (
 )
 from .oracle import (
     DEFAULT_ORACLE_LIMIT,
+    _specht_basis,
     certify_groebner,
     elimination_polynomial_check,
-    marked_basis,
 )
 from .polyring import leading_monomial
 from .polytope import _affine_rank, braid_refinement_check, pnk_vertices, vertex_ideal_bijection
@@ -42,9 +42,7 @@ from .specht import (
     closed_form_initial_monomial,
     gap_condition_audit,
     initial_ideal,
-    lex_groebner_generators,
     specht_polynomial,
-    universal_groebner_generators,
 )
 
 __all__ = ["run_verification"]
@@ -142,11 +140,11 @@ def _oracle_lex_failure(lam: Partition, order: VariableOrder) -> str:
     ideal, and no generator divides another. So the generators are the
     minimal generating set of the marks' ideal.
     """
-    basis = marked_basis([f for _, f in lex_groebner_generators(lam, order)], order)
+    basis = _specht_basis(lam, order, True)
     failure = _certify_failure(basis)
     if failure:
         return failure
-    marks = [m for _, m in basis.elements]
+    marks = basis.marks
     ideal = initial_ideal(lam, order)
     gens = ideal.min_gens
     if not (
@@ -159,9 +157,7 @@ def _oracle_lex_failure(lam: Partition, order: VariableOrder) -> str:
 
 
 def _oracle_universal_failure(lam: Partition, order: VariableOrder) -> str:
-    return _certify_failure(
-        marked_basis([f for _, f in universal_groebner_generators(lam, order)], order)
-    )
+    return _certify_failure(_specht_basis(lam, order, False))
 
 
 def _count_row(lam: Partition, fan) -> CheckRow:

@@ -30,3 +30,26 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def tamper_lanes(monkeypatch):
+    """tamper_lanes({parts: term map}) makes `_term_lanes` return each term map's
+    lanes for its shape, and the real ones for every other shape, in every
+    module that packs Specht polynomials from lanes."""
+    import spechtfan.oracle
+    import spechtfan.polytope
+    import spechtfan.specht
+
+    real = spechtfan.specht._term_lanes
+
+    def install(table):
+        def lanes(parts):
+            if parts in table:
+                return spechtfan.specht._lanes_of(table[parts], sum(parts))
+            return real(parts)
+
+        for module in (spechtfan.specht, spechtfan.oracle, spechtfan.polytope):
+            monkeypatch.setattr(module, "_term_lanes", lanes)
+
+    return install

@@ -6,14 +6,15 @@ test for the quantity it cross-checks.
 
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul, sub
 
 import sympy
 
 from spechtfan.combinatorics import Partition, Tableau, VariableOrder
 from spechtfan.oracle import GroebnerCertificate, reduce
-from spechtfan.polyring import Polynomial, leading_monomial
-from spechtfan.specht import initial_ideal
+from spechtfan.polyring import Polynomial, _monomial_text, leading_monomial
+from spechtfan.polytope import _chamber_weights
+from spechtfan.specht import initial_ideal, lex_groebner_generators
 
 
 def brute_standard_tableaux(shape: Partition, order: VariableOrder) -> list[Tableau]:
@@ -207,6 +208,49 @@ def chamber_escape(f: Polynomial, lead, chamber):
     return None
 
 
+def packed_chamber_escape(f: Polynomial, lead, weights, guard):
+    """`chamber_escape` one term at a time on packed prefix sums.
+
+    weights and guard come from `_chamber_weights` for the chamber, at a
+    degree no less than the lead's. With v = lead - m read from the largest
+    variable down, v.w > 0 on the whole open chamber iff every partial sum
+    is >= 0, given that the full sum is 0. The packed prefix sums P test all
+    of them in one subtraction: m escapes iff some field of
+    (P(lead) | guard) - P(m) loses its top bit. A term whose degree differs
+    from the lead's raises ValueError before its packed test, so every
+    field stays in range and none borrows from the next.
+    """
+    degree = sum(lead)
+    high = sum(map(mul, lead, weights)) | guard
+    for m, _ in f.items():
+        if m == lead:
+            continue
+        if sum(m) != degree:
+            raise ValueError(f"{f} is not homogeneous")
+        if (high - sum(map(mul, m, weights))) & guard != guard:
+            return m
+    return None
+
+
+def reference_braid_check(lam: Partition, sigmas=None, chamber=lambda order: order.desc0) -> str:
+    """`braid_refinement_check` on expanded polynomials, term by term: each lead
+    from `leading_monomial`, each term through `packed_chamber_escape`.
+
+    The orders are sigmas, by default all n! of them in `permutations`
+    order; chamber(order) gives the chamber each is tested on, its 0-based
+    variables from the largest weight down, by default the order's own.
+    """
+    for sigma in permutations(range(1, lam.n + 1)) if sigmas is None else sigmas:
+        order = VariableOrder(sigma)
+        system = [(t, f, leading_monomial(f, order)) for t, f in lex_groebner_generators(lam, order)]
+        weights, guard = _chamber_weights(chamber(order), max(sum(lead) for _, _, lead in system))
+        for t, f, lead in system:
+            m = packed_chamber_escape(f, lead, weights, guard)
+            if m is not None:
+                return f"order={order} tableau={t} term={_monomial_text(m)}"
+    return ""
+
+
 def naive_minimalize(exps_list) -> frozenset:
     gens = set(exps_list)
     return frozenset(
@@ -219,8 +263,6 @@ def naive_minimalize(exps_list) -> frozenset:
 def expansion_initial_ideal(lam: Partition, order: VariableOrder) -> frozenset:
     """Initial ideal min-gen exponents from scratch: sympy expansion and
     leading terms of the same-first-part generator set, naively minimalized."""
-    from spechtfan.specht import lex_groebner_generators
-
     exps = []
     for t, _ in lex_groebner_generators(lam, order):
         exps.append(sympy_lm_exps(specht_expr(t), order))

@@ -1,6 +1,7 @@
 """tools/bench_pair.py: the side description and the paired summaries it writes."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,27 @@ def test_describe_outside_a_git_checkout(tmp_path):
     assert got["commit"] is None and got["modified"] is None
     (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 3\n")
     assert bench_pair.describe(tmp_path)["src_sha256"] != got["src_sha256"]
+
+
+def test_the_seed_reaches_perfbench_and_the_report(tmp_path, monkeypatch):
+    sides = [tmp_path / "base", tmp_path / "head"]
+    for side in sides:
+        side.mkdir()
+    (sides[1] / "BENCHMARK.json").write_text('{"end_to_end": [{"name": "wall_s", "better": "lower"}]}')
+    seen = []
+
+    def fake_run(argv, cwd, **kwargs):
+        if argv[0] == "git":
+            raise OSError("no git here")
+        seen.append((Path(cwd).name, argv[argv.index("--seed") + 1]))
+        line = '{"correct": true, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}'
+        return bench_pair.subprocess.CompletedProcess(argv, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
+    argv = [str(sides[0]), str(sides[1]), "--label", "t", "--pairs", "2", "--seed", "7"]
+    assert bench_pair.main([*argv, "--workload", "verify-n5", "--out", str(tmp_path)]) == 0
+    # alternating pairs, each run given the seed
+    assert seen == [("base", "7"), ("head", "7"), ("head", "7"), ("base", "7")]
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["seed"] == 7
+    assert report["workloads"]["verify-n5"]["metrics"]["wall_s"]["head_won"] == 0

@@ -24,6 +24,7 @@ import spechtfan.verify
 from spechtfan.cli import main
 from spechtfan.combinatorics import Partition, VariableOrder, enumerate_partitions
 from spechtfan.fan import enumerate_fan
+from spechtfan.oracle import marked_basis
 from spechtfan.specht import MonomialIdeal
 from spechtfan.verify import run_verification
 
@@ -472,10 +473,13 @@ class TestRunVerification:
     def test_a_failing_certificate_names_its_first_pair(self, monkeypatch):
         # drop the last generator of every lex basis; for (2,2) under the
         # identity the first of two failing pairs is (0,1), out of 5 reduced
-        real = spechtfan.verify.marked_basis
-        monkeypatch.setattr(
-            spechtfan.verify, "marked_basis", lambda polys, order: real(polys[:-1] or polys, order)
-        )
+        real = spechtfan.verify._specht_basis
+
+        def dropped(lam, order, same_first_part):
+            polys = [f for f, _ in real(lam, order, same_first_part).elements]
+            return marked_basis(polys[:-1] or polys, order)
+
+        monkeypatch.setattr(spechtfan.verify, "_specht_basis", dropped)
         detail = spechtfan.verify._oracle_lex_failure(Partition.parse("2,2"), VariableOrder.identity(4))
         assert detail == "S-pair (0,1) left a 6-term remainder; 2 of 5 reduced pairs failed under 1,2,3,4"
         rows = run_verification(4)

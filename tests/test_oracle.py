@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +17,9 @@ from spechtfan.oracle import (
     MarkedBasis,
     certify_groebner,
     elimination_polynomial_check,
+    _division_table,
     _s_pair,
+    _specht_basis,
     _unpack_terms,
     marked_basis,
     reduce,
@@ -30,6 +32,9 @@ from spechtfan.specht import (
 )
 
 from helpers import naive_minimalize, reference_certify, s_polynomial, sympy_is_groebner
+
+
+REAL_DIVIDEND = spechtfan.oracle._dividend
 
 
 def lex_basis(parts, order=None):
@@ -437,26 +442,41 @@ class TestIntegerAndFractionPaths:
         assert reduce(f, basis) == Polynomial(1, {(1,): 3})
 
 
-# The generators each side checks: the subset side expands one Specht
-# polynomial per hat(lam) tableau, the superset side projects each generator.
-SIDES = ("specht_polynomial", "_project")
+def count_sides(monkeypatch, n):
+    """Count `_dividend` calls by side: the subset side packs each hat(lam)
+    tableau, of n - 1 boxes, the superset side each generator it projects."""
+    calls = {"subset": 0, "superset": 0}
+    real = spechtfan.oracle._dividend
+
+    def counted(t, order):
+        calls["subset" if t.n < n else "superset"] += 1
+        return real(t, order)
+
+    monkeypatch.setattr(spechtfan.oracle, "_dividend", counted)
+    return calls
+
+
+def nonzero_dividend(t, order):
+    """Terms and packed(table) of the constant 1: a remainder of 1, the packed
+    constant monomial 0, that no mark divides."""
+    return [0], lambda table: {0: 1}
 
 
 class TestEliminationPolynomial:
-    def test_two_two_identity(self, count_calls):
-        calls = count_calls(spechtfan.oracle, *SIDES)
+    def test_two_two_identity(self, monkeypatch):
+        calls = count_sides(monkeypatch, 4)
         assert elimination_polynomial_check(Partition.parse("2,2"), VariableOrder.identity(4)) == ""
-        assert calls == {"specht_polynomial": 1, "_project": 1}
+        assert calls == {"subset": 1, "superset": 1}
 
     @pytest.mark.parametrize(
         "parts,subset,superset",
         [("3,1", 2, 2), ("2,1", 1, 1)],
     )
-    def test_small_anchors(self, count_calls, parts, subset, superset):
+    def test_small_anchors(self, monkeypatch, parts, subset, superset):
         lam = Partition.parse(parts)
-        calls = count_calls(spechtfan.oracle, *SIDES)
+        calls = count_sides(monkeypatch, lam.n)
         assert elimination_polynomial_check(lam, VariableOrder.identity(lam.n)) == ""
-        assert calls == {"specht_polynomial": subset, "_project": superset}
+        assert calls == {"subset": subset, "superset": superset}
 
     @pytest.mark.parametrize(
         "name,fake,line",
@@ -464,17 +484,23 @@ class TestEliminationPolynomial:
             # a remainder of 1, the packed constant monomial 0, for every division
             ("_divide", lambda work, table: {0: 1}, "basis of 2,2 failed certification"),
             (
-                "specht_polynomial",
-                lambda t: Polynomial(t.n, {(1,) + (0,) * (t.n - 1): 1}),
+                "_dividend",
+                lambda t, order: nonzero_dividend(t, order) if t.n == 3 else REAL_DIVIDEND(t, order),
                 "subset: generator of 1,1,1 from 1/2/3 left a remainder",
             ),
             (
-                "_project",
-                lambda f, asc: Polynomial(len(asc), {(1,) + (0,) * (len(asc) - 1): 1}),
+                "_dividend",
+                lambda t, order: nonzero_dividend(t, order) if t.n == 4 else REAL_DIVIDEND(t, order),
                 "superset: projection of 1,4/2/3 left a remainder",
             ),
+            (
+                # x4, the removed variable, in every term of every projected generator
+                "_dividend",
+                lambda t, order: ([1 << 24], None) if t.n == 4 else REAL_DIVIDEND(t, order),
+                "superset: 1,4/2/3 has a free leading monomial but uses x4",
+            ),
         ],
-        ids=["certification", "subset", "superset"],
+        ids=["certification", "subset", "superset", "superset-uses-the-removed-variable"],
     )
     def test_a_tampered_step_names_the_failing_side(self, monkeypatch, name, fake, line):
         monkeypatch.setattr(spechtfan.oracle, name, fake)
@@ -501,7 +527,7 @@ class TestEliminationPolynomial:
         def refuse(*args):
             raise AssertionError("a basis was built before the size check")
 
-        monkeypatch.setattr(spechtfan.oracle, "lex_groebner_generators", refuse)
+        monkeypatch.setattr(spechtfan.oracle, "_specht_basis", refuse)
         with pytest.raises(ValueError, match="oracle limit 6"):
             elimination_polynomial_check(
                 Partition.parse("6,1"), VariableOrder.identity(7)
@@ -509,3 +535,125 @@ class TestEliminationPolynomial:
 
     def test_limit_default(self):
         assert DEFAULT_ORACLE_LIMIT == 6
+
+
+def lane_cases():
+    """(lam, order) for every shape with 2 <= n <= 6 and two or more rows: every
+    order for n <= 4, ten seeded orders for n = 5 and 6."""
+    for n in range(2, 7):
+        rng = random.Random(f"lanes-{n}")
+        sigmas = list(permutations(range(1, n + 1)))
+        if n >= 5:
+            sigmas = rng.sample(sigmas, 10)
+        for lam in enumerate_partitions(n):
+            if lam.m >= 2:
+                for sigma in sigmas:
+                    yield lam, VariableOrder(sigma)
+
+
+def polynomial_route(lam, order, same_first_part):
+    source = lex_groebner_generators if same_first_part else universal_groebner_generators
+    return marked_basis([f for _, f in source(lam, order)], order)
+
+
+class TestLaneBasis:
+    @pytest.mark.parametrize("same_first_part", [True, False], ids=["lex", "universal"])
+    def test_the_lane_table_is_the_polynomial_routes(self, same_first_part):
+        for lam, order in lane_cases():
+            lanes = _specht_basis(lam, order, same_first_part)
+            want = _division_table(polynomial_route(lam, order, same_first_part), 8)
+            got = lanes.division_table
+            assert (got.w, got.guard) == (want.w, want.guard)
+            # marks in basis order, tails as sets
+            assert [m for m, _ in got.rows] == [m for m, _ in want.rows], (lam, order)
+            assert [set(t) for _, t in got.rows] == [set(t) for _, t in want.rows], (lam, order)
+            assert [m for m, _ in got.by_mark] == [m for m, _ in want.by_mark]
+            assert lanes.marks == tuple(m for _, m in polynomial_route(lam, order, same_first_part).elements)
+
+    def test_the_decoded_elements_are_the_polynomial_routes(self):
+        lam, order = Partition.parse("3,2,1"), VariableOrder.parse("4,1,6,2,5,3")
+        lanes = _specht_basis(lam, order, False)
+        assert "elements" not in lanes.__dict__
+        assert certify_groebner(lanes) == certify_groebner(polynomial_route(lam, order, False))
+        # a passing certificate never decodes the polynomials
+        assert "elements" not in lanes.__dict__
+        assert lanes.elements == polynomial_route(lam, order, False).elements
+
+    def test_a_lead_coefficient_of_two_is_refused(self, tamper_lanes):
+        # -x1 + 2*x3 for T0 = 1,2/3: x3 leads under the identity, with coefficient 2
+        tamper_lanes({(2, 1): {(1, 0, 0): -1, (0, 0, 1): 2}})
+        with pytest.raises(ValueError, match="leading coefficient of 1,2/3 must be .* not 2"):
+            _specht_basis(Partition.parse("2,1"), VariableOrder.identity(3), True)
+
+    def test_an_exponent_past_six_bits_is_refused(self, tamper_lanes):
+        # 64 = 2**6 would let an S-pair reach a field's guard bit
+        tamper_lanes({(2, 1): {(64, 0, 0): 1, (0, 0, 1): -1}})
+        with pytest.raises(ValueError, match="shape 2,1 does not fit 6 bits"):
+            _specht_basis(Partition.parse("2,1"), VariableOrder.identity(3), True)
+        tamper_lanes({(2, 1): {(63, 0, 0): 1, (0, 0, 1): -1}})
+        # x3 leads x1^63 - x3, and x2 leads its relabelling by 1,3/2
+        assert _specht_basis(Partition.parse("2,1"), VariableOrder.identity(3), True).marks == ((0, 0, 1), (0, 1, 0))
+
+    def test_an_n_past_one_lane_is_refused_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the lane check")
+
+        monkeypatch.setattr(spechtfan.oracle, "dominated_partitions", refuse)
+        monkeypatch.setattr(spechtfan.oracle, "_term_lanes", refuse)
+        # 9 fields of 8 bits do not fit 64
+        with pytest.raises(ValueError, match="n=9 does not fit 8-bit fields"):
+            _specht_basis(Partition.parse("5,4"), VariableOrder.identity(9), True)
+
+    @pytest.mark.parametrize("same_first_part", [True, False], ids=["lex", "universal"])
+    def test_a_division_past_eight_bits_restarts_at_sixteen(self, tamper_lanes, monkeypatch, same_first_part):
+        # T0 gives x2 - x1^60 + x3^8 and 1,3/2 gives x3 - x1^60 + x2^8; their S-pair
+        # divides x3^7*x1^60 down to x1^480, past an 8-bit field
+        tamper_lanes({(2, 1): {(0, 1, 0): 1, (60, 0, 0): -1, (0, 0, 8): 1}})
+        lam, ido = Partition.parse("2,1"), VariableOrder.identity(3)
+        lanes = _specht_basis(lam, ido, same_first_part)
+        assert lanes.division_table.w == 8
+        widths = []
+        real = spechtfan.oracle._division_table
+
+        def recorded(basis, w):
+            widths.append(w)
+            return real(basis, w)
+
+        monkeypatch.setattr(spechtfan.oracle, "_division_table", recorded)
+        cert = certify_groebner(lanes)
+        assert set(widths) == {16}
+        # the restart decoded the polynomials from the lanes
+        polys = [f for f, _ in lanes.elements]
+        assert polys[0] == Polynomial(3, {(0, 1, 0): 1, (60, 0, 0): -1, (0, 0, 8): 1})
+        marked = marked_basis(polys, ido)
+        assert cert == certify_groebner(marked) == reference_certify(marked)
+        assert not cert.passed and max(max(e) for _, _, r in cert.failures for e, _ in r.items()) >= 480
+        f = Polynomial(3, {(0, 0, 9): 1, (2, 1, 1): -3})
+        assert reduce(f, lanes) == reduce(f, marked)
+
+
+class TestLanePassPath:
+    """The oracle, universal, elimination-poly and braid rows build their
+    systems from lanes: neither the Specht expansion nor `leading_monomial`
+    runs on their pass path."""
+
+    @pytest.mark.parametrize("parts", ["2,2", "3,2", "2,2,1", "3,1,1"])
+    def test_no_expansion_and_no_leading_monomial(self, parts, monkeypatch, count_calls):
+        import spechtfan.polyring
+        import spechtfan.polytope
+        import spechtfan.specht
+        import spechtfan.verify
+
+        names = ("specht_polynomial", "leading_monomial", "_lane_polynomial")
+        calls = {}
+        for module in (spechtfan.specht, spechtfan.polyring, spechtfan.oracle, spechtfan.polytope, spechtfan.verify):
+            here = [name for name in names if hasattr(module, name)]
+            calls[module.__name__] = count_calls(module, *here)
+        lam = Partition.parse(parts)
+        for order in sample_orders(lam.n, 3, random.Random(parts)):
+            assert spechtfan.verify._oracle_lex_failure(lam, order) == ""
+            assert spechtfan.verify._oracle_universal_failure(lam, order) == ""
+            assert elimination_polynomial_check(lam, order) == ""
+        assert spechtfan.verify._braid_row(lam).passed
+        assert all(count == 0 for counts in calls.values() for count in counts.values()), calls
+        assert sum(len(counts) for counts in calls.values()) == 7

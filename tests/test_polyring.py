@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import poly_to_sympy, specht_expr, sympy_lm_exps
 from spechtfan.combinatorics import Tableau, VariableOrder
-from spechtfan.polyring import Polynomial, leading_monomial
+from spechtfan.polyring import Polynomial, _field_scale, _pack, leading_monomial
 
 
 def poly_st(n, max_terms=5, max_exp=3):
@@ -33,6 +33,14 @@ class TestLexOrder:
     def test_key_reads_descending(self):
         order = VariableOrder.parse("2,3,1")
         assert tuple((5, 6, 7)[i] for i in order.desc0) == (5, 7, 6)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(order_st(n), st.lists(st.integers(0, 15), min_size=n, max_size=n))))
+    def test_field_scale_weights_each_variable_as_pack_places_it(self, case):
+        order, exps = case
+        scale = _field_scale(order.desc0, 5)
+        assert scale[0] == 0
+        assert sum(e * s for e, s in zip(exps, scale[1:])) == _pack(exps, order.desc0, 5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spechtfan.polytope
-from helpers import chamber_escape, in_hull_exact, in_hull_simplex, naive_minimalize
-from spechtfan.combinatorics import Partition, VariableOrder
+from helpers import (
+    chamber_escape,
+    in_hull_exact,
+    in_hull_simplex,
+    naive_minimalize,
+    packed_chamber_escape,
+    reference_braid_check,
+)
+from spechtfan.combinatorics import Partition, VariableOrder, enumerate_partitions
 from spechtfan.errors import CapacityError, TheoremViolationError
 from spechtfan.fan import enumerate_fan
 from spechtfan.polyring import Polynomial, leading_monomial
@@ -19,7 +26,6 @@ from spechtfan.polytope import (
     PNK_COORDINATE_LIMIT,
     PNK_VERTEX_LIMIT,
     _affine_rank,
-    _chamber_escape,
     _chamber_weights,
     braid_refinement_check,
     pnk_vertices,
@@ -239,8 +245,8 @@ class TestWeightInitialIdeal:
 
 
 def packed_escape(f, lead, chamber):
-    """`_chamber_escape` on weights packed at the lead's degree."""
-    return _chamber_escape(f, lead, *_chamber_weights(chamber, sum(lead)))
+    """`packed_chamber_escape` on weights packed at the lead's degree."""
+    return packed_chamber_escape(f, lead, *_chamber_weights(chamber, sum(lead)))
 
 
 @st.composite
@@ -278,7 +284,7 @@ class TestPackedChamberEscape:
         f, lead, chamber, at = case
 
         def packed(f, lead, chamber):
-            return _chamber_escape(f, lead, *_chamber_weights(chamber, at))
+            return packed_chamber_escape(f, lead, *_chamber_weights(chamber, at))
 
         assert escape_or_refusal(packed, f, lead, chamber) == escape_or_refusal(chamber_escape, f, lead, chamber)
 
@@ -292,10 +298,10 @@ class TestPackedChamberEscape:
 
 class TestBraidRefinement:
     def test_two_one(self, count_calls):
-        # 3! orders, each with two lex generators whose leads are taken once
-        calls = count_calls(spechtfan.polytope, "lex_groebner_generators", "leading_monomial")
+        # 3! orders, each with two lex generators whose lanes are read out once for their leads
+        calls = count_calls(spechtfan.polytope, "standard_tableaux", "_lane_list")
         assert braid_refinement_check(Partition.parse("2,1")) == ""
-        assert calls == {"lex_groebner_generators": 6, "leading_monomial": 12}
+        assert calls == {"standard_tableaux": 6, "_lane_list": 12}
 
     @pytest.mark.parametrize("parts", ["2,2", "3,1", "3,2", "2,2,1", "5,1"])
     def test_small_shapes_pass(self, parts):
@@ -325,26 +331,62 @@ class TestBraidRefinement:
         assert got == "order=1,2,3,4 tableau=1,3/2,4 term=x1*x3"
 
     def test_a_wrong_leading_term_names_the_first_order(self, monkeypatch):
-        def last(f, order):
-            return min((m for m, _ in f.items()), key=lambda m: tuple(m[i] for i in order.desc0))
-
-        monkeypatch.setattr(spechtfan.polytope, "leading_monomial", last)
-        # the true lead x3 is then the term that escapes
+        real = spechtfan.polytope._field_scale
+        # the lex scale of the reversed order, so the lex-smallest term leads
+        monkeypatch.setattr(spechtfan.polytope, "_field_scale", lambda desc, w: real(desc[::-1], w))
+        # x1 then leads x1 - x3, and the true lead x3 is the term that escapes
         got = braid_refinement_check(Partition.parse("2,1"))
         assert got == "order=1,2,3 tableau=1,2/3 term=x3"
 
-    def test_a_tampered_basis_names_the_escaping_term(self, monkeypatch):
-        real = spechtfan.polytope.lex_groebner_generators
-
-        def tampered(lam, order):
-            (t, f), *rest = real(lam, order)
-            # x1*f - x2^2: x1*x3 still leads in lex, but x2^2 outweighs it wherever 2*w2 > w1 + w3
-            g = Polynomial(3, {**{(e[0] + 1, *e[1:]): c for e, c in f.items()}, (0, 2, 0): -1})
-            return ((t, g), *rest)
-
-        monkeypatch.setattr(spechtfan.polytope, "lex_groebner_generators", tampered)
+    def test_a_tampered_basis_names_the_escaping_term(self, tamper_lanes):
+        # T0 = 1,2/3 gives x1 - x3; x1*(x1 - x3) - x2^2 keeps x1*x3 as its lex lead,
+        # but x2^2 outweighs it wherever 2*w2 > w1 + w3
+        tamper_lanes({(2, 1): {(2, 0, 0): 1, (1, 0, 1): -1, (0, 2, 0): -1}})
         got = braid_refinement_check(Partition.parse("2,1"))
         assert got == "order=1,2,3 tableau=1,2/3 term=x2^2"
+
+    def test_a_non_homogeneous_lane_set_is_refused(self, tamper_lanes, monkeypatch):
+        # x3 - x1^2: x3 leads, with partial sums 1, 1, -1 read from x3 down
+        tamper_lanes({(2, 1): {(0, 0, 1): 1, (2, 0, 0): -1}})
+
+        def refuse(*args):
+            raise AssertionError("an order was walked before the degree check")
+
+        monkeypatch.setattr(spechtfan.polytope, "standard_tableaux", refuse)
+        with pytest.raises(ValueError, match="shape 2,1 is not homogeneous"):
+            braid_refinement_check(Partition.parse("2,1"))
+        # homogeneous of degree 2**20: three 22-bit fields of partial sums do not fit a lane
+        tamper_lanes({(2, 1): {(2**20, 0, 0): 1, (0, 0, 2**20): -1}})
+        with pytest.raises(ValueError, match="3 fields of 22 bits do not fit"):
+            braid_refinement_check(Partition.parse("2,1"))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_per_term_reference_on_every_order(self, n):
+        for lam in enumerate_partitions(n):
+            if lam.m >= 2:
+                assert braid_refinement_check(lam) == reference_braid_check(lam) == "", lam
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_the_per_term_reference_on_seeded_orders(self, n, monkeypatch):
+        sigmas = random.Random(f"braid-lanes-{n}").sample(list(permutations(range(1, n + 1))), 10)
+        monkeypatch.setattr(spechtfan.polytope, "permutations", lambda values: iter(sigmas))
+        for lam in enumerate_partitions(n):
+            if lam.m >= 2:
+                assert braid_refinement_check(lam) == reference_braid_check(lam, sigmas) == "", lam
+
+    @pytest.mark.parametrize("parts", ["2,2", "2,1,1", "3,2", "2,2,1"])
+    def test_a_swapped_chamber_fails_as_the_reference_does(self, parts, monkeypatch):
+        # both sides test each order's generators on the chamber with its two largest variables swapped
+        real = spechtfan.polytope._chamber_weights
+
+        def swap(chamber):
+            return (chamber[1], chamber[0], *chamber[2:])
+
+        monkeypatch.setattr(spechtfan.polytope, "_chamber_weights", lambda c, d: real(swap(c), d))
+        lam = Partition.parse(parts)
+        want = reference_braid_check(lam, chamber=lambda order: swap(order.desc0))
+        assert want
+        assert braid_refinement_check(lam) == want
 
     def test_a_non_homogeneous_generator_is_refused(self):
         # x3 leads, and x3 - x1^2 has partial sums 1, 1, -1 read from x3 down
@@ -356,6 +398,7 @@ class TestBraidRefinement:
         def refuse(*args):
             raise AssertionError("a basis was built before the size check")
 
-        monkeypatch.setattr(spechtfan.polytope, "lex_groebner_generators", refuse)
+        monkeypatch.setattr(spechtfan.polytope, "_term_lanes", refuse)
+        monkeypatch.setattr(spechtfan.polytope, "standard_tableaux", refuse)
         with pytest.raises(ValueError, match="limit 6"):
             braid_refinement_check(Partition.parse("6,1"))

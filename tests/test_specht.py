@@ -27,8 +27,13 @@ from spechtfan.combinatorics import (
     standard_tableaux,
 )
 from spechtfan.errors import CapacityError
-from spechtfan.polyring import Polynomial, leading_monomial
+from spechtfan.oracle import _specht_basis
+from spechtfan.polyring import Polynomial, _field_scale, _pack, leading_monomial
 from spechtfan.specht import (
+    _lane_list,
+    _lane_pack,
+    _lane_polynomial,
+    _term_lanes,
     INITIAL_IDEAL_N_LIMIT,
     INITIAL_IDEAL_TABLEAU_LIMIT,
     MonomialIdeal,
@@ -124,6 +129,34 @@ class TestSpechtPolynomial:
         assert f == g
         assert f._terms is not g._terms
         assert f._terms is not spechtfan.specht._shape_terms((3, 2, 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_lanes_decode_to_the_expansion(self, n):
+        # every shape, every tableau under two orders: the lanes hold T0's terms, relabelled by the row word
+        rng = random.Random(f"lanes|{n}")
+        for lam in enumerate_partitions(n):
+            for order in [VariableOrder.identity(n)] + sample_orders(n, 1, rng):
+                for t in standard_tableaux(lam, order):
+                    assert _lane_polynomial(t) == specht_polynomial(t) == difference_product(t), t
+
+    def test_lanes_pack_every_term_at_once(self):
+        # (2,1) under 3,1,2: x2 is largest, then x1, then x3
+        t = Tableau(((1, 3), (2,)))
+        f = specht_polynomial(t)
+        desc = VariableOrder.parse("3,1,2").desc0
+        cols, coeffs = _term_lanes((2, 1))
+        terms = _lane_list(_lane_pack(cols, t.row_word(), _field_scale(desc, 8)), len(coeffs))
+        assert dict(zip(terms, coeffs)) == {_pack(e, desc, 8): c for e, c in f.items()}
+        assert _lane_list(sum(cols), len(coeffs)) == [1] * len(f)
+
+    def test_the_lane_cache_is_keyed_by_shape_only(self):
+        spechtfan.specht._term_lanes.cache_clear()
+        lam = Partition.parse("3,2")
+        for order in sample_orders(5, 6, random.Random("lane-cache")):
+            _specht_basis(lam, order, False)
+        info = spechtfan.specht._term_lanes.cache_info()
+        # one expansion per dominated shape, whatever the order
+        assert (info.misses, info.currsize) == (len(dominated_partitions(lam)),) * 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_leading_monomial_matches_sympy(self, n):
