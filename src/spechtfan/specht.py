@@ -20,11 +20,11 @@ braid row and the oracle's bases read the same expansion as lanes
 from __future__ import annotations
 
 import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from operator import itemgetter, le, lt, mul
+from struct import pack
 
 from .combinatorics import (
     Partition,
@@ -197,9 +197,9 @@ def _shape_terms(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 def _lanes_of(terms: dict[tuple[int, ...], int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A term map as n column ints and its coefficients, both in the map's term order:
     term i's exponent of x_{j+1} sits in 64-bit lane i of column j."""
+    form = f"={len(terms)}Q"
     cols = tuple(
-        int.from_bytes(array("Q", map(itemgetter(j), terms)).tobytes(), sys.byteorder)
-        for j in range(n)
+        int.from_bytes(pack(form, *map(itemgetter(j), terms)), sys.byteorder) for j in range(n)
     )
     return cols, tuple(terms.values())
 

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import spechtfan.oracle
 from spechtfan.combinatorics import (
     Partition,
+    Tableau,
     VariableOrder,
     enumerate_partitions,
     sample_orders,
@@ -28,6 +30,7 @@ from spechtfan.polyring import Polynomial, _pack, leading_monomial
 from spechtfan.specht import (
     initial_ideal,
     lex_groebner_generators,
+    specht_polynomial,
     universal_groebner_generators,
 )
 
@@ -506,6 +509,16 @@ class TestEliminationPolynomial:
         monkeypatch.setattr(spechtfan.oracle, name, fake)
         got = elimination_polynomial_check(Partition.parse("2,2"), VariableOrder.identity(4))
         assert got == f"{line} under 1,2,3,4"
+
+    def test_a_dividend_is_packed_at_the_table_width(self):
+        # lanes at 8-bit fields; after a restart, the decoded polynomial at the wider table's
+        t, order = Tableau(((1, 4), (2, 5), (3,))), VariableOrder.parse("2,5,1,4,3")
+        f = specht_polynomial(t)
+        terms, packed = spechtfan.oracle._dividend(t, order)
+        for w in (8, 16, 32):
+            want = {_pack(e, order.desc0, w): c for e, c in f.items()}
+            assert packed(SimpleNamespace(w=w)) == want
+        assert sorted(terms) == sorted(_pack(e, order.desc0, 8) for e, _ in f.items())
 
     def test_sampled_orders_pass(self):
         rng = random.Random("elim-poly")
