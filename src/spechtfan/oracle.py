@@ -13,8 +13,8 @@ The Specht systems that verify and `spechtfan oracle` certify are packed
 straight from the expansion: `specht._term_lanes` holds each shape's T0
 expansion once, term i's exponent of x_j in 64-bit lane i of column j, and
 `_specht_basis` packs all of a tableau's terms under the order at once, at
-8-bit fields. The polynomials are decoded from the lanes only if a
-division outgrows those fields and starts again wider.
+8-bit fields (`specht._lane_system`). The polynomials are built only if
+a division outgrows those fields and starts again wider.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from .polyring import Polynomial, _field_scale, _guard_bits, _pack, leading_mono
 from .specht import (
     _check_shape,
     _lane_list,
-    _lane_ones,
     _lane_pack,
-    _lane_polynomial,
+    _lane_system,
     _term_lanes,
+    specht_polynomial,
 )
 
 __all__ = [
@@ -109,21 +109,33 @@ def marked_basis(polys, order: VariableOrder) -> MarkedBasis:
     return MarkedBasis(elems, order)
 
 
-class _LaneBasis(MarkedBasis):
-    """A marked basis from `_specht_basis`, which sets its order, tableaux, marks
-    and division table; `elements` decodes the polynomials from the lanes
-    when first read, which on a certificate's path only a restart does."""
+class _LaneBasis:
+    """The marked basis `_specht_basis` packs from lanes.
+
+    It holds what `certify_groebner`, `reduce` and `_remainder` read of a
+    `MarkedBasis` (order, marks, division_table, elements), and the
+    tableaux. `elements` builds the polynomials (`specht_polynomial`) when
+    first read, which on a certificate's path only a restart at a wider
+    table does. Two lane bases compare by identity, so neither == nor repr
+    builds them.
+    """
+
+    def __init__(self, order: VariableOrder, tableaux: tuple, marks: tuple, division_table: _DivisionTable):
+        self.order = order
+        self.tableaux = tableaux
+        self.marks = marks
+        self.division_table = division_table
 
     @cached_property
     def elements(self) -> tuple[tuple[Polynomial, tuple[int, ...]], ...]:
-        return tuple(zip(map(_lane_polynomial, self.tableaux), self.marks))
+        return tuple(zip(map(specht_polynomial, self.tableaux), self.marks))
 
 
-def _specht_basis(lam: Partition, order: VariableOrder, same_first_part: bool) -> MarkedBasis:
+def _specht_basis(lam: Partition, order: VariableOrder, same_first_part: bool) -> _LaneBasis:
     """The lex (same_first_part) or universal Specht system of lam under order,
     in `marked_basis` order, packed from lanes with no per-term Python.
 
-    Each tableau's terms are packed at _LANE_W-bit fields (`_lane_pack`);
+    Each tableau's terms are packed at _LANE_W-bit fields (`_lane_system`);
     the largest is the mark, the others zip with their coefficients times
     -lc into the tail. Refuses, before any work, an n whose fields overflow
     a 64-bit lane, and then a shape with an exponent of 2**(_LANE_W - 2) or
@@ -137,37 +149,27 @@ def _specht_basis(lam: Partition, order: VariableOrder, same_first_part: bool) -
     _check_shape(lam, order)
     desc = order.desc0
     scale = _field_scale(desc, _LANE_W)
-    spill = (1 << 64) - (1 << (_LANE_W - 2))
     tableaux, marks, rows = [], [], []
     for mu in dominated_partitions(lam, same_first_part=same_first_part):
-        cols, coeffs = _term_lanes(mu.parts)
-        count = len(coeffs)
-        spills = spill * _lane_ones(count)
-        if any(col & spills for col in cols):
+        lanes = _term_lanes(mu.parts)
+        if lanes.top >> (_LANE_W - 2):
             raise ValueError(f"an exponent of shape {mu} does not fit {_LANE_W - 2} bits")
+        coeffs = lanes.coeffs
         negated = tuple(-c for c in coeffs)
-        for t in standard_tableaux(mu, order):
-            terms = _lane_list(_lane_pack(cols, t.row_word(), scale), count)
-            mark = max(terms)
-            i = terms.index(mark)
+        for t, _, terms, i in _lane_system(mu, order, scale):
             lc = coeffs[i]
             if lc not in (1, -1):
                 raise ValueError(f"leading coefficient of {t} must be +1 or -1, not {lc}")
             # -c * lc: the coefficients negated when lc is 1, as they are when it is -1
             tail = list(zip(terms, negated if lc == 1 else coeffs))
             del tail[i]
-            rows.append((mark, tuple(tail)))
-            marks.append(_unpack(mark, desc, _LANE_W))
+            rows.append((terms[i], tuple(tail)))
+            marks.append(_unpack(terms[i], desc, _LANE_W))
             tableaux.append(t)
-    basis = _LaneBasis.__new__(_LaneBasis)
     table = _DivisionTable(
         _LANE_W, _guard_bits(n, _LANE_W), tuple(rows), tuple(sorted(rows, key=itemgetter(0)))
     )
-    # the fields are frozen; cached properties read __dict__ first
-    basis.__dict__.update(
-        order=order, tableaux=tuple(tableaux), marks=tuple(marks), division_table=table
-    )
-    return basis
+    return _LaneBasis(order, tuple(tableaux), tuple(marks), table)
 
 
 def _unpack(p: int, desc: tuple[int, ...], w: int) -> tuple[int, ...]:
@@ -402,14 +404,14 @@ def _dividend(t: Tableau, order: VariableOrder):
     """t's Specht polynomial under order: its terms packed from the lanes at
     _LANE_W-bit fields, and the packed(table) `_remainder` takes, which
     packs the polynomial afresh once a restart widens the table."""
-    cols, coeffs = _term_lanes(tuple(map(len, t.rows)))
+    lanes = _term_lanes(tuple(map(len, t.rows)))
     scale = _field_scale(order.desc0, _LANE_W)
-    terms = _lane_list(_lane_pack(cols, t.row_word(), scale), len(coeffs))
+    terms = _lane_list(_lane_pack(lanes.cols, t.row_word(), scale), len(lanes.coeffs))
 
     def packed(table):
         if table.w == _LANE_W:
-            return dict(zip(terms, coeffs))
-        return {_pack(e, order.desc0, table.w): c for e, c in _lane_polynomial(t).items()}
+            return dict(zip(terms, lanes.coeffs))
+        return {_pack(e, order.desc0, table.w): c for e, c in specht_polynomial(t).items()}
 
     return terms, packed
 

@@ -12,7 +12,6 @@ from .combinatorics import (
     _check_ints,
     _permuter,
     dominated_partitions,
-    standard_tableaux,
 )
 from .errors import CapacityError, TheoremViolationError
 from .fan import FanSummary
@@ -20,9 +19,11 @@ from .polyring import _field_scale, _guard_bits, _monomial_text
 from .specht import (
     MonomialIdeal,
     _check_shape,
-    _lane_list,
-    _lane_ones,
+    _lane,
     _lane_pack,
+    _lane_system,
+    _lane_term,
+    _lowest_lane,
     _term_lanes,
 )
 
@@ -38,7 +39,6 @@ __all__ = [
 PNK_VERTEX_LIMIT = factorial(9)
 # Few vertices can still be many coordinates: P(n,n-2) has n points of n entries.
 PNK_COORDINATE_LIMIT = 9 * PNK_VERTEX_LIMIT
-_LANE_MAX = (1 << 64) - 1
 
 
 def _check_nk(n: int, k: int) -> None:
@@ -158,7 +158,7 @@ def braid_refinement_check(lam: Partition) -> str:
     tableau and term.
 
     Each generator is packed from its shape's lanes (`specht._term_lanes`),
-    one term per 64-bit lane, with no per-term Python:
+    one term per 64-bit lane, with no per-term Python (`_lane_system`):
     - under the lex scale of sigma (`_field_scale`), whose largest lane is
       the leading term, the expansion's own, not the closed form;
     - under the chamber weights (`_chamber_weights`), whose lane i holds the
@@ -167,11 +167,10 @@ def braid_refinement_check(lam: Partition) -> str:
       partial sum of v is >= 0, given that the full sum is 0.
     Copying (P(lead) | guard) into every lane and subtracting the packed
     sums tests all n partial sums of every term at once: m escapes iff a
-    field of its lane loses its top bit. The columns' sum holds each term's
-    degree in its lane, so a shape whose terms differ in degree is refused
-    with ValueError before any order, and so are fields too wide for a
-    lane; then every field stays in range, and no field or lane borrows
-    from the next.
+    field of its lane loses its top bit. A shape whose terms differ in
+    degree is refused with ValueError before any order, and so are fields
+    too wide for a lane; then every field stays in range, and no field or
+    lane borrows from the next.
     """
     n = lam.n
     if n > 6:
@@ -180,13 +179,11 @@ def braid_refinement_check(lam: Partition) -> str:
     shapes = []
     degree = 0
     for mu in dominated_partitions(lam, same_first_part=True):
-        cols, coeffs = _term_lanes(mu.parts)
-        ones = _lane_ones(len(coeffs))
-        total = sum(cols)
-        if total != (total & _LANE_MAX) * ones:
+        lanes = _term_lanes(mu.parts)
+        if lanes.degree is None:
             raise ValueError(f"the expansion of shape {mu} is not homogeneous")
-        degree = max(degree, total & _LANE_MAX)
-        shapes.append((mu, cols, len(coeffs), ones))
+        degree = max(degree, lanes.degree)
+        shapes.append((mu, lanes))
     # the field width of `_chamber_weights`; no exponent exceeds the degree, so lex fits it too
     w = degree.bit_length() + 1
     if n * w > 64:
@@ -196,18 +193,12 @@ def braid_refinement_check(lam: Partition) -> str:
         lex = _field_scale(order.desc0, w)
         weights, guard = _chamber_weights(order.desc0, degree)
         prefix = (0, *weights)
-        for mu, cols, count, ones in shapes:
-            guards = guard * ones
-            for t in standard_tableaux(mu, order):
-                word = t.row_word()
-                terms = _lane_list(_lane_pack(cols, word, lex), count)
-                sums = _lane_pack(cols, word, prefix)
-                top = (sums >> (64 * terms.index(max(terms))) & _LANE_MAX) | guard
-                lost = guards & ~(top * ones - sums)
+        for mu, lanes in shapes:
+            guards = guard * lanes.ones
+            for t, word, _, lead in _lane_system(mu, order, lex):
+                sums = _lane_pack(lanes.cols, word, prefix)
+                lost = guards & ~((_lane(sums, lead) | guard) * lanes.ones - sums)
                 if lost:
-                    shift = ((lost & -lost).bit_length() - 1) & -64
-                    m = [0] * n
-                    for col, v in zip(cols, word):
-                        m[v - 1] = col >> shift & _LANE_MAX
+                    m = _lane_term(lanes, word, _lowest_lane(lost))
                     return f"order={order} tableau={t} term={_monomial_text(m)}"
     return ""

@@ -14,7 +14,10 @@ and moves each exponent tuple by sigma; the public
 The expansion is made once per shape, for T0, and every tableau's is T0's
 with its variables renamed. `specht_polynomial` renames term by term; the
 braid row and the oracle's bases read the same expansion as lanes
-(`_term_lanes`) and pack all of a tableau's terms at once (`_lane_pack`).
+(`_term_lanes`) and pack all of a tableau's terms at once (`_lane_pack`,
+`_lane_system`). The 64-bit lane layout stays in this module: the other
+layers read lanes through `_lane_list`, `_lane`, `_lowest_lane` and
+`_lane_term`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from functools import lru_cache
 from itertools import chain, combinations, islice
 from operator import itemgetter, le, lt, mul
 from struct import pack
+from typing import NamedTuple
 
 from .combinatorics import (
     Partition,
@@ -194,24 +198,45 @@ def _shape_terms(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return terms
 
 
-def _lanes_of(terms: dict[tuple[int, ...], int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A term map as n column ints and its coefficients, both in the map's term order:
-    term i's exponent of x_{j+1} sits in 64-bit lane i of column j."""
-    form = f"={len(terms)}Q"
-    cols = tuple(
-        int.from_bytes(pack(form, *map(itemgetter(j), terms)), sys.byteorder) for j in range(n)
-    )
-    return cols, tuple(terms.values())
+# the mask of one 64-bit lane
+_LANE_MASK = (1 << 64) - 1
+
+
+class _Lanes(NamedTuple):
+    """A shape's T0 expansion as lanes: term i's exponent of x_{j+1} sits in
+    64-bit lane i of cols[j], and its coefficient in coeffs[i]."""
+
+    cols: tuple[int, ...]
+    coeffs: tuple[int, ...]
+    # a one at the bottom of each lane, so that v * ones copies v < 2**64 into every lane
+    ones: int
+    # the terms' common degree, or None if they differ
+    degree: int | None
+    # the largest exponent of any term
+    top: int
 
 
 @lru_cache(maxsize=None)
-def _term_lanes(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`_shape_terms(parts)` as lanes (`_lanes_of`), built once per shape.
+def _term_lanes(parts: tuple[int, ...]) -> _Lanes:
+    """`_shape_terms(parts)` as `_Lanes`, built once per shape.
 
     Every tableau of the shape relabels T0's terms, so one multiply-add per
     column packs all of a tableau's terms at once (`_lane_pack`).
     """
-    return _lanes_of(_shape_terms(parts), sum(parts))
+    terms = _shape_terms(parts)
+    form = f"={len(terms)}Q"
+    cols = tuple(
+        int.from_bytes(pack(form, *map(itemgetter(j), terms)), sys.byteorder)
+        for j in range(sum(parts))
+    )
+    degrees = set(map(sum, terms))
+    return _Lanes(
+        cols,
+        tuple(terms.values()),
+        ((1 << (64 * len(terms))) - 1) // _LANE_MASK,
+        degrees.pop() if len(degrees) == 1 else None,
+        max(map(max, terms)),
+    )
 
 
 def _lane_pack(cols: tuple[int, ...], word: tuple[int, ...], scale) -> int:
@@ -225,25 +250,39 @@ def _lane_pack(cols: tuple[int, ...], word: tuple[int, ...], scale) -> int:
     return sum(map(mul, cols, map(scale.__getitem__, word)))
 
 
-def _lane_ones(count: int) -> int:
-    """A one at the bottom of each of `count` 64-bit lanes, so that v * ones
-    copies v < 2**64 into every lane."""
-    return ((1 << (64 * count)) - 1) // ((1 << 64) - 1)
-
-
 def _lane_list(p: int, count: int) -> list[int]:
     """The `count` 64-bit lanes of p, lowest first."""
     return memoryview(p.to_bytes(8 * count, sys.byteorder)).cast("Q").tolist()
 
 
-def _lane_polynomial(t: Tableau) -> Polynomial:
-    """specht_polynomial(t) read back from `_term_lanes`: each column's lanes go to
-    the variable it is renamed to, and zip into the exponent tuples."""
-    cols, coeffs = _term_lanes(tuple(map(len, t.rows)))
-    by_var = [()] * t.n
-    for col, v in zip(cols, t.row_word()):
-        by_var[v - 1] = _lane_list(col, len(coeffs))
-    return Polynomial._wrap(t.n, dict(zip(zip(*by_var), coeffs)))
+def _lane(p: int, i: int) -> int:
+    """Lane i of p."""
+    return p >> (64 * i) & _LANE_MASK
+
+
+def _lowest_lane(p: int) -> int:
+    """The index of the lowest nonzero lane of p > 0."""
+    return ((p & -p).bit_length() - 1) >> 6
+
+
+def _lane_term(lanes: _Lanes, word: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The exponent tuple of term i of T0's expansion relabelled by the row word."""
+    exps = [0] * len(word)
+    for col, v in zip(lanes.cols, word):
+        exps[v - 1] = _lane(col, i)
+    return tuple(exps)
+
+
+def _lane_system(mu: Partition, order: VariableOrder, scale):
+    """(tableau, row word, terms, lead) for each standard tableau of mu under order:
+    terms lists its Specht polynomial's terms packed under scale
+    (`_lane_pack`) in lane order, and lead is the index of the largest."""
+    lanes = _term_lanes(mu.parts)
+    count = len(lanes.coeffs)
+    for t in standard_tableaux(mu, order):
+        word = t.row_word()
+        terms = _lane_list(_lane_pack(lanes.cols, word, scale), count)
+        yield t, word, terms, terms.index(max(terms))
 
 
 def specht_polynomial(t: Tableau) -> Polynomial:

@@ -34,22 +34,18 @@ def count_calls(monkeypatch):
 
 @pytest.fixture
 def tamper_lanes(monkeypatch):
-    """tamper_lanes({parts: term map}) makes `_term_lanes` return each term map's
-    lanes for its shape, and the real ones for every other shape, in every
-    module that packs Specht polynomials from lanes."""
-    import spechtfan.oracle
-    import spechtfan.polytope
+    """tamper_lanes({parts: term map}) makes each named shape's T0 expansion
+    (`specht._shape_terms`) the given term map, and leaves every other
+    shape's alone, so the lanes and the polynomials built from it agree."""
     import spechtfan.specht
 
-    real = spechtfan.specht._term_lanes
+    real = spechtfan.specht._shape_terms
 
     def install(table):
-        def lanes(parts):
-            if parts in table:
-                return spechtfan.specht._lanes_of(table[parts], sum(parts))
-            return real(parts)
+        monkeypatch.setattr(
+            spechtfan.specht, "_shape_terms", lambda parts: table[parts] if parts in table else real(parts)
+        )
+        spechtfan.specht._term_lanes.cache_clear()
 
-        for module in (spechtfan.specht, spechtfan.oracle, spechtfan.polytope):
-            monkeypatch.setattr(module, "_term_lanes", lanes)
-
-    return install
+    yield install
+    spechtfan.specht._term_lanes.cache_clear()

@@ -57,10 +57,11 @@ def test_the_seed_reaches_perfbench_and_the_report(tmp_path, monkeypatch):
         return bench_pair.subprocess.CompletedProcess(argv, 0, stdout=line + "\n", stderr="")
 
     monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
-    argv = [str(sides[0]), str(sides[1]), "--label", "t", "--pairs", "2", "--seed", "7"]
+    argv = [str(sides[0]), str(sides[1]), "--label", "t", "--pairs", "2"]
     assert bench_pair.main([*argv, "--workload", "verify-n5", "--out", str(tmp_path)]) == 0
-    # alternating pairs, each run given the seed
-    assert seen == [("base", "7"), ("head", "7"), ("head", "7"), ("base", "7")]
+    # alternating pairs, each run given perfbench's default seed
+    seed = str(bench_pair.DEFAULT_SEED)
+    assert seen == [("base", seed), ("head", seed), ("head", seed), ("base", seed)]
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert report["seed"] == 7
+    assert report["seed"] == bench_pair.DEFAULT_SEED == 2024
     assert report["workloads"]["verify-n5"]["metrics"]["wall_s"]["head_won"] == 0

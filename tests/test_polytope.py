@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spechtfan.polytope
+import spechtfan.specht
 from helpers import (
     chamber_escape,
     in_hull_exact,
@@ -298,10 +299,12 @@ class TestPackedChamberEscape:
 
 class TestBraidRefinement:
     def test_two_one(self, count_calls):
-        # 3! orders, each with two lex generators whose lanes are read out once for their leads
-        calls = count_calls(spechtfan.polytope, "standard_tableaux", "_lane_list")
+        # 3! orders, each with one lex shape of two generators whose lanes are read out once for their leads
+        calls = count_calls(spechtfan.polytope, "_lane_system")
+        lists = count_calls(spechtfan.specht, "standard_tableaux", "_lane_list")
         assert braid_refinement_check(Partition.parse("2,1")) == ""
-        assert calls == {"standard_tableaux": 6, "_lane_list": 12}
+        assert calls == {"_lane_system": 6}
+        assert lists == {"standard_tableaux": 6, "_lane_list": 12}
 
     @pytest.mark.parametrize("parts", ["2,2", "3,1", "3,2", "2,2,1", "5,1"])
     def test_small_shapes_pass(self, parts):
@@ -352,7 +355,7 @@ class TestBraidRefinement:
         def refuse(*args):
             raise AssertionError("an order was walked before the degree check")
 
-        monkeypatch.setattr(spechtfan.polytope, "standard_tableaux", refuse)
+        monkeypatch.setattr(spechtfan.polytope, "_lane_system", refuse)
         with pytest.raises(ValueError, match="shape 2,1 is not homogeneous"):
             braid_refinement_check(Partition.parse("2,1"))
         # homogeneous of degree 2**20: three 22-bit fields of partial sums do not fit a lane
@@ -399,6 +402,6 @@ class TestBraidRefinement:
             raise AssertionError("a basis was built before the size check")
 
         monkeypatch.setattr(spechtfan.polytope, "_term_lanes", refuse)
-        monkeypatch.setattr(spechtfan.polytope, "standard_tableaux", refuse)
+        monkeypatch.setattr(spechtfan.polytope, "_lane_system", refuse)
         with pytest.raises(ValueError, match="limit 6"):
             braid_refinement_check(Partition.parse("6,1"))

@@ -30,9 +30,12 @@ from spechtfan.errors import CapacityError
 from spechtfan.oracle import _specht_basis
 from spechtfan.polyring import Polynomial, _field_scale, _pack, leading_monomial
 from spechtfan.specht import (
+    _lane,
     _lane_list,
     _lane_pack,
-    _lane_polynomial,
+    _lane_system,
+    _lane_term,
+    _lowest_lane,
     _term_lanes,
     INITIAL_IDEAL_N_LIMIT,
     INITIAL_IDEAL_TABLEAU_LIMIT,
@@ -132,22 +135,46 @@ class TestSpechtPolynomial:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_lanes_decode_to_the_expansion(self, n):
-        # every shape, every tableau under two orders: the lanes hold T0's terms, relabelled by the row word
+        # every shape, every tableau under two orders: each lane decodes to a term of the
+        # expansion, and packing under the lex scale packs every term of specht_polynomial
         rng = random.Random(f"lanes|{n}")
         for lam in enumerate_partitions(n):
+            lanes = _term_lanes(lam.parts)
             for order in [VariableOrder.identity(n)] + sample_orders(n, 1, rng):
-                for t in standard_tableaux(lam, order):
-                    assert _lane_polynomial(t) == specht_polynomial(t) == difference_product(t), t
+                desc = order.desc0
+                scale = _field_scale(desc, 8)
+                assert tuple(t for t, *_ in _lane_system(lam, order, scale)) == standard_tableaux(lam, order)
+                for t, word, terms, lead in _lane_system(lam, order, scale):
+                    f = specht_polynomial(t)
+                    assert f == difference_product(t), t
+                    decoded = [_lane_term(lanes, word, i) for i in range(len(lanes.coeffs))]
+                    assert dict(zip(decoded, lanes.coeffs)) == dict(f.items()), t
+                    assert terms == [_pack(e, desc, 8) for e in decoded], t
+                    assert decoded[lead] == leading_monomial(f, order), t
+            # entries of row d carry exponent d in the closed-form lead; a column of c cells
+            # is a Vandermonde product, with exponents up to c - 1
+            assert lanes.degree == sum(d * p for d, p in enumerate(lam.parts))
+            assert lanes.top == lam.m - 1
 
     def test_lanes_pack_every_term_at_once(self):
         # (2,1) under 3,1,2: x2 is largest, then x1, then x3
         t = Tableau(((1, 3), (2,)))
         f = specht_polynomial(t)
         desc = VariableOrder.parse("3,1,2").desc0
-        cols, coeffs = _term_lanes((2, 1))
-        terms = _lane_list(_lane_pack(cols, t.row_word(), _field_scale(desc, 8)), len(coeffs))
-        assert dict(zip(terms, coeffs)) == {_pack(e, desc, 8): c for e, c in f.items()}
-        assert _lane_list(sum(cols), len(coeffs)) == [1] * len(f)
+        lanes = _term_lanes((2, 1))
+        packed = _lane_pack(lanes.cols, t.row_word(), _field_scale(desc, 8))
+        terms = _lane_list(packed, len(lanes.coeffs))
+        assert dict(zip(terms, lanes.coeffs)) == {_pack(e, desc, 8): c for e, c in f.items()}
+        assert [_lane(packed, i) for i in range(len(terms))] == terms
+        assert _lane_list(sum(lanes.cols), len(lanes.coeffs)) == [1] * len(f)
+        assert _lane_list(lanes.ones, 2) == [1, 1]
+        assert (lanes.degree, lanes.top) == (1, 1)
+
+    def test_the_lowest_lane_holds_the_lowest_set_bit(self):
+        assert _lowest_lane(1) == 0
+        assert _lowest_lane(1 << 63) == 0
+        assert _lowest_lane(1 << 64) == 1
+        assert _lowest_lane((1 << 130) | (1 << 200)) == 2
 
     def test_the_lane_cache_is_keyed_by_shape_only(self):
         spechtfan.specht._term_lanes.cache_clear()

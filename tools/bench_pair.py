@@ -1,14 +1,15 @@
 """Benchmark two checkouts of spechtfan against each other in alternating pairs.
 
     python3 tools/bench_pair.py BASE HEAD --label fan-keys [--pairs 5] [--seconds 45]
-        [--seed 2024] [--workload fan-n8 --workload ideal-n10 ...] [--out DIR]
+        [--workload fan-n8 --workload ideal-n10 ...] [--out DIR]
 
 BASE and HEAD are checkout directories, each with its own perfbench/run.py.
 For every workload, pair i runs BASE's perfbench/run.py, then HEAD's, with
 the order swapped on odd pairs, so a steady drift in machine speed falls on
 both sides alike. Each run is one fresh `perfbench/run.py --workload W
---seconds S --seed N --trace 0` in its own checkout, and its metrics are the end-to-end
-metrics of its last output line. Peak RSS depends on the length of the
+--seconds S --seed 2024 --trace 0` in its own checkout, the seed passed
+explicitly so that both sides run the same calls, and its metrics are the
+end-to-end metrics of its last output line. Peak RSS depends on the length of the
 checkout's path, so give BASE and HEAD paths of equal length.
 
 Writes DIR/BENCH_<label>.json (DIR defaults to the repository this script
@@ -64,9 +65,9 @@ def describe(root: Path) -> dict:
     }
 
 
-def run_once(root: Path, workload: str, seconds: int, seed: int) -> dict:
-    """One perfbench run in root; its last output line, parsed."""
-    argv = ["--workload", workload, "--seconds", str(seconds), "--seed", str(seed), "--trace", "0"]
+def run_once(root: Path, workload: str, seconds: int) -> dict:
+    """One perfbench run in root at DEFAULT_SEED; its last output line, parsed."""
+    argv = ["--workload", workload, "--seconds", str(seconds), "--seed", str(DEFAULT_SEED), "--trace", "0"]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", *argv],
         cwd=root, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=600,
@@ -111,7 +112,6 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=int, default=45)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--out", type=Path, default=Path(__file__).resolve().parents[1])
     args = parser.parse_args(argv)
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "pairs": args.pairs,
         "seconds": args.seconds,
-        "seed": args.seed,
+        "seed": DEFAULT_SEED,
         "base": describe(sides["base"]),
         "head": describe(sides["head"]),
         "workloads": {},
@@ -135,7 +135,7 @@ def main(argv=None) -> int:
         runs: dict[str, list[dict]] = {"base": [], "head": []}
         for i in range(args.pairs):
             for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                result = run_once(sides[side], workload, args.seconds, args.seed)
+                result = run_once(sides[side], workload, args.seconds)
                 runs[side].append(result)
                 wall = result["metrics"].get("wall_s", {}).get("value", float("nan"))
                 print(f"{workload} pair {i} {side}: wall_s {wall:.4f} correct {result['correct']}", flush=True)
