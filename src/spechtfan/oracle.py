@@ -13,8 +13,9 @@ The Specht systems that verify and `spechtfan oracle` certify are packed
 straight from the expansion: `specht._term_lanes` holds each shape's T0
 expansion once, term i's exponent of x_j in 64-bit lane i of column j, and
 `_specht_basis` packs all of a tableau's terms under the order at once, at
-8-bit fields (`specht._lane_system`). The polynomials are built only if
-a division outgrows those fields and starts again wider.
+8-bit fields (`specht._lane_system`); no polynomial is built. A division
+that outgrows its fields moves the dividend and every packed row to fields
+of twice the width (`_widen_table`) and starts again there.
 """
 
 from __future__ import annotations
@@ -36,14 +37,7 @@ from .combinatorics import (
     standard_tableaux,
 )
 from .polyring import Polynomial, _field_scale, _guard_bits, _pack, leading_monomial
-from .specht import (
-    _check_shape,
-    _lane_list,
-    _lane_pack,
-    _lane_system,
-    _term_lanes,
-    specht_polynomial,
-)
+from .specht import _check_shape, _lane_list, _lane_pack, _lane_system, _term_lanes
 
 __all__ = [
     "DEFAULT_ORACLE_LIMIT",
@@ -69,6 +63,12 @@ class _DivisionTable(NamedTuple):
     rows: tuple
     # the same row tuples, sorted by mark with basis position breaking ties
     by_mark: tuple
+
+
+def _table(w: int, n: int, rows: tuple) -> _DivisionTable:
+    """The `_DivisionTable` of rows packed in n fields of width w."""
+    # a stable sort on the mark alone keeps basis position as the tie break
+    return _DivisionTable(w, _guard_bits(n, w), rows, tuple(sorted(rows, key=itemgetter(0))))
 
 
 @dataclass(frozen=True)
@@ -109,26 +109,15 @@ def marked_basis(polys, order: VariableOrder) -> MarkedBasis:
     return MarkedBasis(elems, order)
 
 
-class _LaneBasis:
-    """The marked basis `_specht_basis` packs from lanes.
+class _LaneBasis(NamedTuple):
+    """The marked basis `_specht_basis` packs from lanes: what `certify_groebner`
+    and `reduce` read of a `MarkedBasis` (order, marks, division_table), and
+    the tableaux."""
 
-    It holds what `certify_groebner`, `reduce` and `_remainder` read of a
-    `MarkedBasis` (order, marks, division_table, elements), and the
-    tableaux. `elements` builds the polynomials (`specht_polynomial`) when
-    first read, which on a certificate's path only a restart at a wider
-    table does. Two lane bases compare by identity, so neither == nor repr
-    builds them.
-    """
-
-    def __init__(self, order: VariableOrder, tableaux: tuple, marks: tuple, division_table: _DivisionTable):
-        self.order = order
-        self.tableaux = tableaux
-        self.marks = marks
-        self.division_table = division_table
-
-    @cached_property
-    def elements(self) -> tuple[tuple[Polynomial, tuple[int, ...]], ...]:
-        return tuple(zip(map(specht_polynomial, self.tableaux), self.marks))
+    order: VariableOrder
+    tableaux: tuple
+    marks: tuple
+    division_table: _DivisionTable
 
 
 def _specht_basis(lam: Partition, order: VariableOrder, same_first_part: bool) -> _LaneBasis:
@@ -141,7 +130,7 @@ def _specht_basis(lam: Partition, order: VariableOrder, same_first_part: bool) -
     a 64-bit lane, and then a shape with an exponent of 2**(_LANE_W - 2) or
     more: as with `MarkedBasis.division_table`, the fields must hold twice
     every exponent, so that each S-pair built from the rows fits. A
-    division that outgrows them starts again at 16 bits.
+    division that outgrows them widens the table to 16 bits (`_remainder`).
     """
     n = lam.n
     if n * _LANE_W > 64:
@@ -166,10 +155,7 @@ def _specht_basis(lam: Partition, order: VariableOrder, same_first_part: bool) -
             rows.append((terms[i], tuple(tail)))
             marks.append(_unpack(terms[i], desc, _LANE_W))
             tableaux.append(t)
-    table = _DivisionTable(
-        _LANE_W, _guard_bits(n, _LANE_W), tuple(rows), tuple(sorted(rows, key=itemgetter(0)))
-    )
-    return _LaneBasis(order, tuple(tableaux), tuple(marks), table)
+    return _LaneBasis(order, tuple(tableaux), tuple(marks), _table(_LANE_W, n, tuple(rows)))
 
 
 def _unpack(p: int, desc: tuple[int, ...], w: int) -> tuple[int, ...]:
@@ -199,9 +185,22 @@ def _division_table(basis: MarkedBasis, w: int) -> _DivisionTable:
         lc = f.coefficient(mark)
         tail = tuple((_pack(e, desc, w), -c * lc) for e, c in f.items() if e != mark)
         rows.append((_pack(mark, desc, w), tail))
-    # a stable sort on the mark alone keeps basis position as the tie break
-    by_mark = tuple(sorted(rows, key=itemgetter(0)))
-    return _DivisionTable(w, _guard_bits(len(desc), w), tuple(rows), by_mark)
+    return _table(w, len(desc), tuple(rows))
+
+
+def _widen(p: int, n: int, w: int) -> int:
+    """p's n packed fields of width w, each moved to a field of width 2w."""
+    mask = (1 << w) - 1
+    return sum((p >> (w * j) & mask) << (2 * w * j) for j in range(n))
+
+
+def _widen_table(table: _DivisionTable, n: int) -> _DivisionTable:
+    """The table of n fields with every packed int widened (`_widen`) to twice its width."""
+    w = table.w
+    rows = tuple(
+        (_widen(mark, n, w), tuple((_widen(e, n, w), c) for e, c in tail)) for mark, tail in table.rows
+    )
+    return _table(2 * w, n, rows)
 
 
 def _divide(work: dict[int, int], table: _DivisionTable) -> dict[int, int] | None:
@@ -246,16 +245,16 @@ def _divide(work: dict[int, int], table: _DivisionTable) -> dict[int, int] | Non
     return remainder
 
 
-def _remainder(basis: MarkedBasis, packed) -> tuple[dict[int, int], _DivisionTable]:
-    """The remainder of packed(table) by the basis, and the table it was taken at.
+def _remainder(table: _DivisionTable, work: dict[int, int], n: int) -> tuple[dict[int, int], _DivisionTable]:
+    """The remainder of the packed term map `work` (n fields, at the table's
+    width) by the table, and the table it was taken at.
 
-    packed(table) builds the dividend as a packed term map at the table's
-    width, or returns None if it does not fit; then, or when `_divide`
-    overflows, both start again at twice the width.
+    When `_divide` overflows, `work` and every row of the table move to
+    fields of twice the width (`_widen`), and the division starts again.
     """
-    table = basis.division_table
-    while (work := packed(table)) is None or (r := _divide(work, table)) is None:
-        table = _division_table(basis, 2 * table.w)
+    while (r := _divide(dict(work), table)) is None:
+        work = {_widen(p, n, table.w): c for p, c in work.items()}
+        table = _widen_table(table, n)
     return r, table
 
 
@@ -263,22 +262,20 @@ def reduce(f: Polynomial, basis: MarkedBasis) -> Polynomial:
     """Remainder of f on division by the basis, by `_divide`.
 
     Every lead coefficient of the basis is +-1, so the division runs in the
-    integers and needs no fraction. f is packed at this boundary, and the
-    remainder unpacked.
+    integers and needs no fraction. f is packed at this boundary, at the
+    first width that holds it, and the remainder unpacked.
     """
     if f.n != basis.order.n:
         raise ValueError("polynomial must live in the basis ring")
     if f.is_zero():
         return f
+    n = f.n
     desc = basis.order.desc0
     top = max(map(max, f._terms))
-
-    def packed(table):
-        if top >> (table.w - 1):
-            return None
-        return {_pack(e, desc, table.w): c for e, c in f.items()}
-
-    r, table = _remainder(basis, packed)
+    table = basis.division_table
+    while top >> (table.w - 1):
+        table = _widen_table(table, n)
+    r, table = _remainder(table, {_pack(e, desc, table.w): c for e, c in f.items()}, n)
     return _unpack_terms(r, desc, table.w)
 
 
@@ -367,12 +364,15 @@ def certify_groebner(basis: MarkedBasis) -> GroebnerCertificate:
     Everything runs on the packed division rows: the chain test checks
     divisibility of the packed lcm by packed marks with guard bits, and
     each reduced S-pair is built from the rows (`_s_pair`) and handed to
-    `_divide`, restarting at twice the width on overflow as `reduce` does.
-    A remainder is unpacked into a `Polynomial` only when it is nonzero.
+    `_remainder`. A division that overflows widens the table, and later
+    pairs divide at the widened table; the chain test stays at the basis's
+    own width, which holds every lcm of two marks. A remainder is unpacked
+    into a `Polynomial` only when it is nonzero.
     """
     marks = basis.marks
     desc = basis.order.desc0
-    w, guard, rows, _ = basis.division_table
+    table = basis.division_table
+    w, guard, rows, _ = table
     packed = [mark for mark, _ in rows]
     # bit k of settled[i] is set once the pair {i, k} is settled
     settled = [0] * len(marks)
@@ -391,29 +391,21 @@ def certify_groebner(basis: MarkedBasis) -> GroebnerCertificate:
         else:
             reduced += 1
             lcm = tuple(map(max, mi, mj))
-            r, wide = _remainder(basis, lambda t: _s_pair(t.rows, i, j, _pack(lcm, desc, t.w)))
+            r, table = _remainder(table, _s_pair(table.rows, i, j, _pack(lcm, desc, table.w)), len(desc))
             if r:
-                failures.append((i, j, _unpack_terms(r, desc, wide.w)))
+                failures.append((i, j, _unpack_terms(r, desc, table.w)))
                 continue
         settled[i] |= 1 << j
         settled[j] |= 1 << i
     return GroebnerCertificate(total, coprime, chain, reduced, tuple(failures))
 
 
-def _dividend(t: Tableau, order: VariableOrder):
-    """t's Specht polynomial under order: its terms packed from the lanes at
-    _LANE_W-bit fields, and the packed(table) `_remainder` takes, which
-    packs the polynomial afresh once a restart widens the table."""
+def _dividend(t: Tableau, order: VariableOrder) -> dict[int, int]:
+    """t's Specht polynomial under order as a packed term map at _LANE_W-bit
+    fields, packed from the lanes."""
     lanes = _term_lanes(tuple(map(len, t.rows)))
     scale = _field_scale(order.desc0, _LANE_W)
-    terms = _lane_list(_lane_pack(lanes.cols, t.row_word(), scale), len(lanes.coeffs))
-
-    def packed(table):
-        if table.w == _LANE_W:
-            return dict(zip(terms, lanes.coeffs))
-        return {_pack(e, order.desc0, table.w): c for e, c in specht_polynomial(t).items()}
-
-    return terms, packed
+    return dict(zip(_lane_list(_lane_pack(lanes.cols, t.row_word(), scale), len(lanes.coeffs)), lanes.coeffs))
 
 
 def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
@@ -431,7 +423,8 @@ def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
     `_dividend`. The removed variable is the largest, in a packed term's top
     field, and the inner order keeps the others in order: a term packed
     under the inner order is its embedding packed under the order, and a
-    term with an empty top field is, packed, its own projection.
+    term with an empty top field is, packed, its own projection. So the
+    superset side divides, and on overflow widens, n - 1 fields.
     """
     n = lam.n
     if n > DEFAULT_ORACLE_LIMIT:
@@ -449,14 +442,14 @@ def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
     if not certify_groebner(small).passed:
         return f"basis of hat={lhat} failed certification under {inner}, from {order}"
     for t in standard_tableaux(lhat, inner):
-        if _remainder(base, _dividend(t, inner)[1])[0]:
+        if _remainder(base.division_table, _dividend(t, inner), n)[0]:
             return f"subset: generator of {lhat} from {t} left a remainder under {order}"
     for t, mark in zip(base.tableaux, base.marks):
         if mark[removed - 1]:
             continue
-        terms, packed = _dividend(t, order)
-        if max(terms) >> (_LANE_W * (n - 1)):
+        work = _dividend(t, order)
+        if max(work) >> (_LANE_W * (n - 1)):
             return f"superset: {t} has a free leading monomial but uses x{removed} under {order}"
-        if _remainder(small, packed)[0]:
+        if _remainder(small.division_table, work, n - 1)[0]:
             return f"superset: projection of {t} left a remainder under {order}"
     return ""

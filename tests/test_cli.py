@@ -25,7 +25,7 @@ from spechtfan.cli import main
 from spechtfan.combinatorics import Partition, VariableOrder, enumerate_partitions
 from spechtfan.fan import enumerate_fan
 from spechtfan.oracle import marked_basis
-from spechtfan.specht import MonomialIdeal
+from spechtfan.specht import MonomialIdeal, specht_polynomial
 from spechtfan.verify import run_verification
 
 ORACLE_KEYS = [
@@ -476,7 +476,7 @@ class TestRunVerification:
         real = spechtfan.verify._specht_basis
 
         def dropped(lam, order, same_first_part):
-            polys = [f for f, _ in real(lam, order, same_first_part).elements]
+            polys = [specht_polynomial(t) for t in real(lam, order, same_first_part).tableaux]
             return marked_basis(polys[:-1] or polys, order)
 
         monkeypatch.setattr(spechtfan.verify, "_specht_basis", dropped)

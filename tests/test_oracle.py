@@ -1,6 +1,5 @@
 import random
 from itertools import combinations, permutations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +11,8 @@ from spechtfan.combinatorics import (
     Tableau,
     VariableOrder,
     enumerate_partitions,
+    hat,
+    prefix_standardization,
     sample_orders,
 )
 from spechtfan.oracle import (
@@ -23,6 +24,8 @@ from spechtfan.oracle import (
     _s_pair,
     _specht_basis,
     _unpack_terms,
+    _widen,
+    _widen_table,
     marked_basis,
     reduce,
 )
@@ -38,6 +41,20 @@ from helpers import naive_minimalize, reference_certify, s_polynomial, sympy_is_
 
 
 REAL_DIVIDEND = spechtfan.oracle._dividend
+
+
+def record_widening(monkeypatch):
+    """Wrap `oracle._widen_table` for the test; the returned list gets
+    (width in, width out, fields) for each call."""
+    calls = []
+
+    def recorded(table, n):
+        wide = _widen_table(table, n)
+        calls.append((table.w, wide.w, n))
+        return wide
+
+    monkeypatch.setattr(spechtfan.oracle, "_widen_table", recorded)
+    return calls
 
 
 def lex_basis(parts, order=None):
@@ -422,16 +439,9 @@ class TestIntegerAndFractionPaths:
             [Polynomial(2, {(0, 1): 1, (2**14, 0): -1}), Polynomial(2, {(0, 8): 1, (1, 0): 1})], ido
         )
         assert basis.division_table.w == 17
-        widths = []
-        real = spechtfan.oracle._division_table
-
-        def recorded(basis, w):
-            widths.append(w)
-            return real(basis, w)
-
-        monkeypatch.setattr(spechtfan.oracle, "_division_table", recorded)
+        widenings = record_widening(monkeypatch)
         cert = certify_groebner(basis)
-        assert widths == [34]
+        assert widenings == [(17, 34, 2)]
         assert cert == reference_certify(basis)
         assert not cert.passed
         assert (cert.pairs_total, cert.pairs_reduced) == (1, 1)
@@ -443,6 +453,75 @@ class TestIntegerAndFractionPaths:
         f = Polynomial(1, {(5,): 1, (1,): 2})
         # x^5 = x * (x^2)^2 = x on x^2 = 1, so the remainder is 3x
         assert reduce(f, basis) == Polynomial(1, {(1,): 3})
+
+
+class TestWiden:
+    @given(st.integers(2, 20), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_widening_a_packed_monomial_repacks_it_at_twice_the_width(self, w, data):
+        # every exponent below 2**(w - 1), as in a dividend or a row
+        exps = data.draw(st.lists(st.integers(0, 2 ** (w - 1) - 1), min_size=1, max_size=8))
+        desc = data.draw(st.permutations(range(len(exps))))
+        assert _widen(_pack(exps, desc, w), len(desc), w) == _pack(exps, desc, 2 * w)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            lex_basis("2,2"),
+            marked_basis([Polynomial(2, {(0, 1): 1, (2**14, 0): -1})], VariableOrder.identity(2)),
+        ],
+        ids=["2,2", "x2-x1^(2^14)"],
+    )
+    def test_a_widened_table_is_the_table_at_twice_the_width(self, basis):
+        table = basis.division_table
+        assert _widen_table(table, basis.order.n) == _division_table(basis, 2 * table.w)
+
+    @pytest.mark.parametrize("same_first_part", [True, False], ids=["lex", "universal"])
+    def test_no_lane_certificate_widens(self, monkeypatch, same_first_part):
+        widenings = record_widening(monkeypatch)
+        for lam, order in lane_cases():
+            assert certify_groebner(_specht_basis(lam, order, same_first_part)).passed, (lam, order)
+        assert widenings == []
+
+    def test_no_elimination_check_widens(self, monkeypatch):
+        widenings = record_widening(monkeypatch)
+        checked = 0
+        for lam, order in lane_cases():
+            if lam.parts[0] >= 2 and hat(lam).m >= 2:
+                assert elimination_polynomial_check(lam, order) == "", (lam, order)
+                checked += 1
+        assert checked > 0 and widenings == []
+
+    @pytest.mark.parametrize("parts", ["2,2", "3,2", "2,2,1", "3,1,1"])
+    def test_a_forced_restart_of_the_elimination_check_still_passes(self, monkeypatch, parts):
+        # every division at 8 bits overflows, so both sides divide at 16; the superset
+        # side widens n - 1 fields, which holds its projections since their top field is empty
+        lam = Partition.parse(parts)
+        real = spechtfan.oracle._divide
+        monkeypatch.setattr(spechtfan.oracle, "_divide", lambda work, table: None if table.w == 8 else real(work, table))
+        widenings = record_widening(monkeypatch)
+        for order in sample_orders(lam.n, 3, random.Random(f"forced|{parts}")):
+            widenings.clear()
+            assert elimination_polynomial_check(lam, order) == "", order
+            assert set(widenings) == {(8, 16, lam.n), (8, 16, lam.n - 1)}, order
+
+    def test_a_projection_widens_as_it_repacks(self):
+        # a lex generator free of the removed variable, widened in n - 1 fields, is
+        # its projection packed at 16 bits under the inner order
+        for parts in ["2,2", "3,2", "2,2,1", "3,1,1"]:
+            lam = Partition.parse(parts)
+            projected = 0
+            for order in sample_orders(lam.n, 3, random.Random(f"projection|{parts}")):
+                inner, removed, kept = prefix_standardization(order)
+                for t in _specht_basis(lam, order, True).tableaux:
+                    f = specht_polynomial(t)
+                    if any(e[removed - 1] for e, _ in f.items()):
+                        continue
+                    want = {_pack(tuple(e[v - 1] for v in kept), inner.desc0, 16): c for e, c in f.items()}
+                    got = {_widen(p, lam.n - 1, 8): c for p, c in spechtfan.oracle._dividend(t, order).items()}
+                    assert got == want, (lam, order, t)
+                    projected += 1
+            assert projected > 0, lam
 
 
 def count_sides(monkeypatch, n):
@@ -460,9 +539,9 @@ def count_sides(monkeypatch, n):
 
 
 def nonzero_dividend(t, order):
-    """Terms and packed(table) of the constant 1: a remainder of 1, the packed
-    constant monomial 0, that no mark divides."""
-    return [0], lambda table: {0: 1}
+    """The constant 1, packed: a remainder of 1, the packed constant monomial
+    0, that no mark divides."""
+    return {0: 1}
 
 
 class TestEliminationPolynomial:
@@ -499,7 +578,7 @@ class TestEliminationPolynomial:
             (
                 # x4, the removed variable, in every term of every projected generator
                 "_dividend",
-                lambda t, order: ([1 << 24], None) if t.n == 4 else REAL_DIVIDEND(t, order),
+                lambda t, order: {1 << 24: 1} if t.n == 4 else REAL_DIVIDEND(t, order),
                 "superset: 1,4/2/3 has a free leading monomial but uses x4",
             ),
         ],
@@ -511,14 +590,13 @@ class TestEliminationPolynomial:
         assert got == f"{line} under 1,2,3,4"
 
     def test_a_dividend_is_packed_at_the_table_width(self):
-        # lanes at 8-bit fields; after a restart, the decoded polynomial at the wider table's
+        # lanes at the lane table's 8-bit fields; widened with the table, the polynomial at 16 and 32
         t, order = Tableau(((1, 4), (2, 5), (3,))), VariableOrder.parse("2,5,1,4,3")
         f = specht_polynomial(t)
-        terms, packed = spechtfan.oracle._dividend(t, order)
+        work = spechtfan.oracle._dividend(t, order)
         for w in (8, 16, 32):
-            want = {_pack(e, order.desc0, w): c for e, c in f.items()}
-            assert packed(SimpleNamespace(w=w)) == want
-        assert sorted(terms) == sorted(_pack(e, order.desc0, 8) for e, _ in f.items())
+            assert work == {_pack(e, order.desc0, w): c for e, c in f.items()}
+            work = {_widen(p, 5, w): c for p, c in work.items()}
 
     def test_sampled_orders_pass(self):
         rng = random.Random("elim-poly")
@@ -572,27 +650,26 @@ def polynomial_route(lam, order, same_first_part):
 class TestLaneBasis:
     @pytest.mark.parametrize("same_first_part", [True, False], ids=["lex", "universal"])
     def test_the_lane_table_is_the_polynomial_routes(self, same_first_part):
+        # at 8 bits, and widened to 16
         for lam, order in lane_cases():
             lanes = _specht_basis(lam, order, same_first_part)
-            want = _division_table(polynomial_route(lam, order, same_first_part), 8)
-            got = lanes.division_table
-            assert (got.w, got.guard) == (want.w, want.guard)
-            # marks in basis order, tails as sets
-            assert [m for m, _ in got.rows] == [m for m, _ in want.rows], (lam, order)
-            assert [set(t) for _, t in got.rows] == [set(t) for _, t in want.rows], (lam, order)
-            assert [m for m, _ in got.by_mark] == [m for m, _ in want.by_mark]
-            assert lanes.marks == tuple(m for _, m in polynomial_route(lam, order, same_first_part).elements)
+            route = polynomial_route(lam, order, same_first_part)
+            table = lanes.division_table
+            for got, want in ((table, _division_table(route, 8)), (_widen_table(table, lam.n), _division_table(route, 16))):
+                assert (got.w, got.guard) == (want.w, want.guard)
+                # marks in basis order, tails as sets
+                assert [m for m, _ in got.rows] == [m for m, _ in want.rows], (lam, order)
+                assert [set(t) for _, t in got.rows] == [set(t) for _, t in want.rows], (lam, order)
+                assert [m for m, _ in got.by_mark] == [m for m, _ in want.by_mark]
+            assert lanes.marks == tuple(m for _, m in route.elements)
 
     def test_the_decoded_elements_are_the_polynomial_routes(self):
+        # the lane basis carries tableaux, not polynomials; expanded, they are the polynomial route's
         lam, order = Partition.parse("3,2,1"), VariableOrder.parse("4,1,6,2,5,3")
         lanes = _specht_basis(lam, order, False)
-        assert "elements" not in lanes.__dict__
-        assert certify_groebner(lanes) == certify_groebner(polynomial_route(lam, order, False))
-        # neither a passing certificate nor == and repr build the polynomials
-        assert lanes == lanes and lanes != _specht_basis(lam, order, False)
-        assert "_LaneBasis" in repr(lanes)
-        assert "elements" not in lanes.__dict__
-        assert lanes.elements == polynomial_route(lam, order, False).elements
+        route = polynomial_route(lam, order, False)
+        assert certify_groebner(lanes) == certify_groebner(route)
+        assert tuple(zip(map(specht_polynomial, lanes.tableaux), lanes.marks)) == route.elements
 
     def test_a_lead_coefficient_of_two_is_refused(self, tamper_lanes):
         # -x1 + 2*x3 for T0 = 1,2/3: x3 leads under the identity, with coefficient 2
@@ -627,18 +704,11 @@ class TestLaneBasis:
         lam, ido = Partition.parse("2,1"), VariableOrder.identity(3)
         lanes = _specht_basis(lam, ido, same_first_part)
         assert lanes.division_table.w == 8
-        widths = []
-        real = spechtfan.oracle._division_table
-
-        def recorded(basis, w):
-            widths.append(w)
-            return real(basis, w)
-
-        monkeypatch.setattr(spechtfan.oracle, "_division_table", recorded)
+        widenings = record_widening(monkeypatch)
         cert = certify_groebner(lanes)
-        assert set(widths) == {16}
-        # the restart decoded the polynomials from the lanes
-        polys = [f for f, _ in lanes.elements]
+        # the first pair that overflows widens the table once, and later pairs keep it
+        assert widenings == [(8, 16, 3)]
+        polys = [specht_polynomial(t) for t in lanes.tableaux]
         assert polys[0] == Polynomial(3, {(0, 1, 0): 1, (60, 0, 0): -1, (0, 0, 8): 1})
         marked = marked_basis(polys, ido)
         assert cert == certify_groebner(marked) == reference_certify(marked)
@@ -671,5 +741,5 @@ class TestLanePassPath:
             assert elimination_polynomial_check(lam, order) == ""
         assert spechtfan.verify._braid_row(lam).passed
         assert all(count == 0 for counts in calls.values() for count in counts.values()), calls
-        # every module that could call either is watched: the restart paths in oracle, the closed-form row in verify
-        assert sum(len(counts) for counts in calls.values()) == 6
+        # every module that could call either is watched: oracle's MarkedBasis, the closed-form row in verify
+        assert sum(len(counts) for counts in calls.values()) == 5
