@@ -13,9 +13,8 @@ The Specht systems that verify and `spechtfan oracle` certify are packed
 straight from the expansion: `specht._term_lanes` holds each shape's T0
 expansion once, term i's exponent of x_j in 64-bit lane i of column j, and
 `_specht_basis` packs all of a tableau's terms under the order at once, at
-8-bit fields (`specht._lane_system`); no polynomial is built. A division
-that outgrows its fields moves the dividend and every packed row to fields
-of twice the width (`_widen_table`) and starts again there.
+8-bit fields (`specht._lane_system`), with no polynomial built. A division
+that outgrows its fields widens its dividend and rows (`_remainder`).
 """
 
 from __future__ import annotations
@@ -364,10 +363,9 @@ def certify_groebner(basis: MarkedBasis) -> GroebnerCertificate:
     Everything runs on the packed division rows: the chain test checks
     divisibility of the packed lcm by packed marks with guard bits, and
     each reduced S-pair is built from the rows (`_s_pair`) and handed to
-    `_remainder`. A division that overflows widens the table, and later
-    pairs divide at the widened table; the chain test stays at the basis's
-    own width, which holds every lcm of two marks. A remainder is unpacked
-    into a `Polynomial` only when it is nonzero.
+    `_remainder`; later pairs divide at the table it returns, while the
+    chain test stays at the basis's width, which holds every lcm of two
+    marks. A remainder is unpacked into a `Polynomial` only when nonzero.
     """
     marks = basis.marks
     desc = basis.order.desc0
