@@ -30,7 +30,9 @@ from .fan import (
     theorem_count,
 )
 from .oracle import (
+    _PASSED,
     DEFAULT_ORACLE_LIMIT,
+    _certified,
     _specht_basis,
     certify_groebner,
     elimination_polynomial_check,
@@ -94,6 +96,8 @@ def _partition_rows(lam: Partition, seed: int) -> list[CheckRow]:
         if lam.parts[0] >= 2:
             check = elimination_polynomial_check
             rows.append(_sampled_row("elimination-poly", lam, seed, 5, check))
+        # no certified table outlives its shape
+        _PASSED.clear()
 
     if n <= POLYTOPE_N:
         rows.append(_bijection_row(lam, fan))
@@ -122,9 +126,9 @@ def _closed_form_failure(lam: Partition, order: VariableOrder) -> str:
 
 
 def _certify_failure(basis) -> str:
-    cert = certify_groebner(basis)
-    if cert.passed:
+    if _certified(basis):
         return ""
+    cert = certify_groebner(basis)
     i, j, r = cert.failures[0]
     return (
         f"S-pair ({i},{j}) left a {len(r)}-term remainder; {len(cert.failures)} of "

@@ -1,5 +1,6 @@
 """Make the package in src/ importable by the subprocesses some tests start,
-and provide the `count_calls` fixture.
+empty the oracle's memo of passed certificates around each test, and
+provide the `count_calls` and `tamper_lanes` fixtures.
 
 pyproject's pytest `pythonpath` covers this process only; `python -m
 spechtfan` in a child process reads PYTHONPATH.
@@ -12,6 +13,17 @@ import pytest
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+@pytest.fixture(autouse=True)
+def no_remembered_certificates():
+    """Empty `oracle._PASSED` before and after each test, so that no test
+    skips a certificate because another test passed an equal table."""
+    from spechtfan.oracle import _PASSED
+
+    _PASSED.clear()
+    yield
+    _PASSED.clear()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
-"""Independent reference implementations the tests compare against.
+"""Independent reference implementations the tests compare against, and
+the tamperings some tests apply.
 
 Nothing here may call back into the closed-form or fast-path code under
 test for the quantity it cross-checks.
@@ -11,7 +12,7 @@ from operator import add, itemgetter, mul, sub
 import sympy
 
 from spechtfan.combinatorics import Partition, Tableau, VariableOrder
-from spechtfan.oracle import GroebnerCertificate, reduce
+from spechtfan.oracle import GroebnerCertificate, _table, reduce
 from spechtfan.polyring import Polynomial, _monomial_text, leading_monomial
 from spechtfan.polytope import _chamber_weights
 from spechtfan.specht import initial_ideal, lex_groebner_generators
@@ -184,6 +185,15 @@ def reference_certify(basis) -> GroebnerCertificate:
         settled[i].add(j)
         settled[j].add(i)
     return GroebnerCertificate(total, coprime, chain, reduced, tuple(failures))
+
+
+def negate_a_tail_coefficient(basis):
+    """The lane basis (`oracle._specht_basis`) with the first tail coefficient
+    of its first row negated."""
+    table = basis.division_table
+    (mark, ((e, c), *tail)), *rows = table.rows
+    rows = ((mark, ((e, -c), *tail)), *rows)
+    return basis._replace(division_table=_table(table.w, basis.order.n, rows))
 
 
 def chamber_escape(f: Polynomial, lead, chamber):

@@ -22,11 +22,13 @@ import spechtfan.polytope
 import spechtfan.reporting
 import spechtfan.verify
 from spechtfan.cli import main
-from spechtfan.combinatorics import Partition, VariableOrder, enumerate_partitions
+from spechtfan.combinatorics import Partition, VariableOrder, enumerate_partitions, sample_orders
 from spechtfan.fan import enumerate_fan
-from spechtfan.oracle import marked_basis
+from spechtfan.oracle import _PASSED, certify_groebner, marked_basis
 from spechtfan.specht import MonomialIdeal, specht_polynomial
 from spechtfan.verify import run_verification
+
+from helpers import negate_a_tail_coefficient
 
 ORACLE_KEYS = [
     "check",
@@ -489,6 +491,75 @@ class TestRunVerification:
             r"S-pair \(\d+,\d+\) left a \d+-term remainder; \d+ of \d+ reduced pairs failed under [1-4,]+",
             row.detail,
         )
+
+    def test_a_tampered_order_fails_its_row_after_another_order_passed(self, monkeypatch):
+        # the fourth sampled order of the (2,2) oracle-lex row gets a tampered lex basis;
+        # the first three pass, and the first of them leaves its table in the memo
+        lam = Partition.parse("2,2")
+        orders = sample_orders(4, 10, spechtfan.verify._rng(2024, "oracle-lex", str(lam)))
+        real = spechtfan.verify._specht_basis
+        bad = negate_a_tail_coefficient(real(lam, orders[3], True))
+        cert = certify_groebner(bad)
+        assert not cert.passed
+
+        def tampered(mu, order, same_first_part):
+            return bad if (mu, order, same_first_part) == (lam, orders[3], True) else real(mu, order, same_first_part)
+
+        monkeypatch.setattr(spechtfan.verify, "_specht_basis", tampered)
+        rows = run_verification(4)
+        (row,) = [r for r in rows if r.check == "oracle-lex" and r.instance.startswith("lambda=2,2 ")]
+        i, j, r = cert.failures[0]
+        assert not row.passed and row.detail == (
+            f"S-pair ({i},{j}) left a {len(r)}-term remainder; {len(cert.failures)} of "
+            f"{cert.pairs_reduced} reduced pairs failed under {orders[3]}"
+        )
+        assert [r.check for r in rows if not r.passed] == ["oracle-lex"]
+
+    def test_no_certified_table_outlives_its_shape(self, monkeypatch):
+        # the memo holds the shape's passes after its elimination-poly row, and is empty by its braid row
+        seen = []
+        real_elim, real_braid = spechtfan.verify.elimination_polynomial_check, spechtfan.verify.braid_refinement_check
+
+        def elim(lam, order):
+            detail = real_elim(lam, order)
+            seen.append(("elimination-poly", len(_PASSED)))
+            return detail
+
+        def braid(lam):
+            seen.append(("braid", len(_PASSED)))
+            return real_braid(lam)
+
+        monkeypatch.setattr(spechtfan.verify, "elimination_polynomial_check", elim)
+        monkeypatch.setattr(spechtfan.verify, "braid_refinement_check", braid)
+        assert all(r.passed for r in run_verification(5))
+        assert _PASSED == []
+        assert {n for check, n in seen if check == "braid"} == {0}
+        assert {n for check, n in seen if check == "elimination-poly"} <= {1, 2, 3}
+        # 13 shapes with n <= 5 and two or more rows, 9 of them with elimination-poly rows of 5 orders
+        assert [check for check, _ in seen].count("braid") == 13
+        assert [check for check, _ in seen].count("elimination-poly") == 9 * 5
+
+    def test_each_distinct_table_is_certified_once_per_shape(self, monkeypatch):
+        # certificates by shape, each keyed by what `_certified` compares
+        real_rows, real_certify = spechtfan.verify._partition_rows, spechtfan.oracle.certify_groebner
+        keys = {}
+
+        def partition_rows(lam, seed):
+            keys[lam] = []
+            return real_rows(lam, seed)
+
+        def certify(basis):
+            table = basis.division_table
+            keys[next(reversed(keys))].append((table.w, table.guard, table.by_mark))
+            return real_certify(basis)
+
+        monkeypatch.setattr(spechtfan.verify, "_partition_rows", partition_rows)
+        monkeypatch.setattr(spechtfan.oracle, "certify_groebner", certify)
+        monkeypatch.setattr(spechtfan.verify, "certify_groebner", certify)
+        assert all(r.passed for r in run_verification(5))
+        assert all(len(set(k)) == len(k) for k in keys.values()), keys
+        # lex and universal for each shape with two or more rows, and lex(hat lam) for each with elimination-poly rows
+        assert 0 < sum(map(len, keys.values())) <= 2 * 13 + 9
 
     @pytest.mark.parametrize(
         "planted",

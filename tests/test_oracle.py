@@ -16,8 +16,10 @@ from spechtfan.combinatorics import (
     sample_orders,
 )
 from spechtfan.oracle import (
+    _PASSED,
     DEFAULT_ORACLE_LIMIT,
     MarkedBasis,
+    _certified,
     certify_groebner,
     elimination_polynomial_check,
     _division_table,
@@ -37,7 +39,13 @@ from spechtfan.specht import (
     universal_groebner_generators,
 )
 
-from helpers import naive_minimalize, reference_certify, s_polynomial, sympy_is_groebner
+from helpers import (
+    naive_minimalize,
+    negate_a_tail_coefficient,
+    reference_certify,
+    s_polynomial,
+    sympy_is_groebner,
+)
 
 
 REAL_DIVIDEND = spechtfan.oracle._dividend
@@ -715,6 +723,70 @@ class TestLaneBasis:
         assert not cert.passed and max(max(e) for _, _, r in cert.failures for e, _ in r.items()) >= 480
         f = Polynomial(3, {(0, 0, 9): 1, (2, 1, 1): -3})
         assert reduce(f, lanes) == reduce(f, marked)
+
+
+def table_key(basis):
+    """What `_certified` compares: the division table less its row order."""
+    table = basis.division_table
+    return (table.w, table.guard, table.by_mark)
+
+
+class TestCertifiedOnce:
+    """`_certified` runs no certificate for a table equal to one that passed."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_order_packs_the_identitys_table(self, n):
+        # S_n-equivariance as data: the systems under sigma, packed under sigma, are the identity's rows reordered
+        ido = VariableOrder.identity(n)
+        for lam in enumerate_partitions(n):
+            if lam.m < 2:
+                continue
+            for same_first_part in (True, False):
+                want = table_key(_specht_basis(lam, ido, same_first_part))
+                for sigma in permutations(range(1, n + 1)):
+                    got = table_key(_specht_basis(lam, VariableOrder(sigma), same_first_part))
+                    assert got == want, (lam, sigma, same_first_part)
+
+    def test_a_sampled_order_reuses_the_identitys_pass(self, count_calls):
+        lam = Partition.parse("3,2")
+        calls = count_calls(spechtfan.oracle, "certify_groebner")
+        bases = [_specht_basis(lam, o, True) for o in sample_orders(5, 4, random.Random("certified-once"))]
+        assert len({b.division_table.rows for b in bases}) == 4
+        assert all(map(_certified, bases))
+        assert calls == {"certify_groebner": 1}
+        assert _PASSED == [table_key(bases[0])]
+
+    def test_a_tampered_order_fails_after_an_untampered_one_passed(self, count_calls):
+        lam = Partition.parse("3,2")
+        good, other = (_specht_basis(lam, o, True) for o in (VariableOrder.identity(5), VariableOrder.parse("2,5,1,4,3")))
+        bad = negate_a_tail_coefficient(other)
+        want = certify_groebner(bad)
+        assert not want.passed
+        assert _certified(good)
+        calls = count_calls(spechtfan.oracle, "certify_groebner")
+        # a failing table is certified in full every time, and never remembered
+        for k in (1, 2):
+            assert not _certified(bad)
+            assert calls == {"certify_groebner": k}
+            assert _PASSED == [table_key(good)]
+        assert _certified(other)
+        assert calls == {"certify_groebner": 2}
+        assert certify_groebner(bad) == want
+
+    def test_a_widened_table_is_not_matched_to_its_eight_bit_key(self, count_calls):
+        basis = _specht_basis(Partition.parse("2,2"), VariableOrder.identity(4), True)
+        wide = basis._replace(division_table=_widen_table(basis.division_table, 4))
+        calls = count_calls(spechtfan.oracle, "certify_groebner")
+        assert _certified(basis) and _certified(wide)
+        assert calls == {"certify_groebner": 2}
+        assert [w for w, _, _ in _PASSED] == [8, 16]
+
+    def test_the_memo_keeps_the_three_latest_passes(self):
+        ido = VariableOrder.identity(5)
+        bases = [_specht_basis(Partition.parse(p), ido, s) for p in ("3,2", "2,2,1") for s in (True, False)]
+        assert len(set(map(table_key, bases))) == 4
+        assert all(map(_certified, bases))
+        assert _PASSED == [table_key(b) for b in bases[1:]]
 
 
 class TestLanePassPath:
