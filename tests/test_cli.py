@@ -508,9 +508,9 @@ class TestRunVerification:
         monkeypatch.setattr(spechtfan.verify, "_specht_basis", tampered)
         rows = run_verification(4)
         (row,) = [r for r in rows if r.check == "oracle-lex" and r.instance.startswith("lambda=2,2 ")]
-        i, j, r = cert.failures[0]
+        i, j, rem = cert.failures[0]
         assert not row.passed and row.detail == (
-            f"S-pair ({i},{j}) left a {len(r)}-term remainder; {len(cert.failures)} of "
+            f"S-pair ({i},{j}) left a {len(rem)}-term remainder; {len(cert.failures)} of "
             f"{cert.pairs_reduced} reduced pairs failed under {orders[3]}"
         )
         assert [r.check for r in rows if not r.passed] == ["oracle-lex"]
@@ -542,24 +542,24 @@ class TestRunVerification:
     def test_each_distinct_table_is_certified_once_per_shape(self, monkeypatch):
         # certificates by shape, each keyed by what `_certified` compares
         real_rows, real_certify = spechtfan.verify._partition_rows, spechtfan.oracle.certify_groebner
-        keys = {}
+        keys = []
 
         def partition_rows(lam, seed):
-            keys[lam] = []
+            keys.append([])
             return real_rows(lam, seed)
 
         def certify(basis):
             table = basis.division_table
-            keys[next(reversed(keys))].append((table.w, table.guard, table.by_mark))
+            keys[-1].append((table.w, table.guard, table.by_mark))
             return real_certify(basis)
 
         monkeypatch.setattr(spechtfan.verify, "_partition_rows", partition_rows)
         monkeypatch.setattr(spechtfan.oracle, "certify_groebner", certify)
         monkeypatch.setattr(spechtfan.verify, "certify_groebner", certify)
         assert all(r.passed for r in run_verification(5))
-        assert all(len(set(k)) == len(k) for k in keys.values()), keys
-        # lex and universal for each shape with two or more rows, and lex(hat lam) for each with elimination-poly rows
-        assert 0 < sum(map(len, keys.values())) <= 2 * 13 + 9
+        assert all(len(set(k)) == len(k) for k in keys), keys
+        # lex and universal for each of the 13 shapes with two or more rows, and lex(hat lam) for the 9 with elimination-poly rows
+        assert 0 < sum(map(len, keys)) <= 2 * 13 + 9
 
     @pytest.mark.parametrize(
         "planted",
