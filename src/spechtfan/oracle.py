@@ -7,17 +7,20 @@ linear forms x_a - x_b, so its leading coefficient is +-1 under every
 order; the division layer relies on that, stays in the integers, and
 refuses a basis whose leading coefficient is anything else. Division and
 S-pairs work on monomials packed into ints (`polyring._pack`), one field
-per variable, from the packed rows of `MarkedBasis.division_table`.
+per variable, from the packed rows of a basis's division table.
 
-The Specht systems that verify and `spechtfan oracle` certify are packed
-straight from the expansion: `specht._term_lanes` holds each shape's T0
-expansion once, term i's exponent of x_j in 64-bit lane i of column j, and
-`_specht_basis` packs all of a tableau's terms under the order at once, at
-8-bit fields (`specht._lane_system`), with no polynomial built. A division
-that outgrows its fields widens its dividend and rows (`_remainder`).
+A basis is one `MarkedBasis`: its order, its marks and its division
+table, and no polynomial. `marked_basis` packs it from polynomials term
+by term, the reference route. The Specht systems that verify and
+`spechtfan oracle` certify are packed straight from the expansion
+instead: `specht._term_lanes` holds each shape's T0 expansion once, term
+i's exponent of x_j in 64-bit lane i of column j, and `_specht_basis`
+packs all of a tableau's terms under the order at once, at 8-bit fields
+(`specht._lane_system`). A division that outgrows its fields widens its
+dividend and rows (`_remainder`).
 
 Packing undoes the relabelling of the standard tableaux, so every order
-should pack a shape's identity table, rows reordered. `_certified` keeps
+should pack a shape's identity table, rows reordered. `_failed` keeps
 each table that passed, less its row order, and certifies no equal one
 again: a row set's Groebner verdict does not depend on the row order.
 """
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
@@ -75,56 +77,46 @@ def _table(w: int, n: int, rows: tuple) -> _DivisionTable:
     return _DivisionTable(w, _guard_bits(n, w), rows, tuple(sorted(rows, key=itemgetter(0))))
 
 
-@dataclass(frozen=True)
-class MarkedBasis:
-    """Polynomials with their leading monomials pinned under one order, each with
-    leading coefficient +-1."""
+class MarkedBasis(NamedTuple):
+    """A basis under one order, each element with leading coefficient +-1: its
+    marks (leading monomials) and its packed division table, in basis order.
+    No polynomial is kept; `_specht_basis` also keeps the tableaux."""
 
-    elements: tuple[tuple[Polynomial, tuple[int, ...]], ...]
     order: VariableOrder
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("a marked basis needs at least one element")
-        for f, mark in self.elements:
-            if f.n != self.order.n or len(mark) != self.order.n:
-                raise ValueError("basis entries must live in the order's ring")
-            if leading_monomial(f, self.order) != mark:
-                raise ValueError("marked monomial must be the leading monomial")
-            if f.coefficient(mark) not in (1, -1):
-                raise ValueError("leading coefficient must be +1 or -1")
-
-    @cached_property
-    def marks(self) -> tuple[tuple[int, ...], ...]:
-        """The marked monomials, in basis order."""
-        return tuple(mark for _, mark in self.elements)
-
-    @cached_property
-    def division_table(self) -> _DivisionTable:
-        """`_division_table` at a width whose fields hold twice every exponent of
-        the basis, so an S-pair built from the rows always fits; computed once
-        per basis."""
-        top = max(max(e) for f, _ in self.elements for e, _ in f.items())
-        return _division_table(self, max(16, top.bit_length() + 2))
+    marks: tuple
+    division_table: _DivisionTable
+    tableaux: tuple = ()
 
 
 def marked_basis(polys, order: VariableOrder) -> MarkedBasis:
-    elems = tuple((f, leading_monomial(f, order)) for f in polys)
-    return MarkedBasis(elems, order)
+    """The polynomials' marked basis under order, packed term by term at a
+    width whose fields hold twice every exponent, so an S-pair built from the
+    rows always fits.
+
+    Each row is (mark, tail), the tail listing every other term as (packed
+    e, -c/lc), so one division step adds (current coefficient) * (tail
+    coefficient) at each shifted exponent. The lead coefficient lc must be
+    +-1, its own inverse, so -c/lc is the int -c*lc.
+    """
+    polys = tuple(polys)
+    if not polys:
+        raise ValueError("a marked basis needs at least one element")
+    if any(f.n != order.n for f in polys):
+        raise ValueError("basis entries must live in the order's ring")
+    marks = tuple(leading_monomial(f, order) for f in polys)
+    desc = order.desc0
+    w = max(_LANE_W, max(max(e) for f in polys for e in f._terms).bit_length() + 2)
+    rows = []
+    for f, mark in zip(polys, marks):
+        lc = f.coefficient(mark)
+        if lc not in (1, -1):
+            raise ValueError("leading coefficient must be +1 or -1")
+        tail = tuple((_pack(e, desc, w), -c * lc) for e, c in f.items() if e != mark)
+        rows.append((_pack(mark, desc, w), tail))
+    return MarkedBasis(order, marks, _table(w, order.n, tuple(rows)))
 
 
-class _LaneBasis(NamedTuple):
-    """The marked basis `_specht_basis` packs from lanes: what `certify_groebner`
-    and `reduce` read of a `MarkedBasis` (order, marks, division_table), and
-    the tableaux."""
-
-    order: VariableOrder
-    tableaux: tuple
-    marks: tuple
-    division_table: _DivisionTable
-
-
-def _specht_basis(lam: Partition, order: VariableOrder, same_first_part: bool) -> _LaneBasis:
+def _specht_basis(lam: Partition, order: VariableOrder, same_first_part: bool) -> MarkedBasis:
     """The lex (same_first_part) or universal Specht system of lam under order,
     in `marked_basis` order, packed from lanes with no per-term Python.
 
@@ -132,9 +124,9 @@ def _specht_basis(lam: Partition, order: VariableOrder, same_first_part: bool) -
     the largest is the mark, the others zip with their coefficients times
     -lc into the tail. Refuses, before any work, an n whose fields overflow
     a 64-bit lane, and then a shape with an exponent of 2**(_LANE_W - 2) or
-    more: as with `MarkedBasis.division_table`, the fields must hold twice
-    every exponent, so that each S-pair built from the rows fits. A
-    division that outgrows them widens the table to 16 bits (`_remainder`).
+    more: as in `marked_basis`, the fields must hold twice every exponent,
+    so that each S-pair built from the rows fits. A division that outgrows
+    them widens the table to 16 bits (`_remainder`). The tableaux are kept.
     """
     n = lam.n
     if n * _LANE_W > 64:
@@ -159,7 +151,7 @@ def _specht_basis(lam: Partition, order: VariableOrder, same_first_part: bool) -
             rows.append((terms[i], tuple(tail)))
             marks.append(_unpack(terms[i], desc, _LANE_W))
             tableaux.append(t)
-    return _LaneBasis(order, tuple(tableaux), tuple(marks), _table(_LANE_W, n, tuple(rows)))
+    return MarkedBasis(order, tuple(marks), _table(_LANE_W, n, tuple(rows)), tuple(tableaux))
 
 
 def _unpack(p: int, desc: tuple[int, ...], w: int) -> tuple[int, ...]:
@@ -173,23 +165,6 @@ def _unpack(p: int, desc: tuple[int, ...], w: int) -> tuple[int, ...]:
 
 def _unpack_terms(terms: dict[int, int], desc: tuple[int, ...], w: int) -> Polynomial:
     return Polynomial._wrap(len(desc), {_unpack(p, desc, w): c for p, c in terms.items()})
-
-
-def _division_table(basis: MarkedBasis, w: int) -> _DivisionTable:
-    """Pack each element once, as (mark, tail), at width w.
-
-    The tail lists every other term as (exponents, -c/lc), so one division
-    step adds (current coefficient) * (tail coefficient) at each shifted
-    exponent. The lead coefficient lc is +-1 (`MarkedBasis` checks it), its
-    own inverse, so -c/lc is the int -c*lc.
-    """
-    desc = basis.order.desc0
-    rows = []
-    for f, mark in basis.elements:
-        lc = f.coefficient(mark)
-        tail = tuple((_pack(e, desc, w), -c * lc) for e, c in f.items() if e != mark)
-        rows.append((_pack(mark, desc, w), tail))
-    return _table(w, len(desc), tuple(rows))
 
 
 def _widen(p: int, n: int, w: int) -> int:
@@ -407,18 +382,19 @@ def certify_groebner(basis: MarkedBasis) -> GroebnerCertificate:
 _PASSED: list = []
 
 
-def _certified(basis) -> bool:
-    """`certify_groebner(basis).passed`, not run again for a table equal to one of
-    the 3 latest passes, row order aside."""
+def _failed(basis: MarkedBasis) -> GroebnerCertificate | None:
+    """`certify_groebner(basis)` if it fails, else None; not run again for a table
+    equal to one of the 3 latest passes, row order aside."""
     table = basis.division_table
     key = (table.w, table.guard, table.by_mark)
     if key in _PASSED:
-        return True
-    if not certify_groebner(basis).passed:
-        return False
+        return None
+    cert = certify_groebner(basis)
+    if cert.failures:
+        return cert
     _PASSED.append(key)
     del _PASSED[:-3]
-    return True
+    return None
 
 
 def _dividend(t: Tableau, order: VariableOrder) -> dict[int, int]:
@@ -458,9 +434,9 @@ def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
     inner, removed, _ = prefix_standardization(order)
     base = _specht_basis(lam, order, True)
     small = _specht_basis(lhat, inner, True)
-    if not _certified(base):
+    if _failed(base):
         return f"basis of {lam} failed certification under {order}"
-    if not _certified(small):
+    if _failed(small):
         return f"basis of hat={lhat} failed certification under {inner}, from {order}"
     for t in standard_tableaux(lhat, inner):
         if _remainder(base.division_table, _dividend(t, inner), n)[0]:

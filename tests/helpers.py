@@ -13,7 +13,7 @@ import sympy
 
 from spechtfan.combinatorics import Partition, Tableau, VariableOrder
 from spechtfan.oracle import GroebnerCertificate, _table, reduce
-from spechtfan.polyring import Polynomial, _monomial_text, leading_monomial
+from spechtfan.polyring import Polynomial, _monomial_text, _pack, leading_monomial
 from spechtfan.polytope import _chamber_weights
 from spechtfan.specht import initial_ideal, lex_groebner_generators
 
@@ -105,8 +105,8 @@ def sympy_lm_exps(expr, order: VariableOrder) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def sympy_is_groebner(basis) -> bool:
-    """Whether a marked basis is a Groebner basis, decided by sympy alone.
+def sympy_is_groebner(polys, basis) -> bool:
+    """Whether the marked basis of polys is a Groebner basis, decided by sympy alone.
 
     sympy computes the reduced lex Groebner basis of the ideal, with the
     generators listed largest first as in `sympy_lm_exps`. The marks are
@@ -118,12 +118,11 @@ def sympy_is_groebner(basis) -> bool:
     n = order.n
     xs = sympy_vars(n)
     gens = [xs[order.sigma[i] - 1] for i in range(n - 1, -1, -1)]
-    exprs = [poly_to_sympy(f) for f, _ in basis.elements]
+    exprs = [poly_to_sympy(f) for f in polys]
     reduced = sympy.groebner(exprs, *gens, order="lex")
-    marks = [mark for _, mark in basis.elements]
     for g in reduced.exprs:
         lead = sympy_lm_exps(g, order)
-        if not any(all(a >= b for a, b in zip(lead, m)) for m in marks):
+        if not any(all(a >= b for a, b in zip(lead, m)) for m in basis.marks):
             return False
     return True
 
@@ -158,14 +157,15 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: VariableOrder) -> Polynomi
     return Polynomial._wrap(f.n, out)
 
 
-def reference_certify(basis) -> GroebnerCertificate:
-    """`certify_groebner`'s pair walk with tuple S-polynomials: each pair no
-    criterion settles goes through `reduce(s_polynomial(...))`.
+def reference_certify(polys, basis) -> GroebnerCertificate:
+    """`certify_groebner`'s pair walk over the marked basis of polys with tuple
+    S-polynomials: each pair no criterion settles goes through
+    `reduce(s_polynomial(...))`.
 
     The coprime and chain criteria are read on exponent tuples, so neither
     the S-pair nor the lcm test touches the packed rows.
     """
-    marks = [mark for _, mark in basis.elements]
+    marks = basis.marks
     settled = [set() for _ in marks]
     total = coprime = chain = reduced = 0
     failures = []
@@ -178,13 +178,26 @@ def reference_certify(basis) -> GroebnerCertificate:
             chain += 1
         else:
             reduced += 1
-            r = reduce(s_polynomial(basis.elements[i][0], basis.elements[j][0], basis.order), basis)
+            r = reduce(s_polynomial(polys[i], polys[j], basis.order), basis)
             if not r.is_zero():
                 failures.append((i, j, r))
                 continue
         settled[i].add(j)
         settled[j].add(i)
     return GroebnerCertificate(total, coprime, chain, reduced, tuple(failures))
+
+
+def packed_table(polys, order: VariableOrder, w: int):
+    """The division table of polys under order at field width w, each row
+    packed term by term from the polynomial's `leading_monomial`: (mark,
+    tail of (packed e, -c*lc)), lc being +-1."""
+    desc = order.desc0
+    rows = []
+    for f in polys:
+        mark = leading_monomial(f, order)
+        lc = f.coefficient(mark)
+        rows.append((_pack(mark, desc, w), tuple((_pack(e, desc, w), -c * lc) for e, c in f.items() if e != mark)))
+    return _table(w, order.n, tuple(rows))
 
 
 def negate_a_tail_coefficient(basis):

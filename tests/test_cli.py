@@ -515,6 +515,21 @@ class TestRunVerification:
         )
         assert [r.check for r in rows if not r.passed] == ["oracle-lex"]
 
+    def test_a_tampered_order_is_certified_once(self, monkeypatch, count_calls):
+        # the failing certificate that names the pair is the one the memo ran
+        lam, order = Partition.parse("2,2"), VariableOrder.identity(4)
+        bad = negate_a_tail_coefficient(spechtfan.verify._specht_basis(lam, order, True))
+        cert = certify_groebner(bad)
+        i, j, rem = cert.failures[0]
+        monkeypatch.setattr(spechtfan.verify, "_specht_basis", lambda mu, o, same_first_part: bad)
+        calls = count_calls(spechtfan.oracle, "certify_groebner")
+        detail = spechtfan.verify._oracle_lex_failure(lam, order)
+        assert calls == {"certify_groebner": 1}
+        assert detail == (
+            f"S-pair ({i},{j}) left a {len(rem)}-term remainder; {len(cert.failures)} of "
+            f"{cert.pairs_reduced} reduced pairs failed under 1,2,3,4"
+        )
+
     def test_no_certified_table_outlives_its_shape(self, monkeypatch):
         # the memo holds the shape's passes after its elimination-poly row, and is empty by its braid row
         seen = []
@@ -540,7 +555,7 @@ class TestRunVerification:
         assert [check for check, _ in seen].count("elimination-poly") == 9 * 5
 
     def test_each_distinct_table_is_certified_once_per_shape(self, monkeypatch):
-        # certificates by shape, each keyed by what `_certified` compares
+        # certificates by shape, each keyed by what `oracle._failed` compares
         real_rows, real_certify = spechtfan.verify._partition_rows, spechtfan.oracle.certify_groebner
         keys = []
 
@@ -555,7 +570,6 @@ class TestRunVerification:
 
         monkeypatch.setattr(spechtfan.verify, "_partition_rows", partition_rows)
         monkeypatch.setattr(spechtfan.oracle, "certify_groebner", certify)
-        monkeypatch.setattr(spechtfan.verify, "certify_groebner", certify)
         assert all(r.passed for r in run_verification(5))
         assert all(len(set(k)) == len(k) for k in keys), keys
         # lex and universal for each of the 13 shapes with two or more rows, and lex(hat lam) for the 9 with elimination-poly rows

@@ -19,10 +19,9 @@ from spechtfan.oracle import (
     _PASSED,
     DEFAULT_ORACLE_LIMIT,
     MarkedBasis,
-    _certified,
+    _failed,
     certify_groebner,
     elimination_polynomial_check,
-    _division_table,
     _s_pair,
     _specht_basis,
     _unpack_terms,
@@ -42,6 +41,7 @@ from spechtfan.specht import (
 from helpers import (
     naive_minimalize,
     negate_a_tail_coefficient,
+    packed_table,
     reference_certify,
     s_polynomial,
     sympy_is_groebner,
@@ -65,10 +65,15 @@ def record_widening(monkeypatch):
     return calls
 
 
-def lex_basis(parts, order=None):
+def lex_polys(parts):
+    """The lex Specht system of the shape under the identity order."""
     lam = Partition.parse(parts)
-    order = order or VariableOrder.identity(lam.n)
-    return marked_basis([f for _, f in lex_groebner_generators(lam, order)], order)
+    return [f for _, f in lex_groebner_generators(lam, VariableOrder.identity(lam.n))]
+
+
+def lex_basis(parts):
+    polys = lex_polys(parts)
+    return marked_basis(polys, VariableOrder.identity(polys[0].n))
 
 
 def times_term(f, exps, c):
@@ -79,33 +84,28 @@ def times_term(f, exps, c):
 class TestMarkedBasis:
     def test_builder_marks_leading_monomials(self):
         basis = lex_basis("2,1")
-        assert len(basis.elements) == 2
-        assert [m for _, m in basis.elements] == [(0, 0, 1), (0, 1, 0)]
+        assert len(basis.marks) == 2
+        assert basis.marks == ((0, 0, 1), (0, 1, 0))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            MarkedBasis((), VariableOrder.identity(2))
+        with pytest.raises(ValueError, match="at least one element"):
+            marked_basis([], VariableOrder.identity(2))
 
     def test_rejects_foreign_ring(self):
         f = Polynomial(2, {(1, 0): 1, (0, 1): -1})
-        with pytest.raises(ValueError):
-            MarkedBasis(((f, (0, 1)),), VariableOrder.identity(3))
+        with pytest.raises(ValueError, match="the order's ring"):
+            marked_basis([f], VariableOrder.identity(3))
 
-    def test_rejects_absent_mark(self):
+    def test_rejects_the_zero_polynomial(self):
         f = Polynomial(2, {(1, 0): 1, (0, 1): -1})
-        with pytest.raises(ValueError):
-            MarkedBasis(((f, (1, 1)),), VariableOrder.identity(2))
-
-    def test_rejects_non_leading_mark(self):
-        f = Polynomial(2, {(1, 0): 1, (0, 1): -1})  # leading monomial is x2
-        with pytest.raises(ValueError):
-            MarkedBasis(((f, (1, 0)),), VariableOrder.identity(2))
+        with pytest.raises(ValueError, match="zero polynomial"):
+            marked_basis([f, Polynomial(2)], VariableOrder.identity(2))
 
 
 class TestReduce:
     def test_basis_elements_vanish(self):
         basis = lex_basis("2,2")
-        for f, _ in basis.elements:
+        for f in lex_polys("2,2"):
             assert reduce(f, basis).is_zero()
 
     def test_known_member(self):
@@ -128,9 +128,8 @@ class TestReduce:
         basis = lex_basis("2,2")
         f = Polynomial(4, {(3, 1, 2, 0): 5, (0, 0, 2, 2): -1, (1, 1, 1, 1): 7})
         r = reduce(f, basis)
-        marks = [m for _, m in basis.elements]
         for exps, _ in r.items():
-            assert not any(all(a <= b for a, b in zip(m, exps)) for m in marks)
+            assert not any(all(a <= b for a, b in zip(m, exps)) for m in basis.marks)
         assert reduce(f, basis) == r
         assert reduce(r, basis) == r
 
@@ -148,7 +147,7 @@ class TestReduce:
     )
     def test_ideal_combinations_reduce_to_zero(self, picks):
         basis = lex_basis("2,2")
-        polys = [f for f, _ in basis.elements]
+        polys = lex_polys("2,2")
         acc = Polynomial(4, [t for exps, c, which in picks for t in times_term(polys[which], exps, c)])
         assert reduce(acc, basis).is_zero()
 
@@ -165,7 +164,7 @@ class TestReduce:
     def test_reduction_is_linear_over_the_ideal(self, fdict, gexps, gc):
         basis = lex_basis("2,2")
         f = Polynomial(4, fdict)
-        member = times_term(basis.elements[0][0], gexps, gc)
+        member = times_term(lex_polys("2,2")[0], gexps, gc)
         assert reduce(Polynomial(4, [*f.items(), *member]), basis) == reduce(f, basis)
 
 
@@ -194,7 +193,7 @@ class TestSPolynomial:
 
     def test_leading_terms_cancel(self):
         ido = VariableOrder.identity(4)
-        polys = [f for f, _ in lex_basis("2,2").elements]
+        polys = lex_polys("2,2")
         s = s_polynomial(polys[0], polys[1], ido)
         lcm = tuple(
             max(a, b)
@@ -216,14 +215,14 @@ class TestPackedSPair:
                 continue
             for source in (lex_groebner_generators, universal_groebner_generators):
                 for order in orders:
-                    basis = marked_basis([f for _, f in source(lam, order)], order)
+                    polys = [f for _, f in source(lam, order)]
+                    basis = marked_basis(polys, order)
                     table = basis.division_table
                     desc = order.desc0
-                    for i, j in combinations(range(len(basis.elements)), 2):
-                        (f, mf), (g, mg) = basis.elements[i], basis.elements[j]
-                        lcm = _pack(tuple(map(max, mf, mg)), desc, table.w)
+                    for i, j in combinations(range(len(polys)), 2):
+                        lcm = _pack(tuple(map(max, basis.marks[i], basis.marks[j])), desc, table.w)
                         got = _unpack_terms(_s_pair(table.rows, i, j, lcm), desc, table.w)
-                        assert got == s_polynomial(f, g, order), (lam, order, i, j)
+                        assert got == s_polynomial(polys[i], polys[j], order), (lam, order, i, j)
                         pairs += 1
         assert pairs > 0
 
@@ -295,7 +294,7 @@ class TestCertify:
                     [f for _, f in lex_groebner_generators(lam, order)], order
                 )
                 assert certify_groebner(basis).passed, (lam, order)
-                marks = naive_minimalize([m for _, m in basis.elements])
+                marks = naive_minimalize(basis.marks)
                 assert marks == frozenset(initial_ideal(lam, order).min_gens)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -333,26 +332,28 @@ def specht_bases(draw):
         lead = leading_monomial(f, order)
         exps = draw(st.sampled_from(sorted(e for e, _ in f.items() if e != lead)))
         polys[i] = Polynomial(f.n, {**dict(f.items()), exps: f.coefficient(exps) + 1})
-    return marked_basis(polys, order)
+    return polys, marked_basis(polys, order)
 
 
 class TestVerdictAgainstSympy:
     @settings(deadline=None, max_examples=300)
     @given(specht_bases())
-    def test_certificate_verdict_matches_sympy(self, basis):
-        assert certify_groebner(basis).passed == sympy_is_groebner(basis)
+    def test_certificate_verdict_matches_sympy(self, drawn):
+        polys, basis = drawn
+        assert certify_groebner(basis).passed == sympy_is_groebner(polys, basis)
 
     @settings(deadline=None, max_examples=300)
     @given(specht_bases())
-    def test_certificate_matches_the_tuple_route(self, basis):
+    def test_certificate_matches_the_tuple_route(self, drawn):
         # counts and every (i, j, remainder) failure, against reduce(s_polynomial(...))
-        assert certify_groebner(basis) == reference_certify(basis)
+        polys, basis = drawn
+        assert certify_groebner(basis) == reference_certify(polys, basis)
 
     def test_both_verdicts_occur(self):
         ido = VariableOrder.identity(4)
         polys = [f for _, f in lex_groebner_generators(Partition.parse("2,2"), ido)]
-        assert sympy_is_groebner(marked_basis(polys, ido))
-        assert not sympy_is_groebner(marked_basis(polys[:4], ido))
+        assert sympy_is_groebner(polys, marked_basis(polys, ido))
+        assert not sympy_is_groebner(polys[:4], marked_basis(polys[:4], ido))
 
 
 def int_coefficients(f):
@@ -425,7 +426,7 @@ class TestIntegerAndFractionPaths:
         assert marks == sorted(marks)
         # one packing per element, in basis order; the sorted view holds the same row objects
         desc = basis.order.desc0
-        assert [mark for mark, _ in table.rows] == [_pack(m, desc, table.w) for _, m in basis.elements]
+        assert [mark for mark, _ in table.rows] == [_pack(m, desc, table.w) for m in basis.marks]
         assert sorted(map(id, table.by_mark)) == sorted(map(id, table.rows))
 
     def test_exponents_beyond_the_packed_field_restart_wider(self):
@@ -443,14 +444,13 @@ class TestIntegerAndFractionPaths:
         # the S-pair of x2 - x1^(2^14) and x2^8 + x1 is -x2^7*x1^(2^14) - x1, which
         # divides down to -x1^(2^17) - x1, past a 17-bit field
         ido = VariableOrder.identity(2)
-        basis = marked_basis(
-            [Polynomial(2, {(0, 1): 1, (2**14, 0): -1}), Polynomial(2, {(0, 8): 1, (1, 0): 1})], ido
-        )
+        polys = [Polynomial(2, {(0, 1): 1, (2**14, 0): -1}), Polynomial(2, {(0, 8): 1, (1, 0): 1})]
+        basis = marked_basis(polys, ido)
         assert basis.division_table.w == 17
         widenings = record_widening(monkeypatch)
         cert = certify_groebner(basis)
         assert widenings == [(17, 34, 2)]
-        assert cert == reference_certify(basis)
+        assert cert == reference_certify(polys, basis)
         assert not cert.passed
         assert (cert.pairs_total, cert.pairs_reduced) == (1, 1)
         assert cert.failures == ((0, 1, Polynomial(2, {(2**17, 0): -1, (1, 0): -1})),)
@@ -473,16 +473,14 @@ class TestWiden:
         assert _widen(_pack(exps, desc, w), len(desc), w) == _pack(exps, desc, 2 * w)
 
     @pytest.mark.parametrize(
-        "basis",
-        [
-            lex_basis("2,2"),
-            marked_basis([Polynomial(2, {(0, 1): 1, (2**14, 0): -1})], VariableOrder.identity(2)),
-        ],
+        "polys",
+        [lex_polys("2,2"), [Polynomial(2, {(0, 1): 1, (2**14, 0): -1})]],
         ids=["2,2", "x2-x1^(2^14)"],
     )
-    def test_a_widened_table_is_the_table_at_twice_the_width(self, basis):
-        table = basis.division_table
-        assert _widen_table(table, basis.order.n) == _division_table(basis, 2 * table.w)
+    def test_a_widened_table_is_the_table_at_twice_the_width(self, polys):
+        order = VariableOrder.identity(polys[0].n)
+        table = marked_basis(polys, order).division_table
+        assert _widen_table(table, order.n) == packed_table(polys, order, 2 * table.w)
 
     @pytest.mark.parametrize("same_first_part", [True, False], ids=["lex", "universal"])
     def test_no_lane_certificate_widens(self, monkeypatch, same_first_part):
@@ -651,8 +649,18 @@ def lane_cases():
 
 
 def polynomial_route(lam, order, same_first_part):
+    """The lex or universal system's polynomials, and their `marked_basis`."""
     source = lex_groebner_generators if same_first_part else universal_groebner_generators
-    return marked_basis([f for _, f in source(lam, order)], order)
+    polys = [f for _, f in source(lam, order)]
+    return polys, marked_basis(polys, order)
+
+
+def assert_same_table(got, want, case):
+    """(w, guard), the marks in basis order and by mark, and the tails as sets."""
+    assert (got.w, got.guard) == (want.w, want.guard), case
+    assert [m for m, _ in got.rows] == [m for m, _ in want.rows], case
+    assert [set(t) for _, t in got.rows] == [set(t) for _, t in want.rows], case
+    assert [m for m, _ in got.by_mark] == [m for m, _ in want.by_mark], case
 
 
 class TestLaneBasis:
@@ -661,23 +669,31 @@ class TestLaneBasis:
         # at 8 bits, and widened to 16
         for lam, order in lane_cases():
             lanes = _specht_basis(lam, order, same_first_part)
-            route = polynomial_route(lam, order, same_first_part)
+            polys, route = polynomial_route(lam, order, same_first_part)
             table = lanes.division_table
-            for got, want in ((table, _division_table(route, 8)), (_widen_table(table, lam.n), _division_table(route, 16))):
-                assert (got.w, got.guard) == (want.w, want.guard)
-                # marks in basis order, tails as sets
-                assert [m for m, _ in got.rows] == [m for m, _ in want.rows], (lam, order)
-                assert [set(t) for _, t in got.rows] == [set(t) for _, t in want.rows], (lam, order)
-                assert [m for m, _ in got.by_mark] == [m for m, _ in want.by_mark]
-            assert lanes.marks == tuple(m for _, m in route.elements)
+            wide = _widen_table(table, lam.n)
+            for got, want in ((table, packed_table(polys, order, 8)), (wide, packed_table(polys, order, 16))):
+                assert_same_table(got, want, (lam, order))
+            assert lanes.marks == route.marks
+
+    @pytest.mark.parametrize("same_first_part", [True, False], ids=["lex", "universal"])
+    def test_both_builders_give_a_marked_basis_with_one_table(self, same_first_part):
+        # the polynomial route's own table, at 8 bits since n <= 6 keeps every exponent below 2**6
+        for lam, order in lane_cases():
+            lanes = _specht_basis(lam, order, same_first_part)
+            polys, route = polynomial_route(lam, order, same_first_part)
+            assert type(lanes) is type(route) is MarkedBasis
+            assert route.division_table == packed_table(polys, order, 8)
+            assert_same_table(lanes.division_table, route.division_table, (lam, order))
+            assert (route.order, route.marks, route.tableaux) == (order, lanes.marks, ())
 
     def test_the_decoded_elements_are_the_polynomial_routes(self):
         # the lane basis carries tableaux, not polynomials; expanded, they are the polynomial route's
         lam, order = Partition.parse("3,2,1"), VariableOrder.parse("4,1,6,2,5,3")
         lanes = _specht_basis(lam, order, False)
-        route = polynomial_route(lam, order, False)
+        polys, route = polynomial_route(lam, order, False)
         assert certify_groebner(lanes) == certify_groebner(route)
-        assert tuple(zip(map(specht_polynomial, lanes.tableaux), lanes.marks)) == route.elements
+        assert list(map(specht_polynomial, lanes.tableaux)) == polys and lanes.marks == route.marks
 
     def test_a_lead_coefficient_of_two_is_refused(self, tamper_lanes):
         # -x1 + 2*x3 for T0 = 1,2/3: x3 leads under the identity, with coefficient 2
@@ -719,20 +735,20 @@ class TestLaneBasis:
         polys = [specht_polynomial(t) for t in lanes.tableaux]
         assert polys[0] == Polynomial(3, {(0, 1, 0): 1, (60, 0, 0): -1, (0, 0, 8): 1})
         marked = marked_basis(polys, ido)
-        assert cert == certify_groebner(marked) == reference_certify(marked)
+        assert cert == certify_groebner(marked) == reference_certify(polys, marked)
         assert not cert.passed and max(max(e) for _, _, r in cert.failures for e, _ in r.items()) >= 480
         f = Polynomial(3, {(0, 0, 9): 1, (2, 1, 1): -3})
         assert reduce(f, lanes) == reduce(f, marked)
 
 
 def table_key(basis):
-    """What `_certified` compares: the division table less its row order."""
+    """What `_failed` compares: the division table less its row order."""
     table = basis.division_table
     return (table.w, table.guard, table.by_mark)
 
 
 class TestCertifiedOnce:
-    """`_certified` runs no certificate for a table equal to one that passed."""
+    """`_failed` runs no certificate for a table equal to one that passed."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_order_packs_the_identitys_table(self, n):
@@ -752,7 +768,7 @@ class TestCertifiedOnce:
         calls = count_calls(spechtfan.oracle, "certify_groebner")
         bases = [_specht_basis(lam, o, True) for o in sample_orders(5, 4, random.Random("certified-once"))]
         assert len({b.division_table.rows for b in bases}) == 4
-        assert all(map(_certified, bases))
+        assert not any(map(_failed, bases))
         assert calls == {"certify_groebner": 1}
         assert _PASSED == [table_key(bases[0])]
 
@@ -762,14 +778,14 @@ class TestCertifiedOnce:
         bad = negate_a_tail_coefficient(other)
         want = certify_groebner(bad)
         assert not want.passed
-        assert _certified(good)
+        assert _failed(good) is None
         calls = count_calls(spechtfan.oracle, "certify_groebner")
-        # a failing table is certified in full every time, and never remembered
+        # a failing table is certified in full every time, returned, and never remembered
         for k in (1, 2):
-            assert not _certified(bad)
+            assert _failed(bad) == want
             assert calls == {"certify_groebner": k}
             assert _PASSED == [table_key(good)]
-        assert _certified(other)
+        assert _failed(other) is None
         assert calls == {"certify_groebner": 2}
         assert certify_groebner(bad) == want
 
@@ -777,7 +793,7 @@ class TestCertifiedOnce:
         basis = _specht_basis(Partition.parse("2,2"), VariableOrder.identity(4), True)
         wide = basis._replace(division_table=_widen_table(basis.division_table, 4))
         calls = count_calls(spechtfan.oracle, "certify_groebner")
-        assert _certified(basis) and _certified(wide)
+        assert _failed(basis) is None and _failed(wide) is None
         assert calls == {"certify_groebner": 2}
         assert [w for w, _, _ in _PASSED] == [8, 16]
 
@@ -785,7 +801,7 @@ class TestCertifiedOnce:
         ido = VariableOrder.identity(5)
         bases = [_specht_basis(Partition.parse(p), ido, s) for p in ("3,2", "2,2,1") for s in (True, False)]
         assert len(set(map(table_key, bases))) == 4
-        assert all(map(_certified, bases))
+        assert not any(map(_failed, bases))
         assert _PASSED == [table_key(b) for b in bases[1:]]
 
 
@@ -813,5 +829,5 @@ class TestLanePassPath:
             assert elimination_polynomial_check(lam, order) == ""
         assert spechtfan.verify._braid_row(lam).passed
         assert all(count == 0 for counts in calls.values() for count in counts.values()), calls
-        # every module that could call either is watched: oracle's MarkedBasis, the closed-form row in verify
+        # every module that could call either is watched: oracle's marked_basis, the closed-form row in verify
         assert sum(len(counts) for counts in calls.values()) == 5
