@@ -196,7 +196,8 @@ def packed_table(polys, order: VariableOrder, w: int):
     for f in polys:
         mark = leading_monomial(f, order)
         lc = f.coefficient(mark)
-        rows.append((_pack(mark, desc, w), tuple((_pack(e, desc, w), -c * lc) for e, c in f.items() if e != mark)))
+        tail = tuple((_pack(e, desc, w), -c * lc) for e, c in f.items() if e != mark)
+        rows.append((_pack(mark, desc, w), tail))
     return _table(w, order.n, tuple(rows))
 
 
