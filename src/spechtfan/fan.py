@@ -11,10 +11,10 @@ head part, so the generators fall into blocks of equal head part. Which
 generators share a block depends only on the head's column set, so the split
 is made once per set. Each block's rows on the remaining columns, placed in
 each of their 4! = 24 orders and packed 3 bits an exponent with the first on
-top, are sorted and interned once per distinct row set. The key of an order
-is one tail-set index per block, blocks in head-part order, and the packed
-head parts as bytes; the 24 keys of a head come from one zip, with no sort
-per order.
+top (`polyring._pack`), are sorted and interned once per distinct row set.
+The key of an order is one tail-set index per block, blocks in head-part
+order, and the packed head parts as bytes; the 24 keys of a head come from
+one zip, with no sort per order.
 
 The key is a function of the permuted set S: S fixes its distinct head
 parts, so the bytes, and for each head part the set of tail rows beside it,
@@ -54,7 +54,7 @@ from .combinatorics import (
     standard_tableaux,
 )
 from .errors import CapacityError
-from .polyring import _monomial_text
+from .polyring import _monomial_text, _pack, _unpack
 from .specht import MonomialIdeal, _row_exponents, initial_ideal
 
 __all__ = [
@@ -188,7 +188,6 @@ def _order_groups(
     t = min(_TAIL, n)
     h = n - t
     placements = list(permutations(range(t)))
-    tail_shifts = range(_FIELD * (t - 1), -1, -_FIELD)
     tails: dict[tuple[int, ...], int] = {}  # sorted packed tail rows -> index
     placed: dict[tuple[tuple[int, ...], ...], list[int]] = {}  # sorted rest rows -> tail set per placement
     splits = []
@@ -201,10 +200,7 @@ def _order_groups(
         for rows in map(tuple, map(sorted, blocks.values())):
             if rows not in placed:
                 placed[rows] = [
-                    tails.setdefault(
-                        tuple(sorted(sum(r[i] << s for i, s in zip(p, tail_shifts)) for r in rows)),
-                        len(tails),
-                    )
+                    tails.setdefault(tuple(sorted(_pack(r, p, _FIELD) for r in rows)), len(tails))
                     for p in placements
                 ]
             ids.append(placed[rows])
@@ -242,7 +238,7 @@ def enumerate_fan(lam: Partition) -> FanSummary:
     Brute force over the symmetric group; refuses n beyond DEFAULT_ENUMERATION_LIMIT.
     Each key of _order_groups decodes straight to the sorted generators of
     its class: block by block, the head part above each of the block's tail
-    rows. A block is decoded once per code and a generator once per packed
+    rows, read back with `_unpack`. A block is decoded once per code and a generator once per packed
     form, so the classes share one tuple per distinct generator, which the
     JSON writer's memo relies on. The classes come out sorted by their
     generators, and each class's orders sorted.
@@ -250,8 +246,7 @@ def enumerate_fan(lam: Partition) -> FanSummary:
     groups, tails = _order_groups(lam)
     n = lam.n
     tail_bits = _FIELD * min(_TAIL, n)
-    shifts = range(_FIELD * (n - 1), -1, -_FIELD)
-    gen = cache(lambda v: tuple(v >> s & 7 for s in shifts))
+    gen = cache(lambda v: _unpack(v, range(n), _FIELD))
     bits = len(tails).bit_length()
     index = (1 << bits) - 1
 

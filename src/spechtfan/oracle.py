@@ -17,7 +17,8 @@ instead: `specht._term_lanes` holds each shape's T0 expansion once, term
 i's exponent of x_j in 64-bit lane i of column j, and `_specht_basis`
 packs all of a tableau's terms under the order at once, at 8-bit fields
 (`specht._lane_system`). A division that outgrows its fields widens its
-dividend and rows (`_remainder`).
+dividend and rows (`_remainder`). The elimination check divides the rows
+of the two tables it has just certified, and packs no generator again.
 
 Packing undoes the relabelling of the standard tableaux, so every order
 should pack a shape's identity table, rows reordered. `_failed` keeps
@@ -35,15 +36,14 @@ from typing import NamedTuple
 
 from .combinatorics import (
     Partition,
-    Tableau,
     VariableOrder,
     dominated_partitions,
     hat,
     prefix_standardization,
-    standard_tableaux,
+    standard_tableau_count,
 )
-from .polyring import Polynomial, _field_scale, _guard_bits, _pack, leading_monomial
-from .specht import _check_shape, _lane_list, _lane_pack, _lane_system, _term_lanes
+from .polyring import Polynomial, _field_scale, _guard_bits, _pack, _unpack, leading_monomial
+from .specht import _check_shape, _lane_system, _term_lanes
 
 __all__ = [
     "DEFAULT_ORACLE_LIMIT",
@@ -154,23 +154,13 @@ def _specht_basis(lam: Partition, order: VariableOrder, same_first_part: bool) -
     return MarkedBasis(order, tuple(marks), _table(_LANE_W, n, tuple(rows)), tuple(tableaux))
 
 
-def _unpack(p: int, desc: tuple[int, ...], w: int) -> tuple[int, ...]:
-    exps = [0] * len(desc)
-    mask = (1 << w) - 1
-    for i in reversed(desc):
-        exps[i] = p & mask
-        p >>= w
-    return tuple(exps)
-
-
 def _unpack_terms(terms: dict[int, int], desc: tuple[int, ...], w: int) -> Polynomial:
     return Polynomial._wrap(len(desc), {_unpack(p, desc, w): c for p, c in terms.items()})
 
 
 def _widen(p: int, n: int, w: int) -> int:
     """p's n packed fields of width w, each moved to a field of width 2w."""
-    mask = (1 << w) - 1
-    return sum((p >> (w * j) & mask) << (2 * w * j) for j in range(n))
+    return _pack(_unpack(p, range(n), w), range(n), 2 * w)
 
 
 def _widen_table(table: _DivisionTable, n: int) -> _DivisionTable:
@@ -397,14 +387,6 @@ def _failed(basis: MarkedBasis) -> GroebnerCertificate | None:
     return None
 
 
-def _dividend(t: Tableau, order: VariableOrder) -> dict[int, int]:
-    """t's Specht polynomial under order as a packed term map at _LANE_W-bit
-    fields, packed from the lanes."""
-    lanes = _term_lanes(tuple(map(len, t.rows)))
-    scale = _field_scale(order.desc0, _LANE_W)
-    return dict(zip(_lane_list(_lane_pack(lanes.cols, t.row_word(), scale), len(lanes.coeffs)), lanes.coeffs))
-
-
 def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
     """Two-sided division check that dropping the largest variable lands on hat(lam).
 
@@ -416,12 +398,18 @@ def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
     ideal. Refuses n beyond DEFAULT_ORACLE_LIMIT. Returns "" on a pass, else
     a line naming the first basis or side that failed and the order.
 
-    Both bases come from `_specht_basis`, each side's generators from
-    `_dividend`. The removed variable is the largest, in a packed term's top
-    field, and the inner order keeps the others in order: a term packed
-    under the inner order is its embedding packed under the order, and a
-    term with an empty top field is, packed, its own projection. So the
-    superset side divides, and on overflow widens, n - 1 fields.
+    Both bases come from `_specht_basis`, and each side divides rows of a
+    table it has just certified. A row (mark, tail), read as the mark at 1
+    and each tail term (e, t) at -t, is its generator times the lead
+    coefficient +-1, so it reduces to zero exactly when the generator does.
+    The subset side reads the first rows of the small table, hat(lam)'s own
+    tableaux, which `dominated_partitions` lists first; the superset side
+    reads the big table's rows whose mark has an empty top field. The
+    removed variable is the largest, in a packed term's top field, and the
+    inner order keeps the others in order: a term packed under the inner
+    order is its embedding packed under the order, and a term with an empty
+    top field is, packed, its own projection. So the superset side divides,
+    and on overflow widens, n - 1 fields.
     """
     n = lam.n
     if n > DEFAULT_ORACLE_LIMIT:
@@ -438,14 +426,15 @@ def elimination_polynomial_check(lam: Partition, order: VariableOrder) -> str:
         return f"basis of {lam} failed certification under {order}"
     if _failed(small):
         return f"basis of hat={lhat} failed certification under {inner}, from {order}"
-    for t in standard_tableaux(lhat, inner):
-        if _remainder(base.division_table, _dividend(t, inner), n)[0]:
+    for t, (mark, tail) in zip(small.tableaux[: standard_tableau_count(lhat)], small.division_table.rows):
+        if _remainder(base.division_table, {mark: 1, **{e: -c for e, c in tail}}, n)[0]:
             return f"subset: generator of {lhat} from {t} left a remainder under {order}"
-    for t, mark in zip(base.tableaux, base.marks):
-        if mark[removed - 1]:
+    top = _LANE_W * (n - 1)
+    for t, (mark, tail) in zip(base.tableaux, base.division_table.rows):
+        if mark >> top:
             continue
-        work = _dividend(t, order)
-        if max(work) >> (_LANE_W * (n - 1)):
+        work = {mark: 1, **{e: -c for e, c in tail}}
+        if max(work) >> top:
             return f"superset: {t} has a free leading monomial but uses x{removed} under {order}"
         if _remainder(small.division_table, work, n - 1)[0]:
             return f"superset: projection of {t} left a remainder under {order}"

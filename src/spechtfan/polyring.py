@@ -7,6 +7,9 @@ as it carries more of a bigger variable. A Polynomial is a validated map
 from exponent tuples to nonzero ints and carries no ring arithmetic: the
 Specht expansion and the division layer in `oracle` build term maps
 directly.
+
+This module owns the packed-monomial codec, `_pack` and its inverse
+`_unpack`, that `specht`, `fan` and `oracle` share.
 """
 
 from __future__ import annotations
@@ -46,6 +49,16 @@ def _pack(exps: Exponents, desc, w: int) -> int:
     for i in desc:
         p = (p << w) | exps[i]
     return p
+
+
+def _unpack(p: int, desc, w: int) -> Exponents:
+    """The exponent tuple that `_pack(_, desc, w)` packed into p."""
+    exps = [0] * len(desc)
+    mask = (1 << w) - 1
+    for i in reversed(desc):
+        exps[i] = p & mask
+        p >>= w
+    return tuple(exps)
 
 
 def _field_scale(desc, w: int) -> tuple[int, ...]:

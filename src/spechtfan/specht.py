@@ -15,9 +15,10 @@ The expansion is made once per shape, for T0, and every tableau's is T0's
 with its variables renamed. `specht_polynomial` renames term by term; the
 braid row and the oracle's bases read the same expansion as lanes
 (`_term_lanes`) and pack all of a tableau's terms at once (`_lane_pack`,
-`_lane_system`). The 64-bit lane layout stays in this module: the other
-layers read lanes through `_lane_list`, `_lane`, `_lowest_lane` and
-`_lane_term`.
+`_lane_system`). The 64-bit lane layout stays in this module: the oracle
+packs through `_lane_system`, the braid row packs through `_lane_pack` and
+reads lanes back through `_lane`, `_lowest_lane` and `_lane_term`, and
+`_lane_list` is read only here.
 """
 
 from __future__ import annotations

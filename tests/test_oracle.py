@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import spechtfan.oracle
 from spechtfan.combinatorics import (
     Partition,
-    Tableau,
     VariableOrder,
+    embed_exponents,
     enumerate_partitions,
     hat,
     prefix_standardization,
@@ -48,7 +48,8 @@ from helpers import (
 )
 
 
-REAL_DIVIDEND = spechtfan.oracle._dividend
+REAL_REMAINDER = spechtfan.oracle._remainder
+REAL_SPECHT_BASIS = spechtfan.oracle._specht_basis
 
 
 def record_widening(monkeypatch):
@@ -512,48 +513,80 @@ class TestWiden:
             assert set(widenings) == {(8, 16, lam.n), (8, 16, lam.n - 1)}, order
 
     def test_a_projection_widens_as_it_repacks(self):
-        # a lex generator free of the removed variable, widened in n - 1 fields, is
-        # its projection packed at 16 bits under the inner order
+        # a lex row whose mark is free of the removed variable, read as the generator the
+        # superset side divides and widened in n - 1 fields, is lc times its projection
+        # packed at 16 bits under the inner order
         for parts in ["2,2", "3,2", "2,2,1", "3,1,1"]:
             lam = Partition.parse(parts)
             projected = 0
             for order in sample_orders(lam.n, 3, random.Random(f"projection|{parts}")):
                 inner, removed, kept = prefix_standardization(order)
-                for t in _specht_basis(lam, order, True).tableaux:
-                    f = specht_polynomial(t)
-                    if any(e[removed - 1] for e, _ in f.items()):
+                basis = _specht_basis(lam, order, True)
+                for t, mark, row in zip(basis.tableaux, basis.marks, basis.division_table.rows):
+                    if mark[removed - 1]:
                         continue
-                    want = {_pack(tuple(e[v - 1] for v in kept), inner.desc0, 16): c for e, c in f.items()}
-                    got = {_widen(p, lam.n - 1, 8): c for p, c in spechtfan.oracle._dividend(t, order).items()}
+                    f = specht_polynomial(t)
+                    lc = f.coefficient(mark)
+                    want = {_pack(tuple(e[v - 1] for v in kept), inner.desc0, 16): c * lc for e, c in f.items()}
+                    got = {_widen(p, lam.n - 1, 8): c for p, c in row_generator(row).items()}
                     assert got == want, (lam, order, t)
                     projected += 1
             assert projected > 0, lam
 
 
-def count_sides(monkeypatch, n):
-    """Count `_dividend` calls by side: the subset side packs each hat(lam)
-    tableau, of n - 1 boxes, the superset side each generator it projects."""
+def row_generator(row):
+    """A division row (mark, tail) as the packed term map the elimination check
+    divides: the mark at 1 and each tail term (e, t) at -t, which is the row's
+    generator times its lead coefficient +-1."""
+    mark, tail = row
+    return {mark: 1, **{e: -t for e, t in tail}}
+
+
+def count_sides(monkeypatch, lam, order):
+    """Certify the check's two tables, so the memo skips their certificates, then
+    count `_remainder` calls by side: the subset side divides by the big table in
+    n fields, the superset side by the hat table in n - 1."""
+    inner = prefix_standardization(order)[0]
+    assert _failed(REAL_SPECHT_BASIS(lam, order, True)) is None
+    assert _failed(REAL_SPECHT_BASIS(hat(lam), inner, True)) is None
     calls = {"subset": 0, "superset": 0}
-    real = spechtfan.oracle._dividend
 
-    def counted(t, order):
-        calls["subset" if t.n < n else "superset"] += 1
-        return real(t, order)
+    def counted(table, work, n):
+        calls["subset" if n == lam.n else "superset"] += 1
+        return REAL_REMAINDER(table, work, n)
 
-    monkeypatch.setattr(spechtfan.oracle, "_dividend", counted)
+    monkeypatch.setattr(spechtfan.oracle, "_remainder", counted)
     return calls
 
 
-def nonzero_dividend(t, order):
-    """The constant 1, packed: a remainder of 1, the packed constant monomial
-    0, that no mark divides."""
-    return {0: 1}
+def passes(basis):
+    """`_failed` for a table that passed its certificate."""
+    return None
+
+
+def nonzero_on(fields):
+    """`_remainder`, with a remainder of 1, the packed constant monomial 0 that no
+    mark divides, for every division of that many fields."""
+    return lambda table, work, n: ({0: 1}, table) if n == fields else REAL_REMAINDER(table, work, n)
+
+
+def with_x4_in_the_free_rows(lam, order, same_first_part):
+    """`_specht_basis`, but at n = 4 x4, the top of four 8-bit fields, joins the
+    tail of each row whose mark is free of it; the rows sorted by mark, which the
+    divisions read, are left as they were."""
+    basis = REAL_SPECHT_BASIS(lam, order, same_first_part)
+    if lam.n != 4:
+        return basis
+    table = basis.division_table
+    rows = tuple((m, tail if m >> 24 else (*tail, (1 << 24, -1))) for m, tail in table.rows)
+    return basis._replace(division_table=table._replace(rows=rows))
 
 
 class TestEliminationPolynomial:
     def test_two_two_identity(self, monkeypatch):
-        calls = count_sides(monkeypatch, 4)
-        assert elimination_polynomial_check(Partition.parse("2,2"), VariableOrder.identity(4)) == ""
+        lam, order = Partition.parse("2,2"), VariableOrder.identity(4)
+        calls = count_sides(monkeypatch, lam, order)
+        assert elimination_polynomial_check(lam, order) == ""
         assert calls == {"subset": 1, "superset": 1}
 
     @pytest.mark.parametrize(
@@ -562,47 +595,70 @@ class TestEliminationPolynomial:
     )
     def test_small_anchors(self, monkeypatch, parts, subset, superset):
         lam = Partition.parse(parts)
-        calls = count_sides(monkeypatch, lam.n)
-        assert elimination_polynomial_check(lam, VariableOrder.identity(lam.n)) == ""
+        order = VariableOrder.identity(lam.n)
+        calls = count_sides(monkeypatch, lam, order)
+        assert elimination_polynomial_check(lam, order) == ""
         assert calls == {"subset": subset, "superset": superset}
 
     @pytest.mark.parametrize(
-        "name,fake,line",
+        "fakes,line",
         [
             # a remainder of 1, the packed constant monomial 0, for every division
-            ("_divide", lambda work, table: {0: 1}, "basis of 2,2 failed certification"),
+            ({"_divide": lambda work, table: {0: 1}}, "basis of 2,2 failed certification"),
             (
-                "_dividend",
-                lambda t, order: nonzero_dividend(t, order) if t.n == 3 else REAL_DIVIDEND(t, order),
+                {"_failed": passes, "_remainder": nonzero_on(4)},
                 "subset: generator of 1,1,1 from 1/2/3 left a remainder",
             ),
             (
-                "_dividend",
-                lambda t, order: nonzero_dividend(t, order) if t.n == 4 else REAL_DIVIDEND(t, order),
+                {"_failed": passes, "_remainder": nonzero_on(3)},
                 "superset: projection of 1,4/2/3 left a remainder",
             ),
             (
-                # x4, the removed variable, in every term of every projected generator
-                "_dividend",
-                lambda t, order: {1 << 24: 1} if t.n == 4 else REAL_DIVIDEND(t, order),
+                {"_failed": passes, "_specht_basis": with_x4_in_the_free_rows},
                 "superset: 1,4/2/3 has a free leading monomial but uses x4",
             ),
         ],
         ids=["certification", "subset", "superset", "superset-uses-the-removed-variable"],
     )
-    def test_a_tampered_step_names_the_failing_side(self, monkeypatch, name, fake, line):
-        monkeypatch.setattr(spechtfan.oracle, name, fake)
+    def test_a_tampered_step_names_the_failing_side(self, monkeypatch, fakes, line):
+        for name, fake in fakes.items():
+            monkeypatch.setattr(spechtfan.oracle, name, fake)
         got = elimination_polynomial_check(Partition.parse("2,2"), VariableOrder.identity(4))
         assert got == f"{line} under 1,2,3,4"
 
+    def test_a_hat_table_tampered_after_certification_fails_the_subset_side(self, monkeypatch):
+        # the subset side divides the hat table's own rows, so a tampered row shows there
+        monkeypatch.setattr(spechtfan.oracle, "_failed", passes)
+        monkeypatch.setattr(
+            spechtfan.oracle,
+            "_specht_basis",
+            lambda lam, order, same_first_part: (negate_a_tail_coefficient if lam.n == 3 else lambda b: b)(
+                REAL_SPECHT_BASIS(lam, order, same_first_part)
+            ),
+        )
+        got = elimination_polynomial_check(Partition.parse("2,2"), VariableOrder.identity(4))
+        assert got == "subset: generator of 1,1,1 from 1/2/3 left a remainder under 1,2,3,4"
+
     def test_a_dividend_is_packed_at_the_table_width(self):
-        # lanes at the lane table's 8-bit fields; widened with the table, the polynomial at 16 and 32
-        t, order = Tableau(((1, 4), (2, 5), (3,))), VariableOrder.parse("2,5,1,4,3")
-        f = specht_polynomial(t)
-        work = spechtfan.oracle._dividend(t, order)
-        for w in (8, 16, 32):
-            assert work == {_pack(e, order.desc0, w): c for e, c in f.items()}
-            work = {_widen(p, 5, w): c for p, c in work.items()}
+        # each side's rows, read as generators, at the lane tables' 8-bit fields: the subset
+        # side's hat rows hold lc times the embedded generator packed under the order, the
+        # superset side's rows lc times the generator; widened with the table, at 16 and 32
+        lam, order = Partition.parse("2,2,1"), VariableOrder.parse("2,5,1,4,3")
+        inner, _, asc = prefix_standardization(order)
+        small = _specht_basis(hat(lam), inner, True)
+        base = _specht_basis(lam, order, True)
+        sides = [(small, lambda e: embed_exponents(e, 5, asc)), (base, lambda e: e)]
+        checked = 0
+        for basis, embed in sides:
+            for t, mark, row in zip(basis.tableaux, basis.marks, basis.division_table.rows):
+                f = specht_polynomial(t)
+                lc = f.coefficient(mark)
+                work = row_generator(row)
+                for w in (8, 16, 32):
+                    assert work == {_pack(embed(e), order.desc0, w): c * lc for e, c in f.items()}, (t, w)
+                    work = {_widen(p, 5, w): c for p, c in work.items()}
+                checked += 1
+        assert checked == len(small.tableaux) + len(base.tableaux) > 2
 
     def test_sampled_orders_pass(self):
         rng = random.Random("elim-poly")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import poly_to_sympy, specht_expr, sympy_lm_exps
 from spechtfan.combinatorics import Tableau, VariableOrder
-from spechtfan.polyring import Polynomial, _field_scale, _pack, leading_monomial
+from spechtfan.polyring import Polynomial, _field_scale, _pack, _unpack, leading_monomial
 
 
 def poly_st(n, max_terms=5, max_exp=3):
@@ -41,6 +41,14 @@ class TestLexOrder:
         scale = _field_scale(order.desc0, 5)
         assert scale[0] == 0
         assert sum(e * s for e, s in zip(exps, scale[1:])) == _pack(exps, order.desc0, 5)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 20), st.data())
+    def test_unpack_reads_back_what_pack_packed(self, w, data):
+        # any variable order and any exponents that fill their w-bit fields, guard bit included
+        exps = tuple(data.draw(st.lists(st.integers(0, 2**w - 1), min_size=1, max_size=8)))
+        desc = tuple(data.draw(st.permutations(range(len(exps)))))
+        assert _unpack(_pack(exps, desc, w), desc, w) == exps
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
