@@ -582,6 +582,13 @@ def with_x4_in_the_free_rows(lam, order, same_first_part):
     return basis._replace(division_table=table._replace(rows=rows))
 
 
+def with_a_tampered_hat_table(lam, order, same_first_part):
+    """`_specht_basis`, but with a tail coefficient of the first row negated at
+    n = 3, where the hat table of (2,2) lives (`negate_a_tail_coefficient`)."""
+    basis = REAL_SPECHT_BASIS(lam, order, same_first_part)
+    return negate_a_tail_coefficient(basis) if lam.n == 3 else basis
+
+
 class TestEliminationPolynomial:
     def test_two_two_identity(self, monkeypatch):
         lam, order = Partition.parse("2,2"), VariableOrder.identity(4)
@@ -629,13 +636,7 @@ class TestEliminationPolynomial:
     def test_a_hat_table_tampered_after_certification_fails_the_subset_side(self, monkeypatch):
         # the subset side divides the hat table's own rows, so a tampered row shows there
         monkeypatch.setattr(spechtfan.oracle, "_failed", passes)
-        monkeypatch.setattr(
-            spechtfan.oracle,
-            "_specht_basis",
-            lambda lam, order, same_first_part: (negate_a_tail_coefficient if lam.n == 3 else lambda b: b)(
-                REAL_SPECHT_BASIS(lam, order, same_first_part)
-            ),
-        )
+        monkeypatch.setattr(spechtfan.oracle, "_specht_basis", with_a_tampered_hat_table)
         got = elimination_polynomial_check(Partition.parse("2,2"), VariableOrder.identity(4))
         assert got == "subset: generator of 1,1,1 from 1/2/3 left a remainder under 1,2,3,4"
 
