@@ -17,8 +17,9 @@ instead: `specht._term_lanes` holds each shape's T0 expansion once, term
 i's exponent of x_j in 64-bit lane i of column j, and `_specht_basis`
 packs all of a tableau's terms under the order at once, at 8-bit fields
 (`specht._lane_system`). A division that outgrows its fields widens its
-dividend and rows (`_remainder`). The elimination check divides the rows
-of the two tables it has just certified, and packs no generator again.
+dividend and rows (`_remainder`); past 64-bit fields it raises
+`CapacityError`. The elimination check divides the rows of the two tables
+it has just certified, and packs no generator again.
 
 Packing undoes the relabelling of the standard tableaux, so every order
 should pack a shape's identity table, rows reordered. `_failed` keeps
@@ -42,6 +43,7 @@ from .combinatorics import (
     prefix_standardization,
     standard_tableau_count,
 )
+from .errors import CapacityError
 from .polyring import Polynomial, _field_scale, _guard_bits, _pack, _unpack, leading_monomial
 from .specht import _check_shape, _lane_system, _term_lanes
 
@@ -58,6 +60,7 @@ __all__ = [
 DEFAULT_ORACLE_LIMIT = 6
 # bits per exponent field of a basis packed from lanes (`_specht_basis`)
 _LANE_W = 8
+_MAX_W = 64  # `_widen_table` widens no table with fields this wide
 
 
 class _DivisionTable(NamedTuple):
@@ -164,8 +167,11 @@ def _widen(p: int, n: int, w: int) -> int:
 
 
 def _widen_table(table: _DivisionTable, n: int) -> _DivisionTable:
-    """The table of n fields with every packed int widened (`_widen`) to twice its width."""
+    """The table of n fields with every packed int widened (`_widen`) to twice its
+    width; refused for fields of _MAX_W bits or more, so no division hangs."""
     w = table.w
+    if w >= _MAX_W:
+        raise CapacityError(f"an exponent outgrew the {w}-bit fields of a {len(table.rows)}-row division table")
     rows = tuple(
         (_widen(mark, n, w), tuple((_widen(e, n, w), c) for e, c in tail)) for mark, tail in table.rows
     )

@@ -7,9 +7,11 @@ exponent d-1 to its variable. Initial ideals are assembled from those
 closed-form monomials alone; polynomial expansion is reserved for the
 generating systems handed to the division-algorithm layer.
 
-`initial_ideal` reads the closed form off the identity-standard fillings
-and moves each exponent tuple by sigma; the public
-`closed_form_initial_monomial` keeps its column-standardness check.
+`initial_ideal` reads the closed form off the identity-standard fillings,
+each with lam's first part, so its support is the n - lam_1 entries off its
+first row. A divisor's support lies in its multiple's, so only candidates
+with one first row divide each other (elementary, not the paper's theorem):
+each such group is minimalized alone, and its survivors moved by sigma.
 
 The expansion is made once per shape, for T0, and every tableau's is T0's
 with its variables renamed. `specht_polynomial` renames term by term; the
@@ -116,9 +118,29 @@ def minimalize(gens) -> MonomialIdeal:
     """Drop every exponent tuple strictly divisible by another; sort what is left.
 
     The surviving set is the unique minimal generating set of the ideal the
-    input generates. Each exponent tuple is packed into one int (`_pack`) with
-    w bits per variable, one more than the largest exponent needs; with G the top
-    bit of every field, f divides e exactly when
+    input generates, found by `_minimal` in one pool. A divisor's support lies
+    in its multiple's: `initial_ideal` runs `_minimal` once per support.
+    """
+    gens = list(map(tuple, gens))
+    # before any set: 1 == True, so a bool could hide behind an equal int
+    _check_ints(chain.from_iterable(gens), "exponents")
+    if not gens:
+        raise ValueError("cannot minimalize an empty generating set")
+    n = len(gens[0])
+    if any(len(e) != n for e in gens):
+        raise ValueError("generators must all live in the ambient ring")
+    if n and min(map(min, gens)) < 0:
+        raise ValueError("exponents must be nonnegative")
+    w = (max(map(max, gens)) if n else 0).bit_length() + 1
+    return MonomialIdeal._wrap(n, tuple(sorted(_minimal(gens, n, w))))
+
+
+def _minimal(gens, n: int, w: int) -> list[tuple[int, ...]]:
+    """The distinct exponent tuples of gens (n entries, each below 2**(w - 1))
+    that no other divides, in (degree, exponent) order.
+
+    Each exponent tuple is packed into one int (`_pack`) with w bits per
+    variable; with G the top bit of every field, f divides e exactly when
     ((pack(e) | G) - pack(f)) & G == G, and no field borrows.
 
     Every generator kept so far sits in its own lane of n*w + 1 bits of one
@@ -139,18 +161,6 @@ def minimalize(gens) -> MonomialIdeal:
     each other, so the lanes grow once per degree, by that degree's
     survivors in (degree, exponent) order.
     """
-    gens = list(map(tuple, gens))
-    # before the set: 1 == True, so a bool could hide behind an equal int
-    _check_ints(chain.from_iterable(gens), "exponents")
-    pool = set(gens)
-    if not pool:
-        raise ValueError("cannot minimalize an empty generating set")
-    n = len(next(iter(pool)))
-    if any(len(e) != n for e in pool):
-        raise ValueError("generators must all live in the ambient ring")
-    if n and min(map(min, pool)) < 0:
-        raise ValueError("exponents must be nonnegative")
-    w = (max(map(max, pool)) if n else 0).bit_length() + 1
     guard = _guard_bits(n, w)
     lane = n * w + 1
     top = 1 << (lane - 1)
@@ -160,7 +170,7 @@ def minimalize(gens) -> MonomialIdeal:
     fresh: list[int] = []
     packs = ones = guards = carries = tops = 0
     level = -1
-    for e in sorted(pool, key=lambda e: (sum(e), e)):
+    for e in sorted(set(gens), key=lambda e: (sum(e), e)):
         degree = sum(e)
         if degree != level and fresh:
             # the last degree's survivors become lanes len(kept) - len(fresh) onward
@@ -176,8 +186,7 @@ def minimalize(gens) -> MonomialIdeal:
         if not ((((p | high) * ones - packs) & guards) + carries) & tops:
             kept.append(e)
             fresh.append(p)
-    kept.sort()
-    return MonomialIdeal._wrap(n, tuple(kept))
+    return kept
 
 
 @lru_cache(maxsize=None)
@@ -364,7 +373,8 @@ def initial_ideal(lam: Partition, order: VariableOrder) -> MonomialIdeal:
     n and the tableau count are checked against INITIAL_IDEAL_N_LIMIT and
     INITIAL_IDEAL_TABLEAU_LIMIT before any tableau is built. Relabeled by
     sigma, an identity-standard filling is sigma-standard, so its closed-form
-    monomial under sigma is the identity filling's moved by sigma.
+    monomial under sigma is the identity filling's moved by sigma. Each
+    first-row group, one support (module docstring), is minimalized alone.
     """
     _check_shape(lam, order)
     if lam.n > INITIAL_IDEAL_N_LIMIT:
@@ -376,10 +386,13 @@ def initial_ideal(lam: Partition, order: VariableOrder) -> MonomialIdeal:
             f"lambda={lam} has {count} generating tableaux, above the limit "
             f"{INITIAL_IDEAL_TABLEAU_LIMIT}"
         )
-    move = _permuter(order.sigma)
-    return minimalize(
-        [move(_row_exponents(rows)) for mu in shapes for rows in _identity_fillings(mu.parts)]
-    )
+    groups: dict[tuple[int, ...], list] = {}
+    for mu in shapes:
+        for rows in _identity_fillings(mu.parts):
+            groups.setdefault(rows[0], []).append(_row_exponents(rows))
+    w = (max(mu.m for mu in shapes) - 1).bit_length() + 1
+    kept = chain.from_iterable(_minimal(group, lam.n, w) for group in groups.values())
+    return MonomialIdeal._wrap(lam.n, tuple(sorted(map(_permuter(order.sigma), kept))))
 
 
 def gap_condition_audit(lam: Partition, order: VariableOrder) -> str:

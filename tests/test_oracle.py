@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spechtfan.oracle
+from spechtfan.errors import CapacityError
 from spechtfan.combinatorics import (
     Partition,
     VariableOrder,
@@ -482,6 +483,35 @@ class TestWiden:
         order = VariableOrder.identity(polys[0].n)
         table = marked_basis(polys, order).division_table
         assert _widen_table(table, order.n) == packed_table(polys, order, 2 * table.w)
+
+    def test_a_widening_that_gains_no_headroom_ends_in_capacity_error(self, monkeypatch):
+        # the mutant shifts every widened field up by half its width: each exponent sits in the
+        # top half of its new field, with no more headroom than before, so the division of
+        # x2^8 by x2 - x1^(2^14) overflows again at 34 and at 68 bits, and the cap must end it
+        def no_headroom(p, n, w):
+            return _widen(p, n, w) << w
+
+        real = spechtfan.oracle._divide
+        widths = []
+
+        def counted(work, table):
+            widths.append(table.w)
+            assert len(widths) <= 8, f"_divide called at widths {widths}: the widening has no cap"
+            return real(work, table)
+
+        monkeypatch.setattr(spechtfan.oracle, "_widen", no_headroom)
+        monkeypatch.setattr(spechtfan.oracle, "_divide", counted)
+        basis = marked_basis([Polynomial(2, {(0, 1): 1, (2**14, 0): -1})], VariableOrder.identity(2))
+        with pytest.raises(CapacityError, match="outgrew the 68-bit fields of a 1-row division table"):
+            reduce(Polynomial(2, {(0, 8): 1}), basis)
+        assert widths == [17, 34, 68]
+
+    def test_a_dividend_past_the_widest_fields_is_refused_before_division(self, monkeypatch):
+        # 2**70 needs 72-bit fields; reduce widens its 17-bit table to 34 and 68, then stops
+        monkeypatch.setattr(spechtfan.oracle, "_divide", lambda work, table: pytest.fail("divided"))
+        basis = marked_basis([Polynomial(2, {(0, 1): 1, (2**14, 0): -1})], VariableOrder.identity(2))
+        with pytest.raises(CapacityError, match="outgrew the 68-bit fields"):
+            reduce(Polynomial(2, {(2**70, 0): 1}), basis)
 
     @pytest.mark.parametrize("same_first_part", [True, False], ids=["lex", "universal"])
     def test_no_lane_certificate_widens(self, monkeypatch, same_first_part):

@@ -530,6 +530,36 @@ class TestInitialIdealFastPath:
         ]
 
 
+def first_row_candidates(lam):
+    """(first row, closed-form monomial) for each identity-standard tableau of the
+    shapes sharing lam's first part: the candidates that initial_ideal minimalizes."""
+    order = VariableOrder.identity(lam.n)
+    return [
+        (t.rows[0], closed_form_initial_monomial(t, order))
+        for mu in dominated_partitions(lam, same_first_part=True)
+        for t in standard_tableaux(mu, order)
+    ]
+
+
+class TestFirstRowGroups:
+    """The fact that lets initial_ideal minimalize each first-row group on its own."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_candidate_is_supported_off_its_first_row(self, n):
+        for lam in all_shapes(n):
+            for first, e in first_row_candidates(lam):
+                support = {v for v in range(1, n + 1) if e[v - 1]}
+                assert len(support) == n - lam.parts[0], (lam, e)
+                assert support == set(range(1, n + 1)) - set(first), (lam, e)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_no_candidate_divides_one_from_another_group(self, n):
+        for lam in all_shapes(n):
+            for (first_f, f), (first_e, e) in permutations(first_row_candidates(lam), 2):
+                if first_f != first_e:
+                    assert not all(a >= b for a, b in zip(e, f)), (lam, f, e)
+
+
 class TestGapAudit:
     def test_two_two_identity_structure(self):
         assert gap_condition_audit(Partition.parse("2,2"), VariableOrder.identity(4)) == ""
