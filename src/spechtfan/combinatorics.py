@@ -293,25 +293,25 @@ def hat(lam: Partition) -> Partition:
     return Partition(tuple(out))
 
 
+def _removable_corners(parts: tuple[int, ...]):
+    """(r, sub) for each removable corner of `parts`: its 0-based row r, and the shape without it."""
+    for r in range(len(parts)):
+        if r + 1 == len(parts) or parts[r] > parts[r + 1]:
+            yield r, tuple(p for p in parts[:r] + (parts[r] - 1,) + parts[r + 1:] if p > 0)
+
+
 @lru_cache(maxsize=None)
 def _identity_fillings(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Fillings of `parts` by 1..n with rows and columns increasing naturally."""
     n = sum(parts)
     if n == 0:
         return ((),)
-    out = []
-    for r in range(len(parts)):
-        if r + 1 < len(parts) and parts[r] == parts[r + 1]:
-            continue  # not a removable corner
-        sub = tuple(p for p in parts[:r] + (parts[r] - 1,) + parts[r + 1:] if p > 0)
-        for rows in _identity_fillings(sub):
-            grown = list(rows)
-            if r < len(grown):
-                grown[r] = grown[r] + (n,)
-            else:
-                grown.append((n,))
-            out.append(tuple(grown))
-    return tuple(out)
+    # entry n ends row r, a new row when r is the sub-filling's length
+    return tuple(
+        rows[:r] + ((rows[r] if r < len(rows) else ()) + (n,),) + rows[r + 1:]
+        for r, sub in _removable_corners(parts)
+        for rows in _identity_fillings(sub)
+    )
 
 
 def standard_tableaux(shape: Partition, order: VariableOrder) -> tuple[Tableau, ...]:

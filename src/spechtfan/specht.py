@@ -12,6 +12,8 @@ each with lam's first part, so its support is the n - lam_1 entries off its
 first row. A divisor's support lies in its multiple's, so only candidates
 with one first row divide each other (elementary, not the paper's theorem):
 each such group is minimalized alone, and its survivors moved by sigma.
+The candidates are built packed (`_packed_fillings`) and a filling of shape
+mu has degree sum (i-1)*mu_i, so no candidate is sorted or unpacked twice.
 
 The expansion is made once per shape, for T0, and every tableau's is T0's
 with its variables renamed. `specht_polynomial` renames term by term; the
@@ -28,7 +30,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, groupby, islice
 from operator import itemgetter, le, lt, mul
 from struct import pack
 from typing import NamedTuple
@@ -38,8 +40,8 @@ from .combinatorics import (
     Tableau,
     VariableOrder,
     _check_ints,
-    _identity_fillings,
     _permuter,
+    _removable_corners,
     dominated_partitions,
     is_column_standard,
     min_gap_k,
@@ -47,7 +49,7 @@ from .combinatorics import (
     standard_tableaux,
 )
 from .errors import CapacityError
-from .polyring import Polynomial, _guard_bits, _monomial_text, _pack
+from .polyring import Polynomial, _guard_bits, _monomial_text, _pack, _unpack
 
 __all__ = [
     "INITIAL_IDEAL_N_LIMIT",
@@ -118,8 +120,9 @@ def minimalize(gens) -> MonomialIdeal:
     """Drop every exponent tuple strictly divisible by another; sort what is left.
 
     The surviving set is the unique minimal generating set of the ideal the
-    input generates, found by `_minimal` in one pool. A divisor's support lies
-    in its multiple's: `initial_ideal` runs `_minimal` once per support.
+    input generates, found by `_minimal` in one pool of `_pack`ed sets, one per
+    degree. A divisor's support lies in its multiple's: `initial_ideal` runs
+    `_minimal` once per support.
     """
     gens = list(map(tuple, gens))
     # before any set: 1 == True, so a bool could hide behind an equal int
@@ -132,16 +135,19 @@ def minimalize(gens) -> MonomialIdeal:
     if n and min(map(min, gens)) < 0:
         raise ValueError("exponents must be nonnegative")
     w = (max(map(max, gens)) if n else 0).bit_length() + 1
-    return MonomialIdeal._wrap(n, tuple(sorted(_minimal(gens, n, w))))
+    desc = range(n - 1, -1, -1)
+    levels = [{_pack(e, desc, w) for e in level} for _, level in groupby(sorted(gens, key=sum), sum)]
+    kept = _minimal(levels, n, w)
+    return MonomialIdeal._wrap(n, tuple(sorted(_unpack(p, desc, w) for p in kept)))
 
 
-def _minimal(gens, n: int, w: int) -> list[tuple[int, ...]]:
-    """The distinct exponent tuples of gens (n entries, each below 2**(w - 1))
-    that no other divides, in (degree, exponent) order.
+def _minimal(levels, n: int, w: int) -> list[int]:
+    """The packed monomials of levels that no other divides, each level distinct
+    monomials of one degree, levels in weakly increasing degree.
 
-    Each exponent tuple is packed into one int (`_pack`) with w bits per
-    variable; with G the top bit of every field, f divides e exactly when
-    ((pack(e) | G) - pack(f)) & G == G, and no field borrows.
+    Monomials are packed (`_pack`) with w bits for each of n variables, every
+    exponent below 2**(w - 1). With G the top bit of every field, f divides e
+    exactly when ((pack(e) | G) - pack(f)) & G == G, and no field borrows.
 
     Every generator kept so far sits in its own lane of n*w + 1 bits of one
     int F (`packs`), the i-th kept at bit (n*w + 1)*i; T is the lane's top
@@ -156,37 +162,50 @@ def _minimal(gens, n: int, w: int) -> list[tuple[int, ...]]:
     when some kept generator divides e. Five big-int operations test e
     against every kept generator at once.
 
-    Monomials are taken by degree, so every divisor is kept or dropped
-    before its multiples. Two distinct monomials of one degree never divide
-    each other, so the lanes grow once per degree, by that degree's
-    survivors in (degree, exponent) order.
+    A divisor has lower degree, so it is kept or dropped a level before its
+    multiples; a monomial equal to a kept one is dropped. Two distinct monomials
+    of one degree never divide each other, so the lanes grow once per level.
     """
     guard = _guard_bits(n, w)
     lane = n * w + 1
     top = 1 << (lane - 1)
     high, carry = guard | top, top - guard
-    fields = range(n)
-    kept: list[tuple[int, ...]] = []
-    fresh: list[int] = []
+    kept: list[int] = []
     packs = ones = guards = carries = tops = 0
-    level = -1
-    for e in sorted(set(gens), key=lambda e: (sum(e), e)):
-        degree = sum(e)
-        if degree != level and fresh:
-            # the last degree's survivors become lanes len(kept) - len(fresh) onward
+    for level in levels:
+        fresh = [p for p in level if not ((((p | high) * ones - packs) & guards) + carries) & tops]
+        if fresh:
+            # this level's survivors become lanes len(kept) onward
             block = 0
             for p in reversed(fresh):
                 block = block << lane | p
-            packs |= block << (lane * (len(kept) - len(fresh)))
+            packs |= block << (lane * len(kept))
+            kept += fresh
             ones = ((1 << (lane * len(kept))) - 1) // ((1 << lane) - 1)
             guards, carries, tops = guard * ones, carry * ones, ones << (lane - 1)
-            fresh = []
-        level = degree
-        p = _pack(e, fields, w)
-        if not ((((p | high) * ones - packs) & guards) + carries) & tops:
-            kept.append(e)
-            fresh.append(p)
     return kept
+
+
+@lru_cache(maxsize=None)
+def _packed_fillings(parts: tuple[int, ...], w: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The closed-form monomials of the identity-standard fillings of `parts` by
+    first row, packed as `_pack(e, range(n - 1, -1, -1), w)` packs e.
+
+    `_identity_fillings`' recursion: entry n placed in 0-based row r adds
+    r << w*(n-1), so x_v's exponent sits in the field at w*(v-1).
+    """
+    n = sum(parts)
+    if n == 0:
+        return {(): (0,)}
+    out: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for r, sub in _removable_corners(parts):
+        shift = r << (w * (n - 1))
+        for first, packs in _packed_fillings(sub, w).items():
+            if r == 0:
+                out[first + (n,)] = packs
+            else:
+                out[first] = out.get(first, ()) + tuple(map(shift.__add__, packs))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -374,7 +393,8 @@ def initial_ideal(lam: Partition, order: VariableOrder) -> MonomialIdeal:
     INITIAL_IDEAL_TABLEAU_LIMIT before any tableau is built. Relabeled by
     sigma, an identity-standard filling is sigma-standard, so its closed-form
     monomial under sigma is the identity filling's moved by sigma. Each
-    first-row group, one support (module docstring), is minimalized alone.
+    first-row group, one support (module docstring), is minimalized alone, a
+    level per shape by degree, and unpacked by `desc0`, moving x_v to x_sigma(v).
     """
     _check_shape(lam, order)
     if lam.n > INITIAL_IDEAL_N_LIMIT:
@@ -386,13 +406,13 @@ def initial_ideal(lam: Partition, order: VariableOrder) -> MonomialIdeal:
             f"lambda={lam} has {count} generating tableaux, above the limit "
             f"{INITIAL_IDEAL_TABLEAU_LIMIT}"
         )
-    groups: dict[tuple[int, ...], list] = {}
-    for mu in shapes:
-        for rows in _identity_fillings(mu.parts):
-            groups.setdefault(rows[0], []).append(_row_exponents(rows))
     w = (max(mu.m for mu in shapes) - 1).bit_length() + 1
-    kept = chain.from_iterable(_minimal(group, lam.n, w) for group in groups.values())
-    return MonomialIdeal._wrap(lam.n, tuple(sorted(map(_permuter(order.sigma), kept))))
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for _, parts in sorted((sum(i * p for i, p in enumerate(mu.parts)), mu.parts) for mu in shapes):
+        for first, packs in _packed_fillings(parts, w).items():
+            groups.setdefault(first, []).append(packs)
+    kept = [p for levels in groups.values() for p in _minimal(levels, lam.n, w)]
+    return MonomialIdeal._wrap(lam.n, tuple(sorted(_unpack(p, order.desc0, w) for p in kept)))
 
 
 def gap_condition_audit(lam: Partition, order: VariableOrder) -> str:

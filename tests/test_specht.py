@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import islice, permutations
 from operator import le
 
@@ -20,6 +21,7 @@ from spechtfan.combinatorics import (
     Partition,
     Tableau,
     VariableOrder,
+    _identity_fillings,
     dominated_partitions,
     enumerate_partitions,
     sample_orders,
@@ -28,7 +30,7 @@ from spechtfan.combinatorics import (
 )
 from spechtfan.errors import CapacityError
 from spechtfan.oracle import _specht_basis
-from spechtfan.polyring import Polynomial, _field_scale, _pack, leading_monomial
+from spechtfan.polyring import Polynomial, _field_scale, _pack, _unpack, leading_monomial
 from spechtfan.specht import (
     _lane,
     _lane_list,
@@ -36,6 +38,8 @@ from spechtfan.specht import (
     _lane_system,
     _lane_term,
     _lowest_lane,
+    _packed_fillings,
+    _row_exponents,
     _term_lanes,
     INITIAL_IDEAL_N_LIMIT,
     INITIAL_IDEAL_TABLEAU_LIMIT,
@@ -503,15 +507,16 @@ class TestInitialIdealFastPath:
             assert sum(standard_tableau_count(mu) for mu in shapes) <= INITIAL_IDEAL_TABLEAU_LIMIT
 
     def test_above_the_limit_is_refused_before_any_tableau(self, monkeypatch):
-        def refuse(parts):
+        def refuse(*args):
             raise AssertionError("tableaux were built before the size check")
 
-        cache = spechtfan.combinatorics._identity_fillings
-        before = cache.cache_info().currsize
-        monkeypatch.setattr(spechtfan.specht, "_identity_fillings", refuse)
+        caches = (spechtfan.combinatorics._identity_fillings, spechtfan.specht._packed_fillings)
+        before = [cache.cache_info().currsize for cache in caches]
+        monkeypatch.setattr(spechtfan.combinatorics, "_identity_fillings", refuse)
+        monkeypatch.setattr(spechtfan.specht, "_packed_fillings", refuse)
         with pytest.raises(CapacityError, match="generating tableaux"):
             initial_ideal(Partition.parse("7,5,3"), VariableOrder.identity(15))
-        assert cache.cache_info().currsize == before
+        assert [cache.cache_info().currsize for cache in caches] == before
 
     def test_large_n_is_refused_before_the_shapes_are_listed(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -539,6 +544,31 @@ def first_row_candidates(lam):
         for mu in dominated_partitions(lam, same_first_part=True)
         for t in standard_tableaux(mu, order)
     ]
+
+
+class TestPackedFillings:
+    """The packed builder against the tuple route it replaces in initial_ideal."""
+
+    @pytest.mark.parametrize(
+        "parts",
+        [lam.parts for n in range(1, 9) for lam in enumerate_partitions(n)]
+        + [(5, 3, 2), (4, 3, 2, 1), (5, 4, 1), (6, 3, 1), (4, 3, 3)],
+        ids=str,
+    )
+    def test_pairs_match_the_identity_fillings(self, parts):
+        n = sum(parts)
+        desc = range(n - 1, -1, -1)
+        degree = sum(i * p for i, p in enumerate(parts))
+        # the narrowest width, and one wider as a shape below a taller lam gets
+        for w in (len(parts) - 1).bit_length() + 1, (len(parts) - 1).bit_length() + 2:
+            want = Counter(
+                (rows[0], _pack(_row_exponents(rows), desc, w)) for rows in _identity_fillings(parts)
+            )
+            got = Counter(
+                (first, p) for first, packs in _packed_fillings(parts, w).items() for p in packs
+            )
+            assert got == want, w
+            assert {sum(_unpack(p, desc, w)) for _, p in got} == {degree}, w
 
 
 class TestFirstRowGroups:
