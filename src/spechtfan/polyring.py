@@ -72,7 +72,7 @@ def _field_scale(desc, w: int) -> tuple[int, ...]:
 
 def _guard_bits(fields: int, w: int) -> int:
     """The top bit of each of `fields` packed fields of width w."""
-    return sum(1 << (w * j + w - 1) for j in range(fields))
+    return ((1 << (w * fields)) - 1) // ((1 << w) - 1) << (w - 1)
 
 
 class Polynomial:

@@ -12,8 +12,8 @@ each with lam's first part, so its support is the n - lam_1 entries off its
 first row. A divisor's support lies in its multiple's, so only candidates
 with one first row divide each other (elementary, not the paper's theorem):
 each such group is minimalized alone, and its survivors moved by sigma.
-The candidates are built packed (`_packed_fillings`) and a filling of shape
-mu has degree sum (i-1)*mu_i, so no candidate is sorted or unpacked twice.
+Candidates are built packed (`_packed_fillings`); a filling of shape mu has
+degree sum (i-1)*mu_i, so each shape is one degree level of `_minimal`.
 
 The expansion is made once per shape, for T0, and every tableau's is T0's
 with its variables renamed. `specht_polynomial` renames term by term; the
